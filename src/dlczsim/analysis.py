@@ -305,8 +305,20 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
         raise ParseError(str(exc), source) from None
 
     res = int(config.tia_resolution_ns)
+    n_trials = len(settings) * n_per
     events = np.zeros(len(rows), dtype=EVENT_DTYPE)
     for k, (trial, chan, t_ns, sid, lineno) in enumerate(rows):
+        if trial >= n_trials:
+            raise ParseError(
+                f"trial {trial} beyond the {n_trials} trials of {len(settings)} settings"
+                f" x {n_per} trials_per_setting",
+                source,
+                lineno,
+            )
+        if sid != trial // n_per:
+            raise ParseError(
+                f"trial {trial} belongs to setting {trial // n_per}, not {sid}", source, lineno
+            )
         if t_ns % res != 0:
             raise ParseError(
                 f"timestamp {t_ns} is not a multiple of the {res} ns resolution", source, lineno
@@ -340,7 +352,7 @@ def gate_and_count(log: EventLog, gates: GateConfig | None = None) -> Coincidenc
 
     The first click per channel per trial wins, so extra clicks in a gate
     change nothing; a coincidence is a trial whose D1 and D2 gates both
-    fired.
+    fired.  Events may come in any order.
     """
     if gates is None:
         gates = GateConfig.from_experiment(log.config)
@@ -354,18 +366,15 @@ def gate_and_count(log: EventLog, gates: GateConfig | None = None) -> Coincidenc
             & (ev["t_ns"] <= center + width / 2)
         )
         sub = ev[mask]
-        # one row per (trial, setting); a trial has a single setting
-        pairs = np.empty(len(sub), dtype=[("trial", np.int64), ("setting_id", np.int32)])
-        pairs["trial"] = sub["trial"]
-        pairs["setting_id"] = sub["setting_id"]
-        return np.unique(pairs)
+        # each trial's first gated click; a trial has a single setting
+        trials, first = np.unique(sub["trial"], return_index=True)
+        return trials, sub["setting_id"][first]
 
-    d1 = _gated_trials(0, gates.d1_center_ns, gates.d1_width_ns)
-    d2 = _gated_trials(1, gates.d2_center_ns, gates.d2_width_ns)
-    n_s = np.bincount(d1["setting_id"], minlength=n_settings)
-    n_i = np.bincount(d2["setting_id"], minlength=n_settings)
-    both = d1[np.isin(d1["trial"], d2["trial"])]
-    n_si = np.bincount(both["setting_id"], minlength=n_settings)
+    t1, sid1 = _gated_trials(0, gates.d1_center_ns, gates.d1_width_ns)
+    t2, sid2 = _gated_trials(1, gates.d2_center_ns, gates.d2_width_ns)
+    n_s = np.bincount(sid1, minlength=n_settings)
+    n_i = np.bincount(sid2, minlength=n_settings)
+    n_si = np.bincount(sid1[np.isin(t1, t2, assume_unique=True)], minlength=n_settings)
 
     rows = {
         sid: SettingCounts(

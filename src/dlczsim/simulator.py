@@ -55,9 +55,9 @@ EVENT_DTYPE = np.dtype(
     [("trial", np.int64), ("channel", np.uint8), ("t_ns", np.int64), ("setting_id", np.int32)]
 )
 
-# uniform variates consumed per trial; 12 doubles = 3 Philox 4x64 blocks
-_DRAWS_PER_TRIAL = 12
-_BLOCKS_PER_TRIAL = _DRAWS_PER_TRIAL // 4
+# raw 64-bit words owned by each trial: 3 Philox 4x64 blocks, words 0-9 read
+_WORDS_PER_TRIAL = 12
+_BLOCKS_PER_TRIAL = _WORDS_PER_TRIAL // 4
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,10 @@ class ExperimentConfig:
     tia_resolution_ns: float = 2.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name in (
             "excitation_prob",
             "retrieval_eff",
@@ -321,15 +325,37 @@ def expected_g_si(
     return p_si / (p_s * p_i)
 
 
-def _uniform_block(seed: int, first_trial: int, n_trials: int) -> np.ndarray:
-    """The (n_trials, 12) uniform variates owned by a contiguous trial range.
+def _raw_block(seed: int, first_trial: int, n_trials: int) -> np.ndarray:
+    """The (n_trials, 12) raw Philox words owned by a contiguous trial range.
 
     Trial t always reads Philox counter blocks [3t, 3t+3) under the run key,
     regardless of how the run is chunked.
     """
     bits = np.random.Philox(key=seed, counter=_BLOCKS_PER_TRIAL * first_trial)
-    gen = np.random.Generator(bits)
-    return gen.random(n_trials * _DRAWS_PER_TRIAL).reshape(n_trials, _DRAWS_PER_TRIAL)
+    return bits.random_raw(n_trials * _WORDS_PER_TRIAL).reshape(n_trials, _WORDS_PER_TRIAL)
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """Raw words as uniform doubles in [0, 1), bit-identical to Generator.random."""
+    return (words >> np.uint64(11)) * (1.0 / (1 << 53))
+
+
+def _below(words: np.ndarray, p: float) -> np.ndarray:
+    """``_uniform(words) < p`` for p in [0, 1], without converting the words.
+
+    With k = word >> 11: k * 2**-53 < p  <=>  k < ceil(p * 2**53)  <=>
+    word < ceil(p * 2**53) << 11.  Scaling a double by a power of two is
+    exact, so the integer comparison decides exactly as the double one.
+    """
+    limit = math.ceil(p * (1 << 53)) << 11
+    if limit >= 1 << 64:
+        return np.ones(len(words), dtype=bool)
+    return words < np.uint64(limit)
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct entries of two arrays that each hold no repeats."""
+    return np.concatenate((a, b[~np.isin(b, a, assume_unique=True)]))
 
 
 def run_trials(
@@ -345,6 +371,13 @@ def run_trials(
     Trials are numbered globally, setting ``k`` owning the contiguous block
     ``[k*n, (k+1)*n)``.  Returns the event log (clicks sorted by trial and
     time) with the exact per-setting tallies attached as ``true_counts``.
+
+    Trial word k is the uniform variate ``(word >> 11) * 2**-53``: 0 decides
+    the pair, 1 its polarizer outcome, 2 and 3 its D1 and D2 detections, 4
+    and 5 their times, 6 and 8 the D1 and D2 background, 7 and 9 their
+    times.  Only words 0, 6 and 8 are read for every trial, and they are
+    compared as integers; the rest are read for the few trials that reach
+    them.
     """
     config.validate()
     settings = tuple(settings)
@@ -371,39 +404,36 @@ def run_trials(
         base = sid * n_trials_per_setting
         for lo in range(0, n_trials_per_setting, chunk_trials):
             hi = min(lo + chunk_trials, n_trials_per_setting)
-            u = _uniform_block(seed, base + lo, hi - lo)
-            trials = np.arange(base + lo, base + hi, dtype=np.int64)
+            words = _raw_block(seed, base + lo, hi - lo)
 
-            pair = u[:, 0] < config.excitation_prob
-            outcome = np.searchsorted(cum, u[:, 1], side="right")
-            pass_s = pair & (outcome <= 1)
-            pass_i = pair & ((outcome == 0) | (outcome == 2))
-            s_real = pass_s & (u[:, 2] < config.det_eff_s)
-            i_real = pass_i & (u[:, 3] < eff_i)
-            bg_s = u[:, 6] < config.bg_prob_s
-            bg_i = u[:, 8] < config.bg_prob_i
+            # chunk rows of the trials that reach each stage, in ascending order
+            pair = np.flatnonzero(_below(words[:, 0], config.excitation_prob))
+            outcome = np.searchsorted(cum, _uniform(words[pair, 1]), side="right")
+            pass_s = pair[outcome <= 1]
+            pass_i = pair[(outcome == 0) | (outcome == 2)]
+            s_real = pass_s[_below(words[pass_s, 2], config.det_eff_s)]
+            i_real = pass_i[_below(words[pass_i, 3], eff_i)]
+            bg_s = np.flatnonzero(_below(words[:, 6], config.bg_prob_s))
+            bg_i = np.flatnonzero(_below(words[:, 8], config.bg_prob_i))
 
-            t_s = (first1 + (u[:, 4] * cells1).astype(np.int64)) * res
-            t_i = (first2 + (u[:, 5] * cells2).astype(np.int64)) * res
-            t_bg_s = (first1 + (u[:, 7] * cells1).astype(np.int64)) * res
-            t_bg_i = (first2 + (u[:, 9] * cells2).astype(np.int64)) * res
-
-            for mask, chan, times in (
-                (s_real, 0, t_s),
-                (bg_s, 0, t_bg_s),
-                (i_real, 1, t_i),
-                (bg_i, 1, t_bg_i),
+            for rows, chan, word, first, cells in (
+                (s_real, 0, 4, first1, cells1),
+                (bg_s, 0, 7, first1, cells1),
+                (i_real, 1, 5, first2, cells2),
+                (bg_i, 1, 9, first2, cells2),
             ):
-                block = np.zeros(int(mask.sum()), dtype=EVENT_DTYPE)
-                block["trial"] = trials[mask]
+                block = np.zeros(len(rows), dtype=EVENT_DTYPE)
+                block["trial"] = base + lo + rows
                 block["channel"] = chan
-                block["t_ns"] = times[mask]
+                block["t_ns"] = (first + (_uniform(words[rows, word]) * cells).astype(np.int64)) * res
                 block["setting_id"] = sid
                 chunks.append(block)
 
-            s_any = s_real | bg_s
-            i_any = i_real | bg_i
-            tally += (s_any.sum(), i_any.sum(), (s_any & i_any).sum())
+            s_any = _union(s_real, bg_s)
+            i_any = _union(i_real, bg_i)
+            n_si = np.count_nonzero(np.isin(s_any, i_any, assume_unique=True))
+            tally += (len(s_any), len(i_any), n_si)
+            del words  # free this chunk's words before the next chunk draws its own
         true_counts[sid] = tuple(int(x) for x in tally)
 
     if chunks:
@@ -470,9 +500,12 @@ def parse_settings_text(text: str, source: str = "<settings>"):
                 f"{source}:{lineno}: expected 'theta_s_deg theta_i_deg', got {raw!r}"
             )
         try:
-            settings.append(MeasurementSetting(float(parts[0]), float(parts[1])))
+            angles = float(parts[0]), float(parts[1])
         except ValueError:
             raise ValueError(f"{source}:{lineno}: angles must be numbers") from None
+        if not all(map(math.isfinite, angles)):
+            raise ValueError(f"{source}:{lineno}: angles must be finite, got {raw!r}")
+        settings.append(MeasurementSetting(*angles))
     if not settings:
         raise ValueError(f"{source}: no settings found")
     return settings

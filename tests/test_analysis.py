@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlczsim.analysis import (
     CoincidenceTable,
@@ -25,6 +27,7 @@ from dlczsim.analysis import (
 )
 from dlczsim.predictor import MeasurementSetting, chsh_setting_table, correlation_e
 from dlczsim.simulator import (
+    EVENT_DTYPE,
     DetectionEvent,
     EventLog,
     ExperimentConfig,
@@ -61,6 +64,35 @@ def make_log(events, settings=(MeasurementSetting(0.0, 0.0),), n=100, config=Non
         n_trials_per_setting=n,
         events=events_to_array(events),
     )
+
+
+def oracle_gate_counts(log, gates=None):
+    """Per-setting (n_s, n_i, n_si) from unique (trial, setting_id) rows per channel.
+
+    The original gating: one row per distinct (trial, setting) pair in each
+    gate, and a coincidence for every D1 row whose trial also fired D2.
+    """
+    gates = gates or GateConfig.from_experiment(log.config)
+    ev = log.events
+    n_settings = len(log.settings)
+
+    def gated(chan, center, width):
+        sub = ev[(ev["channel"] == chan) & (ev["t_ns"] >= center - width / 2) & (ev["t_ns"] <= center + width / 2)]
+        pairs = np.empty(len(sub), dtype=[("trial", np.int64), ("setting_id", np.int32)])
+        pairs["trial"] = sub["trial"]
+        pairs["setting_id"] = sub["setting_id"]
+        return np.unique(pairs)
+
+    d1 = gated(0, gates.d1_center_ns, gates.d1_width_ns)
+    d2 = gated(1, gates.d2_center_ns, gates.d2_width_ns)
+    n_s = np.bincount(d1["setting_id"], minlength=n_settings)
+    n_i = np.bincount(d2["setting_id"], minlength=n_settings)
+    n_si = np.bincount(d1[np.isin(d1["trial"], d2["trial"])]["setting_id"], minlength=n_settings)
+    return {sid: (int(n_s[sid]), int(n_i[sid]), int(n_si[sid])) for sid in range(n_settings)}
+
+
+def counts_of(table):
+    return {sid: (r.n_s, r.n_i, r.n_si) for sid, r in table.rows.items()}
 
 
 class TestLogRoundTrip:
@@ -127,6 +159,7 @@ class TestParserTotality:
             (VALID_HEADER + "0 D1 2000 0\n", 6, "outside the"),
             (VALID_HEADER + "2 D1 66 0\n1 D1 66 0\n", 7, "not sorted"),
             (VALID_HEADER + "0 D1 68 0\n0 D1 66 0\n", 7, "not sorted"),
+            (VALID_HEADER + "0 D1 66 0\n100 D1 66 0\n", 7, "beyond the 100 trials"),
             (VALID_HEADER + "0 D1 66 0\n# seed=9\n", 7, "header line after"),
             (VALID_HEADER + "\n", 6, "blank line"),
             ("# version=1\n# seed=1\n# seed=2\n", 3, "duplicate header key"),
@@ -173,6 +206,30 @@ class TestParserTotality:
     )
     def test_incomplete_or_inconsistent_headers(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
+            parse_event_log_text(text)
+
+    def test_trials_beyond_the_run_rejected(self):
+        """Two trials per setting, then clicks at trials 5 and 7 that no run made."""
+        text = (
+            "# version=1\n# seed=1\n# trials_per_setting=2\n# setting 0 0 0\n"
+            "0 D1 66 0\n0 D2 330 0\n5 D1 66 0\n7 D2 330 0\n"
+        )
+        with pytest.raises(ParseError, match="trial 5 beyond the 2 trials") as err:
+            parse_event_log_text(text, source="run.log")
+        assert err.value.line == 7
+
+    def test_setting_must_match_the_trial_block(self):
+        text = (
+            "# version=1\n# seed=1\n# trials_per_setting=3\n# setting 0 0 0\n# setting 1 0 90\n"
+            "2 D1 66 0\n3 D1 66 0\n4 D2 330 0\n"
+        )
+        with pytest.raises(ParseError, match="trial 3 belongs to setting 1, not 0") as err:
+            parse_event_log_text(text)
+        assert err.value.line == 7
+
+    def test_zero_trials_per_setting_admits_no_events(self):
+        text = "# version=1\n# seed=1\n# trials_per_setting=0\n# setting 0 0 0\n0 D1 66 0\n"
+        with pytest.raises(ParseError, match="beyond the 0 trials"):
             parse_event_log_text(text)
 
     def test_header_errors_name_the_source(self):
@@ -242,6 +299,43 @@ class TestGateAndCount:
         first = gate_and_count(log)
         second = gate_and_count(log)
         assert first.rows == second.rows
+
+    def test_event_order_does_not_matter(self):
+        cfg = ExperimentConfig(bg_prob_s=1e-3, bg_prob_i=1e-3)
+        settings_ = [MeasurementSetting(0, 0), MeasurementSetting(30, -10)]
+        log = run_trials(cfg, settings_, 50_000, seed=23)
+        shuffled = EventLog(
+            config=log.config,
+            settings=log.settings,
+            seed=log.seed,
+            n_trials_per_setting=log.n_trials_per_setting,
+            events=np.random.default_rng(4).permutation(log.events),
+        )
+        expected = counts_of(gate_and_count(log))
+        assert expected == log.true_counts == oracle_gate_counts(log)
+        assert counts_of(gate_and_count(shuffled)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 29), st.integers(0, 1), st.integers(0, 250)),
+            max_size=60,
+        ),
+        n_per=st.integers(10, 30),
+    )
+    def test_matches_the_structured_unique_oracle(self, rows, n_per):
+        """Any order, repeats and out-of-gate clicks: the same counts as the original gating."""
+        events = np.zeros(len(rows), dtype=EVENT_DTYPE)
+        for k, (trial, chan, half_ns) in enumerate(rows):
+            events[k] = (trial, chan, 2 * half_ns, trial // n_per)
+        log = EventLog(
+            config=ExperimentConfig(),
+            settings=(MeasurementSetting(0, 0), MeasurementSetting(0, 90), MeasurementSetting(90, 0)),
+            seed=0,
+            n_trials_per_setting=n_per,
+            events=events,
+        )
+        assert counts_of(gate_and_count(log)) == oracle_gate_counts(log)
 
     def test_default_gates_come_from_the_config(self):
         cfg = ExperimentConfig(delta_t_ns=500.0, dark_ns=1200.0)

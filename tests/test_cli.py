@@ -201,6 +201,14 @@ class TestSimulateAndAnalyze:
         assert code == 2
         assert "bad.log:5" in err
 
+    def test_log_with_trials_beyond_the_run_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.log"
+        bad.write_text("# version=1\n# seed=1\n# trials_per_setting=2\n# setting 0 0 0\n"
+                       "0 D1 66 0\n0 D2 330 0\n5 D1 66 0\n7 D2 330 0\n")
+        code, _, err = run_cli(capsys, "analyze-gsi", "--log", str(bad))
+        assert code == 2
+        assert "bad.log:7" in err
+
 
 def write_fringe_csv(path, amp, bg, eta, theta_i_deg, step=10.0):
     ti = math.radians(theta_i_deg)

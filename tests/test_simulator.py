@@ -1,11 +1,16 @@
 """Tests for the Monte Carlo trial generator and its closed-form twin."""
 
+import dataclasses
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dlczsim import simulator
 from dlczsim.predictor import MeasurementSetting, chsh_setting_table
 from dlczsim.simulator import (
     DEFAULT_ETA,
@@ -44,6 +49,115 @@ def clean_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def oracle_run(config, settings, n_trials_per_setting, seed):
+    """Events and tallies drawn the original way: 12 doubles per trial, full-length masks.
+
+    Trial t reads the doubles Generator(Philox).random gives for counter
+    blocks [3t, 3t+3) under the run key; run_trials must reproduce this
+    byte for byte.
+    """
+    res = int(config.tia_resolution_ns)
+    (c1, w1), (c2, w2) = gate_windows(config)
+    first1, cells1 = simulator._gate_cells(c1, w1, res)
+    first2, cells2 = simulator._gate_cells(c2, w2, res)
+    eff_i = simulator._effective_retrieval(config, config.delta_t_ns) * config.det_eff_i
+    chunks, true_counts = [], {}
+    for sid, setting in enumerate(settings):
+        n = n_trials_per_setting
+        base = sid * n
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=3 * base))
+        u = gen.random(n * 12).reshape(n, 12)
+        trials = np.arange(base, base + n, dtype=np.int64)
+        cum = np.cumsum(joint_outcome_probs(config, setting))
+        pair = u[:, 0] < config.excitation_prob
+        outcome = np.searchsorted(cum, u[:, 1], side="right")
+        pass_s = pair & (outcome <= 1)
+        pass_i = pair & ((outcome == 0) | (outcome == 2))
+        s_real = pass_s & (u[:, 2] < config.det_eff_s)
+        i_real = pass_i & (u[:, 3] < eff_i)
+        bg_s = u[:, 6] < config.bg_prob_s
+        bg_i = u[:, 8] < config.bg_prob_i
+        t_s = (first1 + (u[:, 4] * cells1).astype(np.int64)) * res
+        t_i = (first2 + (u[:, 5] * cells2).astype(np.int64)) * res
+        t_bg_s = (first1 + (u[:, 7] * cells1).astype(np.int64)) * res
+        t_bg_i = (first2 + (u[:, 9] * cells2).astype(np.int64)) * res
+        for mask, chan, times in ((s_real, 0, t_s), (bg_s, 0, t_bg_s), (i_real, 1, t_i), (bg_i, 1, t_bg_i)):
+            block = np.zeros(int(mask.sum()), dtype=EVENT_DTYPE)
+            block["trial"] = trials[mask]
+            block["channel"] = chan
+            block["t_ns"] = times[mask]
+            block["setting_id"] = sid
+            chunks.append(block)
+        s_any, i_any = s_real | bg_s, i_real | bg_i
+        true_counts[sid] = (int(s_any.sum()), int(i_any.sum()), int((s_any & i_any).sum()))
+    events = np.concatenate(chunks)
+    events = events[np.lexsort((events["channel"], events["t_ns"], events["trial"]))]
+    return events, true_counts
+
+
+ORACLE_CASES = {
+    "defaults": (ExperimentConfig(), [MeasurementSetting(0, 0), MeasurementSetting(-22.5, 45)]),
+    "bright_with_background": (
+        clean_config(bg_prob_s=0.05, bg_prob_i=0.02, base_visibility=0.8),
+        [MeasurementSetting(10, 40), MeasurementSetting(67.5, 112.5), MeasurementSetting(90, 0)],
+    ),
+    # probabilities of exactly 1 and 0, a decayed idler and a long storage time
+    "certain_pair_and_background": (
+        clean_config(
+            excitation_prob=1.0,
+            bg_prob_s=1.0,
+            retrieval_eff=0.6,
+            delta_t_ns=2500.0,
+            cycle_ns=4000.0,
+            dark_ns=3000.0,
+        ),
+        [MeasurementSetting(30, -15)],
+    ),
+}
+
+
+class TestStreamPinning:
+    """The raw-word draw must reproduce the original 12-double stream byte for byte."""
+
+    @pytest.mark.parametrize("chunk", [1, 7_777, 1 << 18])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_byte_equal_to_twelve_double_oracle(self, case, chunk):
+        config, settings_ = ORACLE_CASES[case]
+        n = 2_000 if chunk == 1 else 20_000
+        events, true_counts = oracle_run(config, settings_, n, seed=77)
+        log = run_trials(config, settings_, n, seed=77, chunk_trials=chunk)
+        assert len(log) > 0
+        assert log.events.tobytes() == events.tobytes()
+        assert log.true_counts == true_counts
+
+    def test_golden_digest(self):
+        """A change of stream or event layout must not pass silently."""
+        log = run_trials(ExperimentConfig(), [MeasurementSetting(0, 0)], 50_000, seed=9)
+        digest = hashlib.sha256(log.events.tobytes()).hexdigest()
+        assert digest == "911d7adf6d068785e28100c34992ea354a9d0be6a89750da9b59bcce217da3da"
+
+    def test_uniform_matches_generator_random(self):
+        words = np.random.Philox(key=5, counter=12).random_raw(4_096)
+        expected = np.random.Generator(np.random.Philox(key=5, counter=12)).random(4_096)
+        assert simulator._uniform(words).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+        k=st.integers(0, 2**53),
+        nudge=st.sampled_from([-1, 0, 1]),
+    )
+    def test_below_decides_like_the_doubles(self, words, k, nudge):
+        """Integer thresholds agree with the double comparison, at and next to every boundary."""
+        p = k / 2**53
+        if nudge:
+            p = min(max(math.nextafter(p, nudge * math.inf), 0.0), 1.0)
+        # words on both sides of the threshold the comparison turns at
+        edge = math.ceil(p * 2**53) << 11
+        words = np.array(words + [w for w in (edge - 1, edge) if 0 <= w < 2**64], dtype=np.uint64)
+        assert np.array_equal(simulator._below(words, p), simulator._uniform(words) < p)
+
+
 class TestExperimentConfig:
     def test_defaults_validate(self):
         ExperimentConfig().validate()
@@ -73,6 +187,12 @@ class TestExperimentConfig:
     )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
+            ExperimentConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             ExperimentConfig(**{field: value}).validate()
 
     def test_read_gate_beyond_cycle_rejected(self):
@@ -408,6 +528,15 @@ class TestConfigAndSettingsFiles:
     def test_parse_settings_errors(self, text):
         with pytest.raises(ValueError):
             parse_settings_text(text)
+
+    @pytest.mark.parametrize("text", ["nan 0", "0 inf", "0 0\n-inf 45"])
+    def test_parse_settings_rejects_non_finite_angles(self, text):
+        with pytest.raises(ValueError, match=r"s\.txt:\d+: angles must be finite"):
+            parse_settings_text(text, source="s.txt")
+
+    def test_parse_config_rejects_infinite_resolution(self):
+        with pytest.raises(ValueError, match="cfg.txt: tia_resolution_ns must be finite"):
+            parse_config_text("tia_resolution_ns = inf\n", source="cfg.txt")
 
     def test_settings_file(self, tmp_path):
         path = tmp_path / "settings.txt"

@@ -10,6 +10,7 @@ visibility fits, and the storage-time decay fit.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,6 +180,9 @@ class ExponentialFit:
 #   # setting <id> <theta_s_deg> <theta_i_deg>
 #   # seed=<u64>
 #   <trial> <D1|D2> <t_ns> <setting_id>   body, sorted by (trial, t_ns)
+#
+# Lines end in "\n" or "\r\n".  A body line is exactly four fields joined
+# by single spaces; the integers are ASCII digits with an optional "-".
 
 
 def format_event_log(log: EventLog) -> str:
@@ -190,15 +194,31 @@ def format_event_log(log: EventLog) -> str:
         lines.append(f"# setting {sid} {setting.theta_s_deg!r} {setting.theta_i_deg!r}")
     lines.append(f"# seed={log.seed}")
     ev = log.events
-    chan = np.array(CHANNEL_NAMES)[ev["channel"]]
-    for trial, name, t, sid in zip(ev["trial"], chan, ev["t_ns"], ev["setting_id"]):
-        lines.append(f"{trial} {name} {t} {sid}")
-    return "\n".join(lines) + "\n"
+    names = np.array(CHANNEL_NAMES)[ev["channel"]].tolist()
+    body = [
+        f"{trial} {name} {t} {sid}\n"
+        for trial, name, t, sid in zip(
+            ev["trial"].tolist(), names, ev["t_ns"].tolist(), ev["setting_id"].tolist()
+        )
+    ]
+    return "\n".join(lines) + "\n" + "".join(body)
 
 
 def write_event_log(log: EventLog, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_event_log(log))
+
+
+_INT64_MAX = 2**63 - 1
+# every integer of up to 18 decimal digits fits in an int64
+_MAX_DIGITS = 18
+_INT_FIELD = re.compile("-?[0-9]+")
+
+
+def _check_line_breaks(raw: str, lineno: int, source: str) -> None:
+    # str.splitlines also breaks at \r, \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
+    if raw.splitlines() not in ([], [raw]):
+        raise ParseError("line break other than '\\n' or '\\r\\n'", source, lineno)
 
 
 def _parse_header_line(line: str, lineno: int, source: str, header: dict, settings: dict):
@@ -212,6 +232,8 @@ def _parse_header_line(line: str, lineno: int, source: str, header: dict, settin
             ts, ti = float(parts[2]), float(parts[3])
         except ValueError:
             raise ParseError(f"bad setting line {body!r}", source, lineno) from None
+        if not (math.isfinite(ts) and math.isfinite(ti)):
+            raise ParseError(f"setting angles must be finite, got {body!r}", source, lineno)
         if sid in settings:
             raise ParseError(f"duplicate setting id {sid}", source, lineno)
         settings[sid] = MeasurementSetting(ts, ti)
@@ -225,56 +247,160 @@ def _parse_header_line(line: str, lineno: int, source: str, header: dict, settin
     header[key] = (value, lineno)
 
 
-def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
-    """Parse the version-1 text format, validating structure and ordering."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ParseError("missing header", source, 1)
-    first = lines[0][1:].strip()
-    if first != f"version={LOG_FORMAT_VERSION}":
+def _ascii_int(field: str) -> int:
+    """``int(field)`` for ``-?[0-9]+`` only, so no "+", "_", spaces or non-ASCII digits."""
+    if not _INT_FIELD.fullmatch(field):
+        raise ValueError(f"not an ASCII integer: {field!r}")
+    return int(field)  # still a ValueError beyond sys.get_int_max_str_digits()
+
+
+def _event_fields(raw: str, lineno: int, source: str) -> tuple[int, int, int, int]:
+    """(trial, channel, t_ns, setting_id) of one body line, or the ParseError it earns."""
+    _check_line_breaks(raw, lineno, source)
+    stripped = raw.strip()
+    if not stripped:
+        raise ParseError("blank line", source, lineno)
+    if stripped.startswith("#"):
+        raise ParseError("header line after the event body began", source, lineno)
+    if stripped != raw:
+        raise ParseError(f"leading or trailing whitespace in event line {raw!r}", source, lineno)
+    parts = raw.split(" ")
+    if len(parts) != 4:
         raise ParseError(
-            f"unsupported log version {first!r}, expected 'version={LOG_FORMAT_VERSION}'",
+            f"event line needs '<trial> <channel> <t_ns> <setting_id>', got {raw!r}",
+            source,
+            lineno,
+        )
+    if parts[1] not in CHANNEL_NAMES:
+        raise ParseError(f"unknown channel {parts[1]!r}", source, lineno)
+    try:
+        trial, t_ns, sid = (_ascii_int(parts[k]) for k in (0, 2, 3))
+    except ValueError:
+        raise ParseError(f"non-integer field in event line {raw!r}", source, lineno) from None
+    return trial, CHANNEL_NAMES.index(parts[1]), t_ns, sid
+
+
+def _int_column(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Parse the byte ranges [start, end) of ``buf`` as decimal integers.
+
+    Returns the values, a mask of fields that are not ``-?[0-9]+`` and a
+    mask of fields with more than _MAX_DIGITS digits, whose values here are
+    meaningless and must be read exactly.
+    """
+    neg = buf[start] == ord("-")
+    length = end - start - neg
+    bad = length < 1
+    too_long = length > _MAX_DIGITS
+    value = np.zeros(len(start), dtype=np.int64)
+    for k in range(min(int(length.max(initial=0)), _MAX_DIGITS)):
+        # k-th digit from the right; rows with fewer digits read a masked byte
+        inside = length > k
+        digit = buf.take(end - 1 - k, mode="clip") - np.uint8(ord("0"))
+        bad |= inside & (digit > 9)
+        value += (digit * inside).astype(np.int64) * 10**k
+    return np.where(neg, -value, value), bad, too_long
+
+
+def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
+    """Parse the version-1 text format, validating structure and ordering.
+
+    The header is read line by line; the body is parsed a column at a time
+    over its bytes.  Vectorized checks flag every row that may be bad, and
+    the flagged rows are then re-read one at a time, in order, by the exact
+    per-line rules, so the first offending line is reported with its own
+    message.  Structural errors (field syntax, order, unknown setting ids)
+    come first, then header errors, then range errors.
+    """
+    # -- header: line by line until the first event line ----------------------
+    end = text.find("\n")
+    end = len(text) if end < 0 else end
+    first = text[:end].removesuffix("\r")
+    _check_line_breaks(first, 1, source)
+    if not first.startswith("#"):
+        raise ParseError("missing header", source, 1)
+    version = first[1:].strip()
+    if version != f"version={LOG_FORMAT_VERSION}":
+        raise ParseError(
+            f"unsupported log version {version!r}, expected 'version={LOG_FORMAT_VERSION}'",
             source,
             1,
         )
-
+    lineno = 1
     header: dict = {}
     settings: dict = {}
-    rows = []
-    in_body = False
-    last_key = (-1, -1)  # (trial, t_ns) of the previous event
-    for lineno, raw in enumerate(lines[1:], start=2):
+    pos = end + 1
+    while pos < len(text):
+        lineno += 1
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        raw = text[pos:end].removesuffix("\r")
+        _check_line_breaks(raw, lineno, source)
         line = raw.strip()
         if not line:
             raise ParseError("blank line", source, lineno)
-        if line.startswith("#"):
-            if in_body:
-                raise ParseError("header line after the event body began", source, lineno)
-            _parse_header_line(line, lineno, source, header, settings)
-            continue
-        in_body = True
-        parts = line.split(" ")
-        if len(parts) != 4:
-            raise ParseError(
-                f"event line needs '<trial> <channel> <t_ns> <setting_id>', got {raw!r}",
-                source,
-                lineno,
-            )
-        if parts[1] not in CHANNEL_NAMES:
-            raise ParseError(f"unknown channel {parts[1]!r}", source, lineno)
-        try:
-            trial, t_ns, sid = int(parts[0]), int(parts[2]), int(parts[3])
-        except ValueError:
-            raise ParseError(f"non-integer field in event line {raw!r}", source, lineno) from None
-        if trial < 0:
-            raise ParseError(f"negative trial index {trial}", source, lineno)
-        if (trial, t_ns) < last_key:
-            raise ParseError("events not sorted by (trial, t_ns)", source, lineno)
-        last_key = (trial, t_ns)
-        if sid not in settings:
-            raise ParseError(f"event references unknown setting id {sid}", source, lineno)
-        rows.append((trial, CHANNEL_NAMES.index(parts[1]), t_ns, sid, lineno))
+        if not line.startswith("#"):
+            break  # the body starts at this line
+        _parse_header_line(line, lineno, source, header, settings)
+        pos = end + 1
 
+    # -- body: one row per line, columns parsed from the bytes ----------------
+    # non-ASCII characters become "?", so byte offsets equal str offsets
+    data = text[pos:].encode("ascii", "replace")
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    sep = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
+    is_nl = buf[sep] == ord("\n")
+    # rows before the first line without exactly three spaces: each owns
+    # separators (space, space, space, newline)
+    quads = is_nl[: len(sep) // 4 * 4].reshape(-1, 4)
+    aligned = ~quads[:, 0] & ~quads[:, 1] & ~quads[:, 2] & quads[:, 3]
+    n_rows = len(aligned) if aligned.all() else int(np.argmin(aligned))
+    ends = sep[: 4 * n_rows].reshape(n_rows, 4)  # the three spaces and the newline
+    newline = ends[:, 3]
+    line_start = np.zeros_like(newline)
+    line_start[1:] = newline[:-1] + 1
+    sid_end = newline - (buf[newline - 1] == ord("\r"))
+
+    trial, bad, too_long = _int_column(buf, line_start, ends[:, 0])
+    t_ns, bad_t, long_t = _int_column(buf, ends[:, 1] + 1, ends[:, 2])
+    sid, bad_sid, long_sid = _int_column(buf, ends[:, 2] + 1, sid_end)
+    channel = buf[ends[:, 0] + 2] - np.uint8(ord("1"))
+    bad |= bad_t | bad_sid | (ends[:, 1] - ends[:, 0] != 3) | (buf[ends[:, 0] + 1] != ord("D"))
+    bad |= channel > 1
+    too_long |= long_t | long_sid
+    del line_start, sid_end, bad_t, long_t, bad_sid, long_sid
+
+    def raw_line(row: int) -> str:
+        lo = pos if row == 0 else pos + int(newline[row - 1]) + 1
+        hi = text.find("\n", lo)
+        return text[lo : len(text) if hi < 0 else hi].removesuffix("\r")
+
+    def exact(row: int) -> tuple[int, int, int, int]:
+        return _event_fields(raw_line(row), lineno + row, source)
+
+    def check_structure(row: int) -> None:
+        trial_k, _, t_k, sid_k = exact(row)
+        if trial_k < 0:
+            raise ParseError(f"negative trial index {trial_k}", source, lineno + row)
+        if row > 0:
+            trial_p, _, t_p, _ = exact(row - 1)
+            if (trial_k, t_k) < (trial_p, t_p):
+                raise ParseError("events not sorted by (trial, t_ns)", source, lineno + row)
+        if sid_k not in settings:
+            raise ParseError(f"event references unknown setting id {sid_k}", source, lineno + row)
+
+    known = np.array([s for s in settings if -_INT64_MAX - 1 <= s <= _INT64_MAX], dtype=np.int64)
+    suspect = bad | too_long | (trial < 0) | ~np.isin(sid, known)
+    suspect[1:] |= too_long[:-1]  # the order check of the next row read a long field
+    suspect[1:] |= (trial[1:] < trial[:-1]) | ((trial[1:] == trial[:-1]) & (t_ns[1:] < t_ns[:-1]))
+    for row in np.flatnonzero(suspect).tolist():
+        check_structure(row)
+    if 4 * n_rows < len(sep):
+        # line n_rows lacks exactly three spaces, so it fails the per-line rules
+        check_structure(n_rows)
+
+    # -- header consistency ----------------------------------------------------
     for required in ("seed", "trials_per_setting"):
         if required not in header:
             raise ParseError(f"missing required header key {required!r}", source)
@@ -286,13 +412,13 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
         )
 
     def _header_int(key: str, minimum: int) -> int:
-        value, lineno = header.pop(key)
+        value, at = header.pop(key)
         try:
             out = int(value)
         except ValueError:
-            raise ParseError(f"{key} must be an integer, got {value!r}", source, lineno) from None
+            raise ParseError(f"{key} must be an integer, got {value!r}", source, at) from None
         if out < minimum:
-            raise ParseError(f"{key} must be >= {minimum}, got {out}", source, lineno)
+            raise ParseError(f"{key} must be >= {minimum}, got {out}", source, at)
         return out
 
     seed = _header_int("seed", 0)
@@ -304,30 +430,50 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     except ValueError as exc:
         raise ParseError(str(exc), source) from None
 
+    # -- ranges: trial within the run and its setting block, t_ns on the grid --
     res = int(config.tia_resolution_ns)
     n_trials = len(settings) * n_per
-    events = np.zeros(len(rows), dtype=EVENT_DTYPE)
-    for k, (trial, chan, t_ns, sid, lineno) in enumerate(rows):
-        if trial >= n_trials:
+
+    def check_range(row: int) -> None:
+        trial_k, _, t_k, sid_k = exact(row)
+        at = lineno + row
+        if trial_k >= n_trials:
             raise ParseError(
-                f"trial {trial} beyond the {n_trials} trials of {len(settings)} settings"
+                f"trial {trial_k} beyond the {n_trials} trials of {len(settings)} settings"
                 f" x {n_per} trials_per_setting",
                 source,
-                lineno,
+                at,
             )
-        if sid != trial // n_per:
+        if sid_k != trial_k // n_per:
             raise ParseError(
-                f"trial {trial} belongs to setting {trial // n_per}, not {sid}", source, lineno
+                f"trial {trial_k} belongs to setting {trial_k // n_per}, not {sid_k}", source, at
             )
-        if t_ns % res != 0:
+        if t_k % res != 0:
             raise ParseError(
-                f"timestamp {t_ns} is not a multiple of the {res} ns resolution", source, lineno
+                f"timestamp {t_k} is not a multiple of the {res} ns resolution", source, at
             )
-        if not 0 <= t_ns <= config.cycle_ns:
-            raise ParseError(f"timestamp {t_ns} outside the {config.cycle_ns} ns cycle", source, lineno)
-        events[k] = (trial, chan, t_ns, sid)
+        if not 0 <= t_k <= config.cycle_ns:
+            raise ParseError(f"timestamp {t_k} outside the {config.cycle_ns} ns cycle", source, at)
+        for name, value in (("trial", trial_k), ("timestamp", t_k)):
+            if value > _INT64_MAX:
+                raise ParseError(f"{name} {value} does not fit in a signed 64-bit integer", source, at)
+        # a row flagged for a long field takes its exact values
+        trial[row], t_ns[row], sid[row] = trial_k, t_k, sid_k
 
-    ordered = tuple(settings[sid] for sid in range(len(settings)))
+    # clamped bounds only ever flag extra rows, which the exact check clears
+    suspect = too_long | (trial >= min(n_trials, _INT64_MAX))
+    suspect |= sid != trial // min(max(n_per, 1), _INT64_MAX)
+    suspect |= (t_ns % res != 0) if res <= _INT64_MAX else (t_ns != 0)
+    suspect |= (t_ns < 0) | (t_ns > min(math.floor(config.cycle_ns), _INT64_MAX))
+    for row in np.flatnonzero(suspect).tolist():
+        check_range(row)
+
+    events = np.empty(n_rows, dtype=EVENT_DTYPE)
+    events["trial"] = trial
+    events["channel"] = channel
+    events["t_ns"] = t_ns
+    events["setting_id"] = sid
+    ordered = tuple(settings[k] for k in range(len(settings)))
     return EventLog(
         config=config, settings=ordered, seed=seed, n_trials_per_setting=n_per, events=events
     )
@@ -335,10 +481,13 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
 
 def parse_event_log(path) -> EventLog:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # newline="" hands "\r" to the parser, which accepts it only before "\n"
+        with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(str(exc), str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})", str(path)) from None
     return parse_event_log_text(text, source=str(path))
 
 

@@ -133,11 +133,14 @@ def _read_csv_points(path, expected_columns):
                 f"expected {len(expected_columns)} columns, got {len(row)}", str(path), lineno
             )
         try:
-            points.append(tuple(float(x) for x in row))
+            point = tuple(float(x) for x in row)
         except ValueError:
             raise analysis.ParseError(
                 f"non-numeric value in row {row}", str(path), lineno
             ) from None
+        if not all(map(math.isfinite, point)):
+            raise analysis.ParseError(f"non-finite value in row {row}", str(path), lineno)
+        points.append(point)
     if not points:
         raise analysis.ParseError("no data rows", str(path))
     return points

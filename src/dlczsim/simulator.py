@@ -394,6 +394,15 @@ def run_trials(
     (c1, w1), (c2, w2) = gate_windows(config)
     first1, cells1 = _gate_cells(c1, w1, res)
     first2, cells2 = _gate_cells(c2, w2, res)
+    # events sort by one int64 key (trial * span + cell) * 2 + channel, with
+    # cells counted from the earliest gate start
+    first_cell = min(first1, first2)
+    span = max(first1 + cells1, first2 + cells2) - first_cell
+    n_total = len(settings) * n_trials_per_setting
+    if 2 * n_total * span > 2**63:
+        raise ValueError(
+            f"{n_total} trials x {span} timing cells per trial overflow the int64 sort key"
+        )
     eff_i = _effective_retrieval(config, config.delta_t_ns) * config.det_eff_i
 
     chunks = []
@@ -438,8 +447,12 @@ def run_trials(
 
     if chunks:
         events = np.concatenate(chunks)
-        order = np.lexsort((events["channel"], events["t_ns"], events["trial"]))
-        events = events[order]
+        key = events["t_ns"] // res
+        key -= first_cell
+        key += events["trial"] * span
+        key *= 2
+        key += events["channel"]
+        events = events[np.argsort(key, kind="stable")]
     else:
         events = np.zeros(0, dtype=EVENT_DTYPE)
     return EventLog(

@@ -209,6 +209,38 @@ class TestSimulateAndAnalyze:
         assert code == 2
         assert "bad.log:7" in err
 
+    @pytest.mark.parametrize("angles", ["nan inf", "0 -inf", "nan 0"])
+    def test_non_finite_setting_angles_exit_two(self, capsys, tmp_path, angles):
+        bad = tmp_path / "bad.log"
+        bad.write_text(f"# version=1\n# seed=1\n# trials_per_setting=2\n# setting 0 {angles}\n"
+                       "0 D1 66 0\n")
+        code, out, err = run_cli(capsys, "analyze-gsi", "--log", str(bad), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "bad.log:4" in err and "finite" in err
+
+    def test_crlf_log_file_is_accepted(self, capsys, tmp_path, settings_file):
+        out = tmp_path / "run.log"
+        run_cli(capsys, "simulate", "--settings", settings_file, "--n", "2000", "--out", str(out))
+        crlf = tmp_path / "crlf.log"
+        crlf.write_bytes(out.read_bytes().replace(b"\n", b"\r\n"))
+        assert parse_event_log(crlf) == parse_event_log(out)
+
+    def test_lone_carriage_return_in_a_log_file_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.log"
+        bad.write_bytes(b"# version=1\n# seed=1\n# trials_per_setting=2\n# setting 0 0 0\n"
+                        b"0 D1 66 0\r0 D2 330 0\n")
+        code, _, err = run_cli(capsys, "analyze-gsi", "--log", str(bad))
+        assert code == 2
+        assert "bad.log:5" in err
+
+    def test_log_that_is_not_utf8_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.log"
+        bad.write_bytes(b"# version=1\n# seed=1\xff\n")
+        code, _, err = run_cli(capsys, "analyze-gsi", "--log", str(bad))
+        assert code == 2
+        assert "bad.log" in err and "UTF-8" in err
+
 
 def write_fringe_csv(path, amp, bg, eta, theta_i_deg, step=10.0):
     ti = math.radians(theta_i_deg)
@@ -275,6 +307,24 @@ class TestFitCommands:
         code, _, err = run_cli(capsys, "fit-decay", "--data", str(data))
         assert code == 2
 
+
+    @pytest.mark.parametrize("command", ["fit-decay", "fit-fringe"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_csv_cell_exits_two(self, capsys, tmp_path, command, cell):
+        data = tmp_path / "data.csv"
+        if command == "fit-decay":
+            data.write_text(f"delta_t_ns,g_si,sigma\n200,5,0.1\n1000,{cell},0.1\n3000,2,0.1\n")
+            extra = ()
+        else:
+            write_fringe_csv(data, amp=50.0, bg=2.0, eta=DEFAULT_ETA, theta_i_deg=67.5)
+            rows = data.read_text().splitlines()
+            rows[3] = ",".join(rows[3].split(",")[:2] + [cell])
+            data.write_text("\n".join(rows) + "\n")
+            extra = ("--theta-i", "67.5")
+        code, out, err = run_cli(capsys, command, "--data", str(data), *extra)
+        assert code == 2
+        assert out == ""
+        assert f"{data}:" in err and "non-finite" in err
 
 class TestCheckOps:
     def test_operator_checks_scale_inversely_with_atom_number(self, capsys):

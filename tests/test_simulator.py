@@ -336,6 +336,19 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             run_trials(cfg, [MeasurementSetting(0, 0)], 10, seed=2**64)
 
+    def test_sort_key_overflow_is_refused_up_front(self):
+        with pytest.raises(ValueError, match=r"4611686018427387904 trials x \d+ timing cells"):
+            run_trials(ExperimentConfig(), [MeasurementSetting(0, 0)], 2**62, seed=0)
+        # a storage time of 10**15 ns spreads one trial over ~5e14 cells
+        wide = clean_config(delta_t_ns=1e15, cycle_ns=2e15, dark_ns=2e15, memory_tau_ns=1e16,
+                            retrieval_tau_ns=1e16)
+        with pytest.raises(ValueError, match="20000 trials x"):
+            run_trials(wide, [MeasurementSetting(0, 0), MeasurementSetting(45, 0)], 10_000, seed=0)
+        log = run_trials(wide, [MeasurementSetting(0, 0), MeasurementSetting(45, 0)], 2_000, seed=0)
+        ev = log.events
+        assert len(ev) > 0
+        assert np.array_equal(np.lexsort((ev["channel"], ev["t_ns"], ev["trial"])), np.arange(len(ev)))
+
 
 class TestMonteCarloAgainstClosedForm:
     """Empirical click rates must match the analytic model within 4 sigma."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -213,6 +213,8 @@ _INT64_MAX = 2**63 - 1
 # every integer of up to 18 decimal digits fits in an int64
 _MAX_DIGITS = 18
 _INT_FIELD = re.compile("-?[0-9]+")
+# a header number as repr() spells a float or an int, nan and inf included
+_DECIMAL_FIELD = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|-?inf|nan")
 
 
 def _check_line_breaks(raw: str, lineno: int, source: str) -> None:
@@ -228,8 +230,8 @@ def _parse_header_line(line: str, lineno: int, source: str, header: dict, settin
         if len(parts) != 4:
             raise ParseError("setting line needs 'setting <id> <theta_s> <theta_i>'", source, lineno)
         try:
-            sid = int(parts[1])
-            ts, ti = float(parts[2]), float(parts[3])
+            sid = _ascii_int(parts[1])
+            ts, ti = _ascii_float(parts[2]), _ascii_float(parts[3])
         except ValueError:
             raise ParseError(f"bad setting line {body!r}", source, lineno) from None
         if not (math.isfinite(ts) and math.isfinite(ti)):
@@ -252,6 +254,13 @@ def _ascii_int(field: str) -> int:
     if not _INT_FIELD.fullmatch(field):
         raise ValueError(f"not an ASCII integer: {field!r}")
     return int(field)  # still a ValueError beyond sys.get_int_max_str_digits()
+
+
+def _ascii_float(field: str) -> float:
+    """``float(field)`` for decimal spellings only, so no "+", "_", hex or non-ASCII digits."""
+    if not _DECIMAL_FIELD.fullmatch(field):
+        raise ValueError(f"not a decimal number: {field!r}")
+    return float(field)
 
 
 def _event_fields(raw: str, lineno: int, source: str) -> tuple[int, int, int, int]:
@@ -414,7 +423,7 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     def _header_int(key: str, minimum: int) -> int:
         value, at = header.pop(key)
         try:
-            out = int(value)
+            out = _ascii_int(value)
         except ValueError:
             raise ParseError(f"{key} must be an integer, got {value!r}", source, at) from None
         if out < minimum:
@@ -423,12 +432,22 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
 
     seed = _header_int("seed", 0)
     n_per = _header_int("trials_per_setting", 0)
-    config_lines = {k: v for k, (v, _) in header.items()}
+    config_fields = {f.name for f in fields(ExperimentConfig)}
+    config_lines = {}
+    for key, (value, at) in header.items():
+        if key not in config_fields:
+            raise ParseError(f"unknown config key {key!r}", source, at)
+        try:
+            config_lines[key] = _ascii_float(value)
+        except ValueError:
+            raise ParseError(f"{key} must be a decimal number, got {value!r}", source, at) from None
     try:
         config = ExperimentConfig.from_mapping(config_lines)
         config.validate()
     except ValueError as exc:
-        raise ParseError(str(exc), source) from None
+        # validate's messages start with the offending field when there is one
+        key = str(exc).split(" ", 1)[0]
+        raise ParseError(str(exc), source, header[key][1] if key in header else None) from None
 
     # -- ranges: trial within the run and its setting block, t_ns on the grid --
     res = int(config.tia_resolution_ns)

@@ -79,6 +79,25 @@ class HalfInt:
         return f"HalfInt({self})"
 
 
+def _doubled(value) -> int:
+    """``HalfInt.of(value).twice``, without a Fraction for HalfInt, int and float.
+
+    Doubling a float is exact unless it overflows, so a float whose double
+    is integral is an integer or half-integer; everything else (non-half-
+    integers, nan, inf, doubles beyond the float range, other types) takes
+    the HalfInt.of path and its exact value or its exception.
+    """
+    if isinstance(value, HalfInt):
+        return value.twice
+    if isinstance(value, int):
+        return 2 * value
+    if isinstance(value, float):
+        doubled = 2.0 * float(value)  # a builtin float overflows to inf without a warning
+        if doubled.is_integer():
+            return int(doubled)
+    return HalfInt.of(value).twice
+
+
 def projections(j: HalfInt) -> list[HalfInt]:
     """All magnetic sublevels -j, -j+1, ..., +j."""
     return [HalfInt(t) for t in range(-j.twice, j.twice + 1, 2)]
@@ -130,20 +149,18 @@ def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
         * f((tj2 + tm2) // 2)
     )
 
-    k_lo = max(0, (tj2 - tJ - tm1) // 2, (tj1 - tJ + tm2) // 2)
-    k_hi = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
+    a, b, c = (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tJ - tj2 + tm1) // 2, (tJ - tj1 - tm2) // 2
+    k_lo = max(0, -d, -e)
+    k_hi = min(a, b, c)
+    # sum (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!) over one common
+    # denominator, which every term's denominator divides
+    common = f(k_hi) * f(a - k_lo) * f(b - k_lo) * f(c - k_lo) * f(d + k_hi) * f(e + k_hi)
+    numerator = 0
     for k in range(k_lo, k_hi + 1):
-        term = Fraction(
-            1,
-            f(k)
-            * f((tj1 + tj2 - tJ) // 2 - k)
-            * f((tj1 - tm1) // 2 - k)
-            * f((tj2 + tm2) // 2 - k)
-            * f((tJ - tj2 + tm1) // 2 + k)
-            * f((tJ - tj1 - tm2) // 2 + k),
-        )
-        total += -term if k % 2 else term
+        term = common // (f(k) * f(a - k) * f(b - k) * f(c - k) * f(d + k) * f(e + k))
+        numerator += -term if k % 2 else term
+    total = Fraction(numerator, common)
 
     if total == 0:
         return 0, Fraction(0)
@@ -158,16 +175,22 @@ def cg(j1, m1, j2, m2, J, M) -> float:
     Arguments may be ints, floats, Fractions or HalfInt.  Invalid couplings
     (M != m1+m2, triangle violations, |m| > j) return exactly 0.0.
     """
-    tj1, tm1 = HalfInt.of(j1).twice, HalfInt.of(m1).twice
-    tj2, tm2 = HalfInt.of(j2).twice, HalfInt.of(m2).twice
-    tJ, tM = HalfInt.of(J).twice, HalfInt.of(M).twice
+    tj1, tm1, tj2, tm2 = _doubled(j1), _doubled(m1), _doubled(j2), _doubled(m2)
+    tJ, tM = _doubled(J), _doubled(M)
     _check_jm(tj1, tm1)
     _check_jm(tj2, tm2)
     _check_jm(tJ, tM)
+    if tM != tm1 + tm2:
+        return 0.0  # most of any sweep; kept out of the cache
     sign, square = _cg_signed_square(tj1, tm1, tj2, tm2, tJ, tM)
     if sign == 0:
         return 0.0
     return sign * math.sqrt(float(square))
+
+
+# largest F a LevelScheme accepts; the exact branching table of a scheme
+# takes time growing with F (about 0.02 s at F = 100)
+MAX_F = 100
 
 
 @dataclass(frozen=True)
@@ -175,7 +198,8 @@ class LevelScheme:
     """Ground level a, storage level b and excited level c of a Raman scheme.
 
     The a->c leg absorbs one photon and the c->b leg emits one, so both
-    pairs must satisfy the dipole triangle rule with j=1.
+    pairs must satisfy the dipole triangle rule with j=1.  Each F lies in
+    [0, MAX_F].
     """
 
     f_a: HalfInt
@@ -186,8 +210,8 @@ class LevelScheme:
         for name, f in (("f_a", self.f_a), ("f_b", self.f_b), ("f_c", self.f_c)):
             if not isinstance(f, HalfInt):
                 raise TypeError(f"{name} must be a HalfInt, got {type(f).__name__}")
-            if f.twice < 0:
-                raise ValueError(f"{name} must be >= 0, got {f}")
+            if not 0 <= f.twice <= 2 * MAX_F:
+                raise ValueError(f"{name} must lie in [0, {MAX_F}], got {f.value:g}")
         if not _triangle_ok(self.f_a.twice, 2, self.f_c.twice):
             raise ValueError(
                 f"f_a={self.f_a} and f_c={self.f_c} are not dipole-coupled"
@@ -199,7 +223,15 @@ class LevelScheme:
 
     @classmethod
     def of(cls, f_a, f_b, f_c) -> "LevelScheme":
-        return cls(HalfInt.of(f_a), HalfInt.of(f_b), HalfInt.of(f_c))
+        levels = []
+        for name, f in (("f_a", f_a), ("f_b", f_b), ("f_c", f_c)):
+            if isinstance(f, float) and not math.isfinite(f):
+                raise ValueError(f"{name} must be finite, got {f}")
+            try:
+                levels.append(HalfInt.of(f))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        return cls(*levels)
 
 
 @dataclass(frozen=True)

@@ -372,9 +372,16 @@ def _cmd_fit_decay(args) -> _Report:
     )
 
 
+# every check is exact at any N, and N = 1..CHECK_OPS_MAX_ATOMS takes about
+# half a second; the bound only keeps a mistyped --n-max from running away
+CHECK_OPS_MAX_ATOMS = 1000
+
+
 def _cmd_check_ops(args) -> _Report:
-    if not 1 <= args.n_min <= args.n_max <= 12:
-        raise ValueError("atom numbers must satisfy 1 <= n-min <= n-max <= 12")
+    if args.n_max > CHECK_OPS_MAX_ATOMS:
+        raise ValueError(f"--n-max must be <= {CHECK_OPS_MAX_ATOMS}, got {args.n_max}")
+    if not 1 <= args.n_min <= args.n_max:
+        raise ValueError("atom numbers must satisfy 1 <= --n-min <= --n-max")
     scheme = LevelScheme.of(3, 2, 3)
     table = branching_table(scheme)
     rows = []
@@ -481,7 +488,9 @@ def _build_parser() -> _Parser:
 
     p = add("check-ops", _cmd_check_ops, "collective-operator numerical validation")
     p.add_argument("--n-min", type=int, default=2, help="smallest atom number")
-    p.add_argument("--n-max", type=int, default=8, help="largest atom number (<= 12)")
+    p.add_argument(
+        "--n-max", type=int, default=8, help=f"largest atom number (<= {CHECK_OPS_MAX_ATOMS})"
+    )
     p.add_argument("--seed", type=int, default=0, help="atom-position seed")
 
     return parser

@@ -1,10 +1,13 @@
 """Tests for angular momentum coupling coefficients and Raman branching."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dlczsim.angular import (
     BranchingTable,
@@ -16,6 +19,7 @@ from dlczsim.angular import (
     mixing_cos_sq,
     projections,
 )
+from dlczsim.angular import _cg_signed_square, _doubled
 
 # ---------------------------------------------------------------------------
 # Oracle: couple two spins by explicit matrix algebra (build J^2 on the
@@ -225,6 +229,19 @@ class TestLevelScheme:
         with pytest.raises(ValueError):
             LevelScheme.of(1.5, 1, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_non_finite_f_named(self, bad):
+        with pytest.raises(ValueError, match="f_b must be finite"):
+            LevelScheme.of(1, bad, 1)
+
+    def test_f_bounded_by_max_f(self):
+        LevelScheme.of(100, 99, 100)  # valid, must not raise
+        for bad in (100.5, 101, 1e300):
+            with pytest.raises(ValueError, match=r"f_c must lie in \[0, 100\]"):
+                LevelScheme.of(1, 1, bad)
+        with pytest.raises(ValueError, match=r"f_a must lie in \[0, 100\]"):
+            LevelScheme(HalfInt(202), HalfInt(202), HalfInt(202))
+
 
 class TestBranchingTable:
     """Amplitudes for the (f_a=3, f_c=3, f_b=2) alkali D1 scheme."""
@@ -285,3 +302,116 @@ class TestMixingAngle:
                 sums[alpha] += x * x
         cos_sq = sums[-1] / (sums[-1] + sums[+1])
         np.testing.assert_allclose(float(mixing_cos_sq(LevelScheme.of(3, 2, 3))), cos_sq, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The integer path into cg: argument doubling and the Racah sum
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn, value):
+    try:
+        return "value", fn(value)
+    except Exception as exc:  # the exception type is the outcome compared
+        return "raises", type(exc)
+
+
+_ANY_ARGUMENT = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(-40, 40).map(lambda t: t / 2),
+    st.integers(-40, 40).map(lambda t: np.float64(t / 2)),
+    st.fractions(),
+    st.text(max_size=6),
+    st.integers(-40, 40).map(HalfInt),
+    st.sampled_from(
+        [0.0, -0.0, 0.3, 1.25, math.nan, math.inf, -math.inf, 1e300, 5e-324, "1.5", "x"]
+    ),
+)
+
+
+class TestDoubled:
+    @given(_ANY_ARGUMENT)
+    def test_agrees_with_halfint_of(self, value):
+        assert _outcome(_doubled, value) == _outcome(lambda v: HalfInt.of(v).twice, value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_numpy_double_falls_back_silently(self):
+        big = np.float64(1.7e308)
+        assert _doubled(big) == HalfInt.of(big).twice
+
+
+def _fraction_signed_square(tj1, tm1, tj2, tm2, tJ, tM):
+    """The Racah sum with one Fraction per term, as the reference."""
+    f = math.factorial
+    delta = Fraction(
+        f((tj1 + tj2 - tJ) // 2) * f((tj1 - tj2 + tJ) // 2) * f((-tj1 + tj2 + tJ) // 2),
+        f((tj1 + tj2 + tJ) // 2 + 1),
+    )
+    weight = (
+        f((tJ + tM) // 2)
+        * f((tJ - tM) // 2)
+        * f((tj1 - tm1) // 2)
+        * f((tj1 + tm1) // 2)
+        * f((tj2 - tm2) // 2)
+        * f((tj2 + tm2) // 2)
+    )
+    k_lo = max(0, (tj2 - tJ - tm1) // 2, (tj1 - tJ + tm2) // 2)
+    k_hi = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    total = Fraction(0)
+    for k in range(k_lo, k_hi + 1):
+        term = Fraction(
+            1,
+            f(k)
+            * f((tj1 + tj2 - tJ) // 2 - k)
+            * f((tj1 - tm1) // 2 - k)
+            * f((tj2 + tm2) // 2 - k)
+            * f((tJ - tj2 + tm1) // 2 + k)
+            * f((tJ - tj1 - tm2) // 2 + k),
+        )
+        total += -term if k % 2 else term
+    if total == 0:
+        return 0, Fraction(0)
+    return (1 if total > 0 else -1), Fraction(tJ + 1) * delta * weight * total * total
+
+
+class TestRacahSum:
+    @pytest.mark.parametrize("tj1", range(0, 11))
+    def test_common_denominator_gives_the_same_fractions(self, tj1):
+        for tj2 in range(0, 11):
+            for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 2, 2):
+                for tm1 in range(-tj1, tj1 + 2, 2):
+                    for tm2 in range(-tj2, tj2 + 2, 2):
+                        if abs(tm1 + tm2) > tJ:
+                            continue
+                        key = (tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
+                        assert _cg_signed_square(*key) == _fraction_signed_square(*key), key
+
+    def test_projection_mismatch_stays_out_of_the_cache(self):
+        _cg_signed_square.cache_clear()
+        assert cg(1, 1, 1, 0, 2, 0) == 0.0
+        assert cg(1.5, 0.5, 0.5, 0.5, 1, 0) == 0.0
+        assert _cg_signed_square.cache_info().currsize == 0
+
+    def test_sweep_and_eta_bytes_are_pinned(self):
+        """The j <= 4 unitaries, built from floats as a user would, and eta."""
+        digest = hashlib.sha256()
+        for tj1 in range(9):
+            for tj2 in range(9):
+                j1, j2 = tj1 / 2.0, tj2 / 2.0
+                m_pairs = [(m1, m2) for m1 in np.arange(-j1, j1 + 1) for m2 in np.arange(-j2, j2 + 1)]
+                coupled = [
+                    (tjt / 2.0, mt)
+                    for tjt in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+                    for mt in np.arange(-tjt / 2.0, tjt / 2.0 + 1)
+                ]
+                unitary = np.array(
+                    [[cg(j1, m1, j2, m2, jt, mt) for jt, mt in coupled] for m1, m2 in m_pairs]
+                )
+                digest.update(unitary.tobytes())
+        assert digest.hexdigest() == (
+            "60b9967277c5aa0e4dfb2038338094a76fe27347b2f902078017c97f592ecb6e"
+        )
+        assert repr(mixing_angle(LevelScheme.of(3, 2, 3))) == "0.6361320628050101"

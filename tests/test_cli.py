@@ -94,6 +94,27 @@ class TestEta:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "value,fragment",
+        [
+            ("inf", "f_a must be finite"),
+            ("-inf", "f_a must be finite"),
+            ("nan", "f_a must be finite"),
+            ("1e300", "f_a must lie in [0, 100]"),
+            ("101", "f_a must lie in [0, 100]"),
+        ],
+    )
+    def test_unbounded_or_non_finite_f_exits_one(self, capsys, value, fragment):
+        code, out, err = run_cli(capsys, "eta", f"--fa={value}", "--fb", "1", "--fc", "1")
+        assert code == 1
+        assert out == ""
+        assert fragment in err
+        assert "Traceback" not in err
+
+    def test_largest_f_is_accepted(self, capsys):
+        payload = run_json(capsys, "eta", "--fa", "100", "--fb", "99", "--fc", "100")
+        assert 0.0 <= payload["eta_rad"] <= math.pi / 2
+
 
 class TestPredictions:
     def test_chsh_scalars(self, capsys):
@@ -340,7 +361,18 @@ class TestCheckOps:
     def test_bad_range_exits_one(self, capsys):
         assert run_cli(capsys, "check-ops", "--n-min", "0")[0] == 1
         assert run_cli(capsys, "check-ops", "--n-min", "4", "--n-max", "3")[0] == 1
-        assert run_cli(capsys, "check-ops", "--n-max", "13")[0] == 1
+        assert run_cli(capsys, "check-ops", "--n-max", "1001")[0] == 1
+
+    def test_n_max_bound_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "check-ops", "--n-max", "1001")
+        assert code == 1
+        assert out == ""
+        assert "--n-max" in err and "1000" in err
+
+    def test_beyond_twelve_atoms_succeeds(self, capsys):
+        payload = run_json(capsys, "check-ops", "--n-min", "12", "--n-max", "13")
+        assert [row["n_atoms"] for row in payload["operators"]] == [12, 13]
+        assert payload["operators"][1]["commutator_deviation"] == 8 / 13
 
 
 class TestFormatEquivalence:

@@ -423,3 +423,49 @@ class TestHeaderAngles:
         with pytest.raises(ParseError, match="finite") as err:
             parse(f"# version=1\n# seed=1\n# trials_per_setting=1\n# setting 0 {angles}\n")
         assert err.value.line == 4
+
+
+class TestHeaderGrammar:
+    """Header numbers follow the writer's spelling; a bad one is reported at its line."""
+
+    STEM = "# version=1\n# seed={seed}\n# trials_per_setting={n}\n# setting {sid} 0 {angle}\n"
+
+    def header(self, seed="1", n="2", sid="0", angle="0", extra=""):
+        return self.STEM.format(seed=seed, n=n, sid=sid, angle=angle) + extra
+
+    @pytest.mark.parametrize(
+        "kw,line,fragment",
+        [
+            ({"seed": "1_0"}, 2, "seed must be an integer"),
+            ({"seed": "+1"}, 2, "seed must be an integer"),
+            ({"n": "+2"}, 3, "trials_per_setting must be an integer"),
+            ({"n": "٣"}, 3, "trials_per_setting must be an integer"),
+            ({"sid": "+0"}, 4, "bad setting line"),
+            ({"angle": "1_0"}, 4, "bad setting line"),
+            ({"extra": "# excitation_prob=1_0e-1\n"}, 5, "excitation_prob must be a decimal"),
+            ({"extra": "# excitation_prob=0x1p-3\n"}, 5, "excitation_prob must be a decimal"),
+            ({"extra": "# excitation_prob=+0.1\n"}, 5, "excitation_prob must be a decimal"),
+            ({"extra": "# excitation_prob=Infinity\n"}, 5, "excitation_prob must be a decimal"),
+            ({"extra": "# dark_ns=1e3\n# excitation_prob=2.5\n"}, 6, "must lie in [0, 1]"),
+            ({"extra": "# excitation_prob=0.1\n# cycle_ns=-inf\n"}, 6, "cycle_ns must be finite"),
+            ({"extra": "# excitation_prob=0.1\n# frogs=1\n"}, 6, "unknown config key 'frogs'"),
+        ],
+    )
+    def test_rejected_at_its_line(self, kw, line, fragment):
+        text = self.header(**kw)
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert fragment in str(err.value)
+        assert err.value.line == line
+
+    def test_writer_spellings_accepted(self):
+        extra = "# excitation_prob=0.25\n# bg_prob_s=2e-05\n# cycle_ns=1500\n# dark_ns=.64e3\n"
+        log = parse(self.header(angle="-22.5", extra=extra))
+        assert log.config.excitation_prob == 0.25 and log.config.bg_prob_s == 2e-05
+        assert log.config.cycle_ns == 1500.0 and log.config.dark_ns == 640.0
+        assert log.settings[0].theta_i_deg == -22.5
+
+    def test_error_spanning_fields_has_no_line(self):
+        with pytest.raises(ParseError, match="read gate ends") as err:
+            parse(self.header(extra="# delta_t_ns=5000\n"))
+        assert err.value.line is None

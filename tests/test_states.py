@@ -1,27 +1,31 @@
 """Tests for two-qubit states and explicit collective operators."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from collective_oracle import (
+    build_collective_operator,
+    explicit_commutator_deviation,
+    mode_basis,
+    normalized_mode_operator,
+    union_basis,
+    vacuum_pair_expectation,
+    vacuum_populations,
+)
 from dlczsim.angular import HalfInt, LevelScheme, branching_table
 from dlczsim.states import (
     EnsembleModel,
     TwoQubitState,
     WaveVectors,
     add_white_noise,
-    build_collective_operator,
     concurrence,
     excited_commutator_deviation,
     ideal_state,
-    mode_basis,
     mode_vacuum_overlap,
-    normalized_mode_operator,
     phase_match,
-    union_basis,
-    vacuum_pair_expectation,
-    vacuum_populations,
 )
 
 SCHEME = LevelScheme.of(3, 2, 3)
@@ -237,3 +241,32 @@ class TestCommutator:
             for n in (4, 6, 8, 10)
         ]
         assert values == sorted(values, reverse=True)
+
+    @pytest.mark.parametrize("n_atoms", range(1, 9))
+    def test_factorized_deviation_matches_explicit_construction(self, n_atoms):
+        model = make_model(n_atoms, seed=13)
+        valid = [
+            (alpha, HalfInt(tm))
+            for alpha in (-1, +1)
+            for tm in range(-6, 8, 2)
+            if abs(tm + 2 + 2 * alpha) <= model.f_b.twice
+        ]
+        assert len(valid) == 9
+        for alpha, m in valid:
+            np.testing.assert_allclose(
+                excited_commutator_deviation(model, alpha, m),
+                explicit_commutator_deviation(model, alpha, m),
+                rtol=1e-12,
+                err_msg=f"alpha={alpha}, m={m}, N={n_atoms}",
+            )
+
+    def test_deviation_is_correctly_rounded_up_to_a_thousand_atoms(self):
+        for n in range(1, 1001):
+            model = EnsembleModel(n, HalfInt.of(3), HalfInt.of(2), np.zeros((n, 3)), np.ones(3))
+            assert excited_commutator_deviation(model, -1, HalfInt.of(0)) == float(Fraction(8, n))
+
+    def test_rejects_out_of_range_sublevels(self):
+        model = make_model(3)
+        for alpha, m in ((+1, HalfInt.of(4)), (+1, HalfInt.of(2)), (2, HalfInt.of(0))):
+            with pytest.raises(ValueError):
+                excited_commutator_deviation(model, alpha, m)

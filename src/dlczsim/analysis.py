@@ -10,12 +10,12 @@ visibility fits, and the storage-time decay fit.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import least_squares
 
+from .grammar import ascii_float, ascii_int
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     CHSHResult,
@@ -177,7 +177,7 @@ class ExponentialFit:
 #   # version=1
 #   # <config key>=<value>          one line per ExperimentConfig field
 #   # trials_per_setting=<int>
-#   # setting <id> <theta_s_deg> <theta_i_deg>
+#   # setting <id> <theta_s_deg> <theta_i_deg>   fields joined by single spaces
 #   # seed=<u64>
 #   <trial> <D1|D2> <t_ns> <setting_id>   body, sorted by (trial, t_ns)
 #
@@ -212,9 +212,6 @@ def write_event_log(log: EventLog, path) -> None:
 _INT64_MAX = 2**63 - 1
 # every integer of up to 18 decimal digits fits in an int64
 _MAX_DIGITS = 18
-_INT_FIELD = re.compile("-?[0-9]+")
-# a header number as repr() spells a float or an int, nan and inf included
-_DECIMAL_FIELD = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|-?inf|nan")
 
 
 def _check_line_breaks(raw: str, lineno: int, source: str) -> None:
@@ -226,12 +223,12 @@ def _check_line_breaks(raw: str, lineno: int, source: str) -> None:
 def _parse_header_line(line: str, lineno: int, source: str, header: dict, settings: dict):
     body = line[1:].strip()
     if body.startswith("setting "):
-        parts = body.split()
+        parts = body.split(" ")
         if len(parts) != 4:
             raise ParseError("setting line needs 'setting <id> <theta_s> <theta_i>'", source, lineno)
         try:
-            sid = _ascii_int(parts[1])
-            ts, ti = _ascii_float(parts[2]), _ascii_float(parts[3])
+            sid = ascii_int(parts[1])
+            ts, ti = ascii_float(parts[2]), ascii_float(parts[3])
         except ValueError:
             raise ParseError(f"bad setting line {body!r}", source, lineno) from None
         if not (math.isfinite(ts) and math.isfinite(ti)):
@@ -247,20 +244,6 @@ def _parse_header_line(line: str, lineno: int, source: str, header: dict, settin
     if key in header:
         raise ParseError(f"duplicate header key {key!r}", source, lineno)
     header[key] = (value, lineno)
-
-
-def _ascii_int(field: str) -> int:
-    """``int(field)`` for ``-?[0-9]+`` only, so no "+", "_", spaces or non-ASCII digits."""
-    if not _INT_FIELD.fullmatch(field):
-        raise ValueError(f"not an ASCII integer: {field!r}")
-    return int(field)  # still a ValueError beyond sys.get_int_max_str_digits()
-
-
-def _ascii_float(field: str) -> float:
-    """``float(field)`` for decimal spellings only, so no "+", "_", hex or non-ASCII digits."""
-    if not _DECIMAL_FIELD.fullmatch(field):
-        raise ValueError(f"not a decimal number: {field!r}")
-    return float(field)
 
 
 def _event_fields(raw: str, lineno: int, source: str) -> tuple[int, int, int, int]:
@@ -283,7 +266,7 @@ def _event_fields(raw: str, lineno: int, source: str) -> tuple[int, int, int, in
     if parts[1] not in CHANNEL_NAMES:
         raise ParseError(f"unknown channel {parts[1]!r}", source, lineno)
     try:
-        trial, t_ns, sid = (_ascii_int(parts[k]) for k in (0, 2, 3))
+        trial, t_ns, sid = (ascii_int(parts[k]) for k in (0, 2, 3))
     except ValueError:
         raise ParseError(f"non-integer field in event line {raw!r}", source, lineno) from None
     return trial, CHANNEL_NAMES.index(parts[1]), t_ns, sid
@@ -423,7 +406,7 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     def _header_int(key: str, minimum: int) -> int:
         value, at = header.pop(key)
         try:
-            out = _ascii_int(value)
+            out = ascii_int(value)
         except ValueError:
             raise ParseError(f"{key} must be an integer, got {value!r}", source, at) from None
         if out < minimum:
@@ -438,7 +421,7 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
         if key not in config_fields:
             raise ParseError(f"unknown config key {key!r}", source, at)
         try:
-            config_lines[key] = _ascii_float(value)
+            config_lines[key] = ascii_float(value)
         except ValueError:
             raise ParseError(f"{key} must be a decimal number, got {value!r}", source, at) from None
     try:

@@ -28,6 +28,7 @@ from .angular import (
     mixing_angle,
     mixing_cos_sq,
 )
+from .grammar import ascii_float
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     MeasurementSetting,
@@ -133,7 +134,7 @@ def _read_csv_points(path, expected_columns):
                 f"expected {len(expected_columns)} columns, got {len(row)}", str(path), lineno
             )
         try:
-            point = tuple(float(x) for x in row)
+            point = tuple(ascii_float(x.strip()) for x in row)
         except ValueError:
             raise analysis.ParseError(
                 f"non-numeric value in row {row}", str(path), lineno

@@ -1,0 +1,45 @@
+"""The number grammar shared by every text input.
+
+Config files, settings files, fit CSVs and event-log headers all read
+numbers through these two functions, so each accepts exactly the spellings
+the package's writers emit: ``-?[0-9]+`` for integers, and for real values
+what ``repr()`` writes for a float or an int.  Python's ``int()`` and
+``float()`` also take ``+``, ``_`` digit separators, surrounding
+whitespace, non-ASCII digits and ``Infinity``; these do not.  ``as_float``
+turns a numeric field into the builtin float whose ``repr()`` they read.
+"""
+
+from __future__ import annotations
+
+import re
+
+__all__ = ["ascii_int", "ascii_float", "as_float"]
+
+_INT_FIELD = re.compile("-?[0-9]+")
+# a number as repr() spells a float or an int, nan and inf included
+_DECIMAL_FIELD = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|-?inf|nan")
+
+
+def ascii_int(field: str) -> int:
+    """``int(field)`` for ``-?[0-9]+`` only, so no "+", "_", spaces or non-ASCII digits."""
+    if not _INT_FIELD.fullmatch(field):
+        raise ValueError(f"not an ASCII integer: {field!r}")
+    return int(field)  # still a ValueError beyond sys.get_int_max_str_digits()
+
+
+def ascii_float(field: str) -> float:
+    """``float(field)`` for decimal spellings only, so no "+", "_", hex or non-ASCII digits."""
+    if not _DECIMAL_FIELD.fullmatch(field):
+        raise ValueError(f"not a decimal number: {field!r}")
+    return float(field)
+
+
+def as_float(name: str, value) -> float:
+    """A numeric field as a builtin float, so ``repr()`` writes a spelling ``ascii_float`` reads.
+
+    Ints, floats and numpy scalars are converted; text is refused, since it
+    must go through ``ascii_float`` with its source location.
+    """
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .grammar import as_float
+
 __all__ = [
     "CANONICAL_ANGLES_DEG",
     "MeasurementSetting",
@@ -34,11 +36,19 @@ class MeasurementSetting:
     """One polarizer-pair setting.
 
     Angles are stored in degrees (the unit used in every file format and at
-    the command line); use the ``*_rad`` properties for computation.
+    the command line) as finite builtin floats; use the ``*_rad`` properties
+    for computation.
     """
 
     theta_s_deg: float
     theta_i_deg: float
+
+    def __post_init__(self):
+        for name in ("theta_s_deg", "theta_i_deg"):
+            value = as_float(name, getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def theta_s_rad(self) -> float:

@@ -9,9 +9,11 @@ detectors project and thin the clicks, and uncorrelated background clicks
 land uniformly inside the detection gates.  Timestamps are quantized to
 the interpolator resolution.
 
-Randomness is counter-based: trial ``t`` always consumes the same block of
+Randomness is counter-based: trial ``t`` always reads the same words of
 the keyed Philox stream, so a run is reproducible event-for-event no matter
-how trials are chunked or distributed.
+how trials are chunked or distributed.  Each trial reads one word and
+samples its joint click class from the same table the closed form sums;
+only click trials read more words, for their timestamps.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .angular import LevelScheme, mixing_angle
+from .grammar import as_float, ascii_float
 from .predictor import MeasurementSetting
 from .states import add_white_noise, ideal_state
 
@@ -55,9 +58,14 @@ EVENT_DTYPE = np.dtype(
     [("trial", np.int64), ("channel", np.uint8), ("t_ns", np.int64), ("setting_id", np.int32)]
 )
 
-# raw 64-bit words owned by each trial: 3 Philox 4x64 blocks, words 0-9 read
-_WORDS_PER_TRIAL = 12
-_BLOCKS_PER_TRIAL = _WORDS_PER_TRIAL // 4
+# the time words of a click are keyed by its block of 2**16 trials
+_BLOCK_BITS = 16
+
+# click class c of one trial: bit 0 a D1 pair click, bit 1 a D1 background
+# click, bit 2 a D2 pair click, bit 3 a D2 background click; class 0 is silent
+_D1_CLICKS = (np.arange(16) & 0b0011) != 0
+_D2_CLICKS = (np.arange(16) & 0b1100) != 0
+_BOTH_CLICK = _D1_CLICKS & _D2_CLICKS
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,11 @@ class ExperimentConfig:
     gate_d1_ns: float = 140.0
     gate_d2_ns: float = 130.0
     tia_resolution_ns: float = 2.0
+
+    def __post_init__(self):
+        # builtin floats, so the log header spells every value as its reader expects
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_float(f.name, getattr(self, f.name)))
 
     def validate(self) -> None:
         for f in fields(self):
@@ -149,7 +162,8 @@ class ExperimentConfig:
         unknown = set(mapping) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in mapping.items()})
+        # text reads through the number grammar, numbers pass as they are
+        return cls(**{k: ascii_float(v) if isinstance(v, str) else v for k, v in mapping.items()})
 
 
 @dataclass(frozen=True)
@@ -274,6 +288,41 @@ def joint_outcome_probs(
     return np.array([probs[0], probs[1], probs[2], probs[3]])
 
 
+def _click_classes(
+    config: ExperimentConfig, setting: MeasurementSetting | None, delta_t_ns: float
+) -> np.ndarray:
+    """Exact probabilities of the 16 joint click classes of one trial.
+
+    Entry c is the chance that a trial's clicks are exactly those of class
+    c: bit 0 a D1 pair click, bit 1 a D1 background click, bit 2 a D2 pair
+    click and bit 3 a D2 background click, so class 0 is a trial without
+    clicks.  A pair is made with the excitation probability, passes the
+    polarizers by the Born rule (no polarizers for ``setting=None``), and
+    each passing photon is detected with its channel's efficiency, the idler
+    after retrieval from a memory stored for delta_t_ns.  Background clicks
+    are independent of the pair and of each other.  Products of exact 0 and
+    1 factors stay exact, so impossible classes get 0.0 and certain ones 1.0.
+    """
+    if setting is None:
+        p4 = (1.0, 0.0, 0.0, 0.0)
+    else:
+        p4 = joint_outcome_probs(config, setting, delta_t_ns)
+    p = config.excitation_prob
+    eff_s = config.det_eff_s
+    eff_i = _effective_retrieval(config, delta_t_ns) * config.det_eff_i
+    # pair[a, b]: D1 pair click a and D2 pair click b, over no pair and the
+    # four polarizer outcomes (pass, pass), (pass, fail), (fail, pass), (fail, fail)
+    pair = np.zeros((2, 2))
+    pair[0, 0] = 1.0 - p
+    for w, (pass_s, pass_i) in zip(p4, ((1, 1), (1, 0), (0, 1), (0, 0))):
+        d_s, d_i = pass_s * eff_s, pass_i * eff_i
+        pair += p * w * np.outer((1.0 - d_s, d_s), (1.0 - d_i, d_i))
+    bg_s = (1.0 - config.bg_prob_s, config.bg_prob_s)
+    bg_i = (1.0 - config.bg_prob_i, config.bg_prob_i)
+    # axes (D2 background, D2 pair, D1 background, D1 pair): the flat index is the class
+    return np.einsum("l,ik,j->lkji", bg_i, pair, bg_s).ravel()
+
+
 def trial_click_probabilities(
     config: ExperimentConfig,
     setting: MeasurementSetting | None = None,
@@ -283,29 +332,18 @@ def trial_click_probabilities(
 
     These are the closed-form counterparts of what run_trials samples:
     the chance of at least one D1 click, at least one D2 click, and both
-    in the same trial, including background.  With ``setting=None`` the
-    polarizers are absent and every created pair reaches the detectors.
+    in the same trial, including background, summed over the click classes
+    the simulator draws from.  With ``setting=None`` the polarizers are
+    absent and every created pair reaches the detectors.
     """
     if delta_t_ns is None:
         delta_t_ns = config.delta_t_ns
-    if setting is None:
-        p4 = np.array([1.0, 0.0, 0.0, 0.0])
-    else:
-        p4 = joint_outcome_probs(config, setting, delta_t_ns)
-    p = config.excitation_prob
-    eff_i = _effective_retrieval(config, delta_t_ns) * config.det_eff_i
-    # (weight, polarizer pass flags) for no-pair plus the four pair outcomes
-    states = [(1.0 - p, 0, 0)]
-    for j, (a, b) in enumerate([(1, 1), (1, 0), (0, 1), (0, 0)]):
-        states.append((p * p4[j], a, b))
-    p_s = p_i = p_si = 0.0
-    for w, a, b in states:
-        click_s = 1.0 - (1.0 - a * config.det_eff_s) * (1.0 - config.bg_prob_s)
-        click_i = 1.0 - (1.0 - b * eff_i) * (1.0 - config.bg_prob_i)
-        p_s += w * click_s
-        p_i += w * click_i
-        p_si += w * click_s * click_i
-    return p_s, p_i, p_si
+    probs = _click_classes(config, setting, delta_t_ns)
+    return (
+        float(probs[_D1_CLICKS].sum()),
+        float(probs[_D2_CLICKS].sum()),
+        float(probs[_BOTH_CLICK].sum()),
+    )
 
 
 def expected_g_si(
@@ -323,16 +361,6 @@ def expected_g_si(
     if p_s <= 0 or p_i <= 0:
         raise ValueError("expected_g_si undefined: a channel never clicks")
     return p_si / (p_s * p_i)
-
-
-def _raw_block(seed: int, first_trial: int, n_trials: int) -> np.ndarray:
-    """The (n_trials, 12) raw Philox words owned by a contiguous trial range.
-
-    Trial t always reads Philox counter blocks [3t, 3t+3) under the run key,
-    regardless of how the run is chunked.
-    """
-    bits = np.random.Philox(key=seed, counter=_BLOCKS_PER_TRIAL * first_trial)
-    return bits.random_raw(n_trials * _WORDS_PER_TRIAL).reshape(n_trials, _WORDS_PER_TRIAL)
 
 
 def _uniform(words: np.ndarray) -> np.ndarray:
@@ -353,9 +381,65 @@ def _below(words: np.ndarray, p: float) -> np.ndarray:
     return words < np.uint64(limit)
 
 
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The distinct entries of two arrays that each hold no repeats."""
-    return np.concatenate((a, b[~np.isin(b, a, assume_unique=True)]))
+def _classify(words: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the gate words that click, and their classes.
+
+    ``cum[c-1]`` is S_c, the sum of the probabilities of classes 1..c.  Row r
+    clicks when u_r < S_15 and then falls in class c when
+    S_{c-1} <= u_r < S_c, decided on the integer words as in ``_below``.
+    """
+    rows = np.flatnonzero(_below(words, float(cum[-1])))
+    limits = np.minimum(np.ceil(cum[:-1] * float(1 << 53)), float(1 << 53)).astype(np.uint64)
+    return rows, 1 + np.searchsorted(limits, words[rows] >> np.uint64(11), side="right")
+
+
+def _draw_clicks(config, settings, n_trials_per_setting, seed, chunk_trials):
+    """Per chunk: (setting id, clicks by origin, (n_s, n_i, n_si)).
+
+    Trial t reads raw word t of numpy's ``Philox(key=seed).random_raw()``
+    (word t % 4 of counter t // 4 + 1, as numpy steps the counter before
+    each block) as its gate word.  With u = (word >> 11) * 2**-53 and S_c
+    the sum of the probabilities of classes 1..c (S_0 = 0), the trial falls
+    in class c >= 1 when S_{c-1} <= u < S_c and is silent when u >= S_15
+    (``_classify``).  Both tests are integer compares of the word against
+    ``ceil(S * 2**53)``, as in ``_below``, so a class of probability 0 is
+    never drawn and one of probability 1 always is.  Only click trials are
+    classified, and the k-th click trial of block b = t >> 16 (k from 0)
+    reads raw words 4k..4k+3 of ``Philox(key=seed + ((b + 1) << 64))``, the
+    four words of counter k + 1 under a key the gate words never use: the
+    times of its D1 pair, D1 background, D2 pair and D2 background clicks.
+    Both keys are read strictly in trial order, so chunks and setting
+    boundaries do not matter.
+    """
+    gate = np.random.Philox(key=seed)
+    block, timer = -1, None  # the time-word generator of the current block
+    for sid, setting in enumerate(settings):
+        cum = np.cumsum(_click_classes(config, setting, config.delta_t_ns)[1:])
+        base = sid * n_trials_per_setting
+        for lo in range(base, base + n_trials_per_setting, chunk_trials):
+            hi = min(lo + chunk_trials, base + n_trials_per_setting)
+            rows, classes = _classify(gate.random_raw(hi - lo), cum)
+            if len(rows) == 0:
+                continue
+            trials = lo + rows
+            times = np.empty((len(trials), 4), dtype=np.uint64)
+            blocks = trials >> _BLOCK_BITS
+            starts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist()
+            for start, stop in zip(starts, starts[1:] + [len(trials)]):
+                if blocks[start] != block:
+                    block = int(blocks[start])
+                    timer = np.random.Philox(key=seed + ((block + 1) << 64))
+                times[start:stop] = timer.random_raw(4 * (stop - start)).reshape(-1, 4)
+            origins = []
+            for bit in range(4):
+                has = ((classes >> bit) & 1) == 1
+                origins.append((trials[has], times[has, bit]))
+            counts = np.bincount(classes, minlength=16)
+            yield sid, origins, (
+                counts[_D1_CLICKS].sum(),
+                counts[_D2_CLICKS].sum(),
+                counts[_BOTH_CLICK].sum(),
+            )
 
 
 def run_trials(
@@ -372,12 +456,10 @@ def run_trials(
     ``[k*n, (k+1)*n)``.  Returns the event log (clicks sorted by trial and
     time) with the exact per-setting tallies attached as ``true_counts``.
 
-    Trial word k is the uniform variate ``(word >> 11) * 2**-53``: 0 decides
-    the pair, 1 its polarizer outcome, 2 and 3 its D1 and D2 detections, 4
-    and 5 their times, 6 and 8 the D1 and D2 background, 7 and 9 their
-    times.  Only words 0, 6 and 8 are read for every trial, and they are
-    compared as integers; the rest are read for the few trials that reach
-    them.
+    Each trial reads one raw word and each click trial four more
+    (``_draw_clicks``), so the log does not depend on ``chunk_trials``.  A
+    click's timestamp is the time word's uniform variate scaled onto its
+    gate's resolution cells.
     """
     config.validate()
     settings = tuple(settings)
@@ -391,59 +473,33 @@ def run_trials(
         raise ValueError("chunk_trials must be >= 1")
 
     res = int(config.tia_resolution_ns)
-    (c1, w1), (c2, w2) = gate_windows(config)
-    first1, cells1 = _gate_cells(c1, w1, res)
-    first2, cells2 = _gate_cells(c2, w2, res)
+    gates = [_gate_cells(center, width, res) for center, width in gate_windows(config)]
     # events sort by one int64 key (trial * span + cell) * 2 + channel, with
     # cells counted from the earliest gate start
-    first_cell = min(first1, first2)
-    span = max(first1 + cells1, first2 + cells2) - first_cell
+    first_cell = min(first for first, _ in gates)
+    span = max(first + cells for first, cells in gates) - first_cell
     n_total = len(settings) * n_trials_per_setting
     if 2 * n_total * span > 2**63:
         raise ValueError(
             f"{n_total} trials x {span} timing cells per trial overflow the int64 sort key"
         )
-    eff_i = _effective_retrieval(config, config.delta_t_ns) * config.det_eff_i
 
     chunks = []
-    true_counts = {}
-    for sid, setting in enumerate(settings):
-        cum = np.cumsum(joint_outcome_probs(config, setting))
-        tally = np.zeros(3, dtype=np.int64)
-        base = sid * n_trials_per_setting
-        for lo in range(0, n_trials_per_setting, chunk_trials):
-            hi = min(lo + chunk_trials, n_trials_per_setting)
-            words = _raw_block(seed, base + lo, hi - lo)
-
-            # chunk rows of the trials that reach each stage, in ascending order
-            pair = np.flatnonzero(_below(words[:, 0], config.excitation_prob))
-            outcome = np.searchsorted(cum, _uniform(words[pair, 1]), side="right")
-            pass_s = pair[outcome <= 1]
-            pass_i = pair[(outcome == 0) | (outcome == 2)]
-            s_real = pass_s[_below(words[pass_s, 2], config.det_eff_s)]
-            i_real = pass_i[_below(words[pass_i, 3], eff_i)]
-            bg_s = np.flatnonzero(_below(words[:, 6], config.bg_prob_s))
-            bg_i = np.flatnonzero(_below(words[:, 8], config.bg_prob_i))
-
-            for rows, chan, word, first, cells in (
-                (s_real, 0, 4, first1, cells1),
-                (bg_s, 0, 7, first1, cells1),
-                (i_real, 1, 5, first2, cells2),
-                (bg_i, 1, 9, first2, cells2),
-            ):
-                block = np.zeros(len(rows), dtype=EVENT_DTYPE)
-                block["trial"] = base + lo + rows
-                block["channel"] = chan
-                block["t_ns"] = (first + (_uniform(words[rows, word]) * cells).astype(np.int64)) * res
-                block["setting_id"] = sid
-                chunks.append(block)
-
-            s_any = _union(s_real, bg_s)
-            i_any = _union(i_real, bg_i)
-            n_si = np.count_nonzero(np.isin(s_any, i_any, assume_unique=True))
-            tally += (len(s_any), len(i_any), n_si)
-            del words  # free this chunk's words before the next chunk draws its own
-        true_counts[sid] = tuple(int(x) for x in tally)
+    tallies = np.zeros((len(settings), 3), dtype=np.int64)
+    draws = _draw_clicks(config, settings, n_trials_per_setting, seed, chunk_trials)
+    for sid, origins, tally in draws:
+        tallies[sid] += tally
+        # origins: D1 pair, D1 background, D2 pair, D2 background
+        for origin, (trials, words) in enumerate(origins):
+            channel = origin >> 1
+            first, cells = gates[channel]
+            block = np.zeros(len(trials), dtype=EVENT_DTYPE)
+            block["trial"] = trials
+            block["channel"] = channel
+            block["t_ns"] = (first + (_uniform(words) * cells).astype(np.int64)) * res
+            block["setting_id"] = sid
+            chunks.append(block)
+    true_counts = {sid: tuple(int(x) for x in row) for sid, row in enumerate(tallies)}
 
     if chunks:
         events = np.concatenate(chunks)
@@ -484,7 +540,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         if key in mapping:
             raise ValueError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
-            mapping[key] = float(value)
+            mapping[key] = ascii_float(value)
         except ValueError:
             raise ValueError(f"{source}:{lineno}: {value!r} is not a number") from None
     try:
@@ -513,7 +569,7 @@ def parse_settings_text(text: str, source: str = "<settings>"):
                 f"{source}:{lineno}: expected 'theta_s_deg theta_i_deg', got {raw!r}"
             )
         try:
-            angles = float(parts[0]), float(parts[1])
+            angles = ascii_float(parts[0]), ascii_float(parts[1])
         except ValueError:
             raise ValueError(f"{source}:{lineno}: angles must be numbers") from None
         if not all(map(math.isfinite, angles)):

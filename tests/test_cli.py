@@ -347,6 +347,33 @@ class TestFitCommands:
         assert out == ""
         assert f"{data}:" in err and "non-finite" in err
 
+class TestNonFiniteAngleFlags:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_predict_fringe_names_the_angle(self, capsys, value):
+        code, _, err = run_cli(capsys, "predict-fringe", "--theta-i", value)
+        assert code == 1
+        assert "theta_i_deg must be finite" in err
+
+
+class TestCsvNumberGrammar:
+    @pytest.mark.parametrize("cell", ["1_0", "+0.1", "0x1p-3", "Infinity", "\u0661"])
+    def test_rejected_at_file_and_row(self, capsys, tmp_path, cell):
+        data = tmp_path / "decay.csv"
+        data.write_text(f"delta_t_ns,g_si,sigma\n200,5,0.1\n1000,{cell},0.1\n3000,2,0.1\n")
+        code, _, err = run_cli(capsys, "fit-decay", "--data", str(data))
+        assert code == 2
+        assert "decay.csv:3: non-numeric value" in err
+
+    def test_spaces_around_a_cell_are_accepted(self, capsys, tmp_path):
+        data = tmp_path / "decay.csv"
+        with open(data, "w", newline="") as fh:
+            fh.write("delta_t_ns, g_si, sigma\n")
+            for t in [200, 1000, 2000, 4000, 7000]:
+                fh.write(f"{t}, {1 + 4.5 * math.exp(-t / 3700.0)!r} ,0.01\n")
+        payload = run_json(capsys, "fit-decay", "--data", str(data))
+        np.testing.assert_allclose(payload["tau_ns"], 3700.0, rtol=1e-6)
+
+
 class TestCheckOps:
     def test_operator_checks_scale_inversely_with_atom_number(self, capsys):
         payload = run_json(capsys, "check-ops", "--n-min", "2", "--n-max", "6")

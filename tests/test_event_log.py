@@ -469,3 +469,58 @@ class TestHeaderGrammar:
         with pytest.raises(ParseError, match="read gate ends") as err:
             parse(self.header(extra="# delta_t_ns=5000\n"))
         assert err.value.line is None
+
+
+class TestHeaderSettingLineSpacing:
+    """Setting lines split on single spaces, as the body does."""
+
+    @pytest.mark.parametrize(
+        "line",
+        ["# setting 0\t22.5 0", "# setting 0  22.5 0", "# setting\t0 22.5 0", "# setting 0 22.5\t0"],
+    )
+    def test_other_spacing_rejected_at_its_line(self, line):
+        with pytest.raises(ParseError, match="setting") as err:
+            parse(f"# version=1\n# seed=1\n# trials_per_setting=1\n{line}\n")
+        assert err.value.line == 4
+
+
+# ints, floats and numpy scalars: what a caller may build a config or setting from
+def _numbers(lo, hi):
+    floats = st.floats(lo, hi)
+    return st.one_of(
+        st.integers(int(lo), int(hi)),
+        floats,
+        floats.map(np.float64),
+        floats.map(np.float32).filter(lambda v: lo <= float(v) <= hi),
+        st.integers(int(lo), int(hi)).map(np.int64),
+    )
+
+
+@st.composite
+def scalar_logs(draw):
+    config = ExperimentConfig(
+        eta=draw(_numbers(0.0, 1.5)),
+        excitation_prob=draw(_numbers(0.0, 1.0)),
+        det_eff_s=draw(_numbers(0.0, 1.0)),
+        bg_prob_i=draw(_numbers(0.0, 1.0)),
+        delta_t_ns=draw(_numbers(0.0, 400.0)),
+    )
+    angles = _numbers(-720.0, 720.0)
+    settings_ = [MeasurementSetting(draw(angles), draw(angles)) for _ in range(draw(st.integers(1, 3)))]
+    n = draw(st.integers(0, 50))
+    return run_trials(config, settings_, n, seed=draw(st.integers(0, 2**64 - 1)))
+
+
+class TestScalarRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(scalar_logs())
+    def test_parse_inverts_format(self, log):
+        assert parse(format_event_log(log)) == log
+
+    def test_numpy_scalars_are_written_as_builtin_floats(self):
+        config = ExperimentConfig(excitation_prob=np.float64(0.2), cycle_ns=np.int64(1500))
+        log = run_trials(config, [MeasurementSetting(np.float64(22.5), np.float32(0.5))], 1000, seed=1)
+        text = format_event_log(log)
+        assert "# excitation_prob=0.2\n" in text and "# cycle_ns=1500.0\n" in text
+        assert "# setting 0 22.5 0.5\n" in text
+        assert parse(text) == log

@@ -186,3 +186,22 @@ class TestSettingTable:
         s = MeasurementSetting(45.0, -90.0)
         np.testing.assert_allclose(s.theta_s_rad, math.pi / 4, rtol=1e-15)
         np.testing.assert_allclose(s.theta_i_rad, -math.pi / 2, rtol=1e-15)
+
+
+class TestMeasurementSettingValues:
+    def test_numbers_become_builtin_floats(self):
+        for value in (22, 22.5, np.float64(22.5), np.float32(22.5), np.int64(22)):
+            setting = MeasurementSetting(value, value)
+            assert type(setting.theta_s_deg) is float and type(setting.theta_i_deg) is float
+            assert setting.theta_s_deg == float(value)
+        assert MeasurementSetting(np.float64(10), 0) == MeasurementSetting(10.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    @pytest.mark.parametrize("field", ["theta_s_deg", "theta_i_deg"])
+    def test_non_finite_angle_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MeasurementSetting(**{"theta_s_deg": 0.0, "theta_i_deg": 0.0, field: value})
+
+    def test_text_rejected(self):
+        with pytest.raises(TypeError, match="theta_s_deg must be a number"):
+            MeasurementSetting("22.5", 0.0)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -49,52 +50,6 @@ def clean_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def oracle_run(config, settings, n_trials_per_setting, seed):
-    """Events and tallies drawn the original way: 12 doubles per trial, full-length masks.
-
-    Trial t reads the doubles Generator(Philox).random gives for counter
-    blocks [3t, 3t+3) under the run key; run_trials must reproduce this
-    byte for byte.
-    """
-    res = int(config.tia_resolution_ns)
-    (c1, w1), (c2, w2) = gate_windows(config)
-    first1, cells1 = simulator._gate_cells(c1, w1, res)
-    first2, cells2 = simulator._gate_cells(c2, w2, res)
-    eff_i = simulator._effective_retrieval(config, config.delta_t_ns) * config.det_eff_i
-    chunks, true_counts = [], {}
-    for sid, setting in enumerate(settings):
-        n = n_trials_per_setting
-        base = sid * n
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=3 * base))
-        u = gen.random(n * 12).reshape(n, 12)
-        trials = np.arange(base, base + n, dtype=np.int64)
-        cum = np.cumsum(joint_outcome_probs(config, setting))
-        pair = u[:, 0] < config.excitation_prob
-        outcome = np.searchsorted(cum, u[:, 1], side="right")
-        pass_s = pair & (outcome <= 1)
-        pass_i = pair & ((outcome == 0) | (outcome == 2))
-        s_real = pass_s & (u[:, 2] < config.det_eff_s)
-        i_real = pass_i & (u[:, 3] < eff_i)
-        bg_s = u[:, 6] < config.bg_prob_s
-        bg_i = u[:, 8] < config.bg_prob_i
-        t_s = (first1 + (u[:, 4] * cells1).astype(np.int64)) * res
-        t_i = (first2 + (u[:, 5] * cells2).astype(np.int64)) * res
-        t_bg_s = (first1 + (u[:, 7] * cells1).astype(np.int64)) * res
-        t_bg_i = (first2 + (u[:, 9] * cells2).astype(np.int64)) * res
-        for mask, chan, times in ((s_real, 0, t_s), (bg_s, 0, t_bg_s), (i_real, 1, t_i), (bg_i, 1, t_bg_i)):
-            block = np.zeros(int(mask.sum()), dtype=EVENT_DTYPE)
-            block["trial"] = trials[mask]
-            block["channel"] = chan
-            block["t_ns"] = times[mask]
-            block["setting_id"] = sid
-            chunks.append(block)
-        s_any, i_any = s_real | bg_s, i_real | bg_i
-        true_counts[sid] = (int(s_any.sum()), int(i_any.sum()), int((s_any & i_any).sum()))
-    events = np.concatenate(chunks)
-    events = events[np.lexsort((events["channel"], events["t_ns"], events["trial"]))]
-    return events, true_counts
-
-
 ORACLE_CASES = {
     "defaults": (ExperimentConfig(), [MeasurementSetting(0, 0), MeasurementSetting(-22.5, 45)]),
     "bright_with_background": (
@@ -116,14 +71,94 @@ ORACLE_CASES = {
 }
 
 
+def oracle_click_probabilities(config, setting=None, delta_t_ns=None):
+    """(P_s, P_i, P_si) by the original enumeration over no pair and the four outcomes."""
+    if delta_t_ns is None:
+        delta_t_ns = config.delta_t_ns
+    if setting is None:
+        p4 = np.array([1.0, 0.0, 0.0, 0.0])
+    else:
+        p4 = joint_outcome_probs(config, setting, delta_t_ns)
+    p = config.excitation_prob
+    eff_i = simulator._effective_retrieval(config, delta_t_ns) * config.det_eff_i
+    states = [(1.0 - p, 0, 0)]
+    for j, (a, b) in enumerate([(1, 1), (1, 0), (0, 1), (0, 0)]):
+        states.append((p * p4[j], a, b))
+    p_s = p_i = p_si = 0.0
+    for w, a, b in states:
+        click_s = 1.0 - (1.0 - a * config.det_eff_s) * (1.0 - config.bg_prob_s)
+        click_i = 1.0 - (1.0 - b * eff_i) * (1.0 - config.bg_prob_i)
+        p_s += w * click_s
+        p_i += w * click_i
+        p_si += w * click_s * click_i
+    return p_s, p_i, p_si
+
+
+def oracle_run(config, settings, n_trials_per_setting, seed):
+    """Events and tallies drawn straight from the stream's description, with full-length masks.
+
+    Trial t's gate word is raw word t of Philox(key=seed), read as the double
+    u; the trial falls in class c >= 1 when S_{c-1} <= u < S_c, with S_c the
+    sum of the probabilities of classes 1..c.  The k-th click trial of block
+    b = t >> 16 reads words 4k..4k+3 of Philox(key=seed + ((b + 1) << 64)):
+    the times of its D1 pair, D1 background, D2 pair and D2 background clicks.
+    run_trials must reproduce this byte for byte.
+    """
+    res = int(config.tia_resolution_ns)
+    gates = [simulator._gate_cells(c, w, res) for c, w in gate_windows(config)]
+    n = n_trials_per_setting
+    u = simulator._uniform(np.random.Philox(key=seed).random_raw(len(settings) * n))
+    trials, classes, true_counts = [], [], {}
+    for sid, setting in enumerate(settings):
+        cum = np.cumsum(simulator._click_classes(config, setting, config.delta_t_ns)[1:])
+        u_k = u[sid * n : (sid + 1) * n]
+        cls = np.where(u_k < cum[-1], np.searchsorted(cum, u_k, side="right") + 1, 0)
+        s_any, i_any = (cls & 3) != 0, (cls & 12) != 0
+        true_counts[sid] = (int(s_any.sum()), int(i_any.sum()), int((s_any & i_any).sum()))
+        clicked = np.flatnonzero(cls)
+        trials.append(sid * n + clicked)
+        classes.append(cls[clicked])
+    trials, classes = np.concatenate(trials), np.concatenate(classes)
+    times = np.zeros((len(trials), 4), dtype=np.uint64)
+    for b in np.unique(trials >> 16):
+        rows = np.flatnonzero(trials >> 16 == b)
+        words = np.random.Philox(key=seed + ((int(b) + 1) << 64)).random_raw(4 * len(rows))
+        times[rows] = words.reshape(len(rows), 4)
+    chunks = []
+    for bit in range(4):
+        has = (classes >> bit) & 1 == 1
+        first, cells = gates[bit >> 1]
+        block = np.zeros(int(has.sum()), dtype=EVENT_DTYPE)
+        block["trial"] = trials[has]
+        block["channel"] = bit >> 1
+        block["t_ns"] = (first + (simulator._uniform(times[has, bit]) * cells).astype(np.int64)) * res
+        block["setting_id"] = trials[has] // n
+        chunks.append(block)
+    events = np.concatenate(chunks)
+    events = events[np.lexsort((events["channel"], events["t_ns"], events["trial"]))]
+    return events, true_counts
+
+
+def philox4x64(counter, key):
+    """The four words of one Philox4x64-10 block (Salmon et al., SC'11), in plain integers."""
+    mask = (1 << 64) - 1
+    c, k = [counter & mask, counter >> 64, 0, 0], [key & mask, key >> 64]
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
+        c = [(p1 >> 64) ^ c[1] ^ k[0], p1 & mask, (p0 >> 64) ^ c[3] ^ k[1], p0 & mask]
+        k = [(k[0] + 0x9E3779B97F4A7C15) & mask, (k[1] + 0xBB67AE8584CAA73B) & mask]
+    return c
+
+
 class TestStreamPinning:
-    """The raw-word draw must reproduce the original 12-double stream byte for byte."""
+    """The draw must reproduce the stream's description byte for byte."""
 
     @pytest.mark.parametrize("chunk", [1, 7_777, 1 << 18])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_byte_equal_to_twelve_double_oracle(self, case, chunk):
+    def test_byte_equal_to_oracle(self, case, chunk):
         config, settings_ = ORACLE_CASES[case]
-        n = 2_000 if chunk == 1 else 20_000
+        # past 2**16 trials the time-word blocks straddle the settings
+        n = 2_000 if chunk == 1 else 70_001
         events, true_counts = oracle_run(config, settings_, n, seed=77)
         log = run_trials(config, settings_, n, seed=77, chunk_trials=chunk)
         assert len(log) > 0
@@ -134,7 +169,14 @@ class TestStreamPinning:
         """A change of stream or event layout must not pass silently."""
         log = run_trials(ExperimentConfig(), [MeasurementSetting(0, 0)], 50_000, seed=9)
         digest = hashlib.sha256(log.events.tobytes()).hexdigest()
-        assert digest == "911d7adf6d068785e28100c34992ea354a9d0be6a89750da9b59bcce217da3da"
+        assert digest == "a7c1621f1cdad7f672925fe833f9b7e15ea1ca5b77fd846ff31c9282f9dae7e4"
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_words_are_philox_blocks_from_counter_one(self, seed):
+        """Raw word t of a key is word t % 4 of block t // 4 + 1, as the README states."""
+        for key in (seed, seed + (3 << 64)):
+            words = np.random.Philox(key=key).random_raw(12).tolist()
+            assert words == [w for b in (1, 2, 3) for w in philox4x64(b, key)]
 
     def test_uniform_matches_generator_random(self):
         words = np.random.Philox(key=5, counter=12).random_raw(4_096)
@@ -156,6 +198,94 @@ class TestStreamPinning:
         edge = math.ceil(p * 2**53) << 11
         words = np.array(words + [w for w in (edge - 1, edge) if 0 <= w < 2**64], dtype=np.uint64)
         assert np.array_equal(simulator._below(words, p), simulator._uniform(words) < p)
+
+
+class TestClassSampling:
+    """One gate word per trial, sampled from the closed-form click-class table."""
+
+    @pytest.mark.parametrize("chunk", [1, 7_777, (1 << 16) - 1, 1 << 18])
+    def test_chunking_does_not_change_the_stream(self, chunk):
+        """Clicks carry their rank in a block across chunk and setting boundaries."""
+        cfg = clean_config(excitation_prob=0.05, bg_prob_s=0.01, bg_prob_i=0.01, base_visibility=0.8)
+        settings_ = [MeasurementSetting(10, 40), MeasurementSetting(67.5, 112.5)]
+        n = 40_000
+        reference = run_trials(cfg, settings_, n, seed=5, chunk_trials=1 << 20)
+        log = run_trials(cfg, settings_, n, seed=5, chunk_trials=chunk)
+        assert log == reference
+        assert log.true_counts == reference.true_counts
+        # clicks of both settings share the first block
+        assert {0, 1} <= set(log.events["setting_id"][log.events["trial"] < 1 << 16].tolist())
+
+    def test_certain_class_is_always_drawn(self):
+        """Background certain on both channels, no pairs: class 10 has probability exactly 1."""
+        cfg = clean_config(excitation_prob=0.0, bg_prob_s=1.0, bg_prob_i=1.0)
+        table = simulator._click_classes(cfg, MeasurementSetting(0, 0), 0.0)
+        assert table.tolist() == [1.0 if c == 0b1010 else 0.0 for c in range(16)]
+        n = 30_000
+        log = run_trials(cfg, [MeasurementSetting(0, 0)], n, seed=3)
+        assert len(log) == 2 * n
+        assert log.true_counts == {0: (n, n, n)}
+
+    def test_certain_pair_coincidence_is_always_drawn(self):
+        cfg = clean_config(eta=0.0, excitation_prob=1.0)
+        table = simulator._click_classes(cfg, MeasurementSetting(0, 0), 0.0)
+        assert table.tolist() == [1.0 if c == 0b0101 else 0.0 for c in range(16)]
+        log = run_trials(cfg, [MeasurementSetting(0, 0)], 20_000, seed=3)
+        assert log.true_counts == {0: (20_000, 20_000, 20_000)}
+
+    def test_impossible_classes_are_never_drawn(self):
+        """No D1 detection and no D1 background: every D1 class has probability exactly 0."""
+        cfg = clean_config(excitation_prob=1.0, det_eff_s=0.0, bg_prob_i=0.5)
+        table = simulator._click_classes(cfg, MeasurementSetting(0, 0), 0.0)
+        assert np.all(table[(np.arange(16) & 0b0011) != 0] == 0.0)
+        log = run_trials(cfg, [MeasurementSetting(0, 0)], 50_000, seed=3)
+        assert np.all(log.events["channel"] == 1)
+        assert log.true_counts[0][0] == 0 and log.true_counts[0][1] > 0
+
+
+class TestClassify:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        probs=st.lists(st.sampled_from([0.0, 1.0, 2.0**-53, 0.5]) | st.floats(0.0, 1.0), min_size=15, max_size=15),
+        words=st.lists(st.integers(0, 2**64 - 1), max_size=20),
+    )
+    def test_integer_classes_decide_like_the_doubles(self, probs, words):
+        """Words at and next to every class edge fall in the class the doubles give."""
+        total = sum(probs)
+        cum = np.cumsum([p / total for p in probs] if total > 1 else probs)
+        edges = [math.ceil(c * 2**53) << 11 for c in cum.tolist()]
+        words = np.array(words + [w + d for w in edges for d in (-1, 0) if 0 <= w + d < 2**64], dtype=np.uint64)
+        u = simulator._uniform(words)
+        expected = np.where(u < cum[-1], np.searchsorted(cum, u, side="right") + 1, 0)
+        rows, classes = simulator._classify(words, cum)
+        got = np.zeros(len(words), dtype=np.int64)
+        got[rows] = classes
+        assert np.array_equal(got, expected)
+
+
+class TestClickClassTable:
+    """The table the simulator samples is the one the closed form sums."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        probs=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=7, max_size=7),
+        eta=st.floats(0.0, math.pi / 2),
+        delta_t=st.floats(0.0, 5000.0),
+        angles=st.tuples(st.floats(-360.0, 360.0), st.floats(-360.0, 360.0)) | st.none(),
+    )
+    def test_sums_match_the_original_enumeration(self, probs, eta, delta_t, angles):
+        p, r, ds, di, bs, bi, v = probs
+        cfg = ExperimentConfig(
+            eta=eta, excitation_prob=p, retrieval_eff=r, det_eff_s=ds, det_eff_i=di,
+            bg_prob_s=bs, bg_prob_i=bi, base_visibility=v,
+        )
+        setting = None if angles is None else MeasurementSetting(*angles)
+        table = simulator._click_classes(cfg, setting, delta_t)
+        assert table.shape == (16,) and np.all(table >= 0.0)
+        assert abs(table.sum() - 1.0) <= 1e-15
+        new = trial_click_probabilities(cfg, setting, delta_t)
+        old = oracle_click_probabilities(cfg, setting, delta_t)
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-15)
 
 
 class TestExperimentConfig:
@@ -217,6 +347,49 @@ class TestExperimentConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             ExperimentConfig.from_mapping({"excitation_probability": 0.1})
+
+
+class TestConfigValues:
+    def test_numbers_become_builtin_floats(self):
+        cfg = ExperimentConfig(excitation_prob=np.float64(0.2), cycle_ns=np.int64(1500), dark_ns=640,
+                               det_eff_s=np.float32(0.5))
+        for f in dataclasses.fields(cfg):
+            assert type(getattr(cfg, f.name)) is float, f.name
+        assert cfg == ExperimentConfig(excitation_prob=0.2, det_eff_s=0.5)
+
+    def test_text_rejected(self):
+        with pytest.raises(TypeError, match="excitation_prob must be a number"):
+            ExperimentConfig(excitation_prob="0.1")
+
+
+class TestNumberGrammar:
+    """Config and settings files read numbers as the log header does."""
+
+    @pytest.mark.parametrize(
+        "value", ["1_0e-1", "+0_0", "+0.1", "0x1p-3", "Infinity", "NaN", "1e", ".", "\u0660.1"]
+    )
+    def test_config_spellings_rejected_at_their_line(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"cfg.txt:2: {value!r} is not a number")):
+            parse_config_text(f"delta_t_ns = 300\nexcitation_prob = {value}\n", source="cfg.txt")
+
+    @pytest.mark.parametrize("value", ["0.1", "1e-1", ".1", "1", "0", "1.0E-1", "5e+1"])
+    def test_config_decimal_spellings_accepted(self, value):
+        text = f"delta_t_ns = {value}\n"
+        assert parse_config_text(text).delta_t_ns == float(value)
+
+    @pytest.mark.parametrize("value", ["1_0e-1", "+0_0", "0x1p-3"])
+    def test_mapping_text_read_by_the_grammar(self, value):
+        with pytest.raises(ValueError, match="not a decimal number"):
+            ExperimentConfig.from_mapping({"excitation_prob": value})
+
+    def test_mapping_numbers_and_decimal_text(self):
+        cfg = ExperimentConfig.from_mapping({"excitation_prob": "0.1", "delta_t_ns": np.int64(300)})
+        assert cfg == ExperimentConfig(excitation_prob=0.1, delta_t_ns=300.0)
+
+    @pytest.mark.parametrize("line", ["+1 0", "1_0 0", "0 0x10", "0 Infinity", "\u0663 0"])
+    def test_settings_spellings_rejected_at_their_line(self, line):
+        with pytest.raises(ValueError, match=r"s\.txt:2: angles must be numbers"):
+            parse_settings_text(f"0 0\n{line}\n", source="s.txt")
 
 
 class TestGateLayout:

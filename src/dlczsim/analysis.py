@@ -501,31 +501,43 @@ def parse_event_log(path) -> EventLog:
 def gate_and_count(log: EventLog, gates: GateConfig | None = None) -> CoincidenceTable:
     """Apply the detection gates and tally singles and same-trial pairs.
 
-    The first click per channel per trial wins, so extra clicks in a gate
-    change nothing; a coincidence is a trial whose D1 and D2 gates both
-    fired.  Events may come in any order.
+    A D1 click counts when its time lies in the D1 gate and a D2 click when
+    it lies in the D2 gate; other channel codes never count.  The gated
+    clicks are grouped by trial (a stable sort, near-linear on the sorted
+    logs the simulator and the parser produce, correct for any order) and
+    each trial ORs its channel bits, so the first click per channel wins
+    and extra clicks change nothing.  A trial adds to ``n_s`` of its setting
+    when its D1 bit is set, to ``n_i`` when its D2 bit is set and to
+    ``n_si`` when both are.  The setting is read from the trial's first
+    gated click: a trial has one setting, as the log parser enforces.
     """
     if gates is None:
         gates = GateConfig.from_experiment(log.config)
     ev = log.events
     n_settings = len(log.settings)
 
-    def _gated_trials(chan: int, center: float, width: float):
-        mask = (
-            (ev["channel"] == chan)
-            & (ev["t_ns"] >= center - width / 2)
-            & (ev["t_ns"] <= center + width / 2)
-        )
-        sub = ev[mask]
-        # each trial's first gated click; a trial has a single setting
-        trials, first = np.unique(sub["trial"], return_index=True)
-        return trials, sub["setting_id"][first]
-
-    t1, sid1 = _gated_trials(0, gates.d1_center_ns, gates.d1_width_ns)
-    t2, sid2 = _gated_trials(1, gates.d2_center_ns, gates.d2_width_ns)
-    n_s = np.bincount(sid1, minlength=n_settings)
-    n_i = np.bincount(sid2, minlength=n_settings)
-    n_si = np.bincount(sid1[np.isin(t1, t2, assume_unique=True)], minlength=n_settings)
+    channel, t_ns = ev["channel"], ev["t_ns"]
+    # per-event gate bounds: index 0 is the D1 gate, index 1 the D2 gate
+    center = np.array([gates.d1_center_ns, gates.d2_center_ns])
+    half = np.array([gates.d1_width_ns, gates.d2_width_ns]) / 2
+    which = channel & 1
+    in_gate = (t_ns >= np.take(center - half, which)) & (t_ns <= np.take(center + half, which))
+    gated = np.flatnonzero(in_gate & (channel <= 1))
+    # the gated rows in trial order; reading the trials again after the sort
+    # keeps one int64 column fewer alive than gathering them by the order
+    gated = gated[np.argsort(np.take(ev["trial"], gated), kind="stable")]
+    trial = np.take(ev["trial"], gated)
+    first = np.ones(len(trial), dtype=bool)
+    first[1:] = trial[1:] != trial[:-1]
+    starts = np.flatnonzero(first)
+    # per trial, bit 0 a gated D1 click and bit 1 a gated D2 click
+    fired = np.bitwise_or.reduceat(np.take(channel, gated) + np.uint8(1), starts)
+    setting = np.take(ev["setting_id"], gated[starts]).astype(np.int64)
+    # tally[s, b]: the trials of setting s whose fired bits are b
+    tally = np.bincount(4 * setting + fired, minlength=4 * n_settings).reshape(-1, 4)
+    n_si = tally[:, 3]
+    n_s = tally[:, 1] + n_si
+    n_i = tally[:, 2] + n_si
 
     rows = {
         sid: SettingCounts(

@@ -76,7 +76,9 @@ class ExperimentConfig:
     every duration is in nanoseconds.  ``base_visibility`` is the pair
     visibility extrapolated to zero storage time; it decays with
     ``memory_tau_ns`` while the retrieval efficiency decays with
-    ``retrieval_tau_ns`` (equal by default).
+    ``retrieval_tau_ns`` (equal by default).  Every field is coerced to a
+    builtin float and must be finite at construction; ``validate`` checks
+    the ranges and the timing layout.
     """
 
     eta: float = DEFAULT_ETA
@@ -99,15 +101,15 @@ class ExperimentConfig:
     tia_resolution_ns: float = 2.0
 
     def __post_init__(self):
-        # builtin floats, so the log header spells every value as its reader expects
+        # finite builtin floats, so the log header spells every value as its
+        # reader expects and no config that cannot be simulated exists
         for f in fields(self):
-            object.__setattr__(self, f.name, as_float(f.name, getattr(self, f.name)))
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+            value = as_float(f.name, getattr(self, f.name))
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            object.__setattr__(self, f.name, value)
+
+    def validate(self) -> None:
         for name in (
             "excitation_prob",
             "retrieval_eff",
@@ -412,7 +414,12 @@ def _draw_clicks(config, settings, n_trials_per_setting, seed, chunk_trials):
     boundaries do not matter.
     """
     gate = np.random.Philox(key=seed)
-    block, timer = -1, None  # the time-word generator of the current block
+    # one time-word generator, re-keyed per block: the state of a fresh
+    # Philox(key=seed + ((b + 1) << 64)) is key words (seed, b + 1), counter 0
+    # and an empty buffer, and setting it costs a tenth of constructing one
+    timer = np.random.Philox(key=seed)
+    keyed = timer.state
+    block = -1  # the block the time-word generator is keyed for
     for sid, setting in enumerate(settings):
         cum = np.cumsum(_click_classes(config, setting, config.delta_t_ns)[1:])
         base = sid * n_trials_per_setting
@@ -428,7 +435,8 @@ def _draw_clicks(config, settings, n_trials_per_setting, seed, chunk_trials):
             for start, stop in zip(starts, starts[1:] + [len(trials)]):
                 if blocks[start] != block:
                     block = int(blocks[start])
-                    timer = np.random.Philox(key=seed + ((block + 1) << 64))
+                    keyed["state"]["key"][1] = block + 1
+                    timer.state = keyed
                 times[start:stop] = timer.random_raw(4 * (stop - start)).reshape(-1, 4)
             origins = []
             for bit in range(4):
@@ -460,6 +468,13 @@ def run_trials(
     (``_draw_clicks``), so the log does not depend on ``chunk_trials``.  A
     click's timestamp is the time word's uniform variate scaled onto its
     gate's resolution cells.
+
+    Events are assembled as one int64 column: each click's key
+    ``(trial * span + cell) * 2 + channel``, with ``cell`` counted from the
+    earliest gate start and ``span`` cells per trial, holds the whole event.
+    The keys of all origins are sorted once (stable), and the records are
+    filled once from the sorted keys: trial and cell from ``divmod`` by the
+    span, channel from the low bit, setting from the trial.
     """
     config.validate()
     settings = tuple(settings)
@@ -484,7 +499,7 @@ def run_trials(
             f"{n_total} trials x {span} timing cells per trial overflow the int64 sort key"
         )
 
-    chunks = []
+    keys = [np.zeros(0, dtype=np.int64)]
     tallies = np.zeros((len(settings), 3), dtype=np.int64)
     draws = _draw_clicks(config, settings, n_trials_per_setting, seed, chunk_trials)
     for sid, origins, tally in draws:
@@ -493,24 +508,22 @@ def run_trials(
         for origin, (trials, words) in enumerate(origins):
             channel = origin >> 1
             first, cells = gates[channel]
-            block = np.zeros(len(trials), dtype=EVENT_DTYPE)
-            block["trial"] = trials
-            block["channel"] = channel
-            block["t_ns"] = (first + (_uniform(words) * cells).astype(np.int64)) * res
-            block["setting_id"] = sid
-            chunks.append(block)
+            key = (_uniform(words) * cells).astype(np.int64)
+            key += trials * span + (first - first_cell)
+            key *= 2
+            key += channel
+            keys.append(key)
     true_counts = {sid: tuple(int(x) for x in row) for sid, row in enumerate(tallies)}
 
-    if chunks:
-        events = np.concatenate(chunks)
-        key = events["t_ns"] // res
-        key -= first_cell
-        key += events["trial"] * span
-        key *= 2
-        key += events["channel"]
-        events = events[np.argsort(key, kind="stable")]
-    else:
-        events = np.zeros(0, dtype=EVENT_DTYPE)
+    # a key holds its whole event, so the sorted keys are the sorted events;
+    # the stable sort merges the origins' runs, each already in trial order
+    key = np.sort(np.concatenate(keys), kind="stable")
+    trial, cell = np.divmod(key >> 1, span)
+    events = np.empty(len(key), dtype=EVENT_DTYPE)
+    events["trial"] = trial
+    events["channel"] = key & 1
+    events["t_ns"] = (cell + first_cell) * res
+    events["setting_id"] = trial // n_trials_per_setting
     return EventLog(
         config=config,
         settings=settings,

@@ -27,12 +27,10 @@ from .angular import BranchingTable, HalfInt
 __all__ = [
     "STATE_BASIS",
     "TwoQubitState",
-    "WaveVectors",
     "EnsembleModel",
     "ideal_state",
     "add_white_noise",
     "concurrence",
-    "phase_match",
     "mode_vacuum_overlap",
     "excited_commutator_deviation",
 ]
@@ -100,27 +98,6 @@ def concurrence(state: TwoQubitState) -> float:
     lams = np.sqrt(np.clip(lams.real, 0.0, None))
     lams.sort()
     return float(max(0.0, lams[-1] - lams[-2] - lams[-3] - lams[-4]))
-
-
-@dataclass(eq=False)
-class WaveVectors:
-    """Wave vectors of the write, read and detected signal modes (rad/m)."""
-
-    write: np.ndarray
-    read: np.ndarray
-    signal: np.ndarray
-
-    def __post_init__(self):
-        for name in ("write", "read", "signal"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-            setattr(self, name, v)
-
-
-def phase_match(k: WaveVectors) -> np.ndarray:
-    """Wave vector of the retrieved idler mode, k_w + k_r - k_s."""
-    return k.write + k.read - k.signal
 
 
 @dataclass(eq=False)

@@ -337,6 +337,45 @@ class TestGateAndCount:
         )
         assert counts_of(gate_and_count(log)) == oracle_gate_counts(log)
 
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([], {0: (0, 0, 0), 1: (0, 0, 0)}),
+            # every click outside its own gate, including D1 and D2 times swapped
+            (
+                [(0, 0, 64, 0), (0, 1, 264, 0), (1, 0, 330, 0), (2, 1, 135, 0), (3, 1, 396, 1)],
+                {0: (0, 0, 0), 1: (0, 0, 0)},
+            ),
+            # channel code 2 is no detector, even inside either gate
+            (
+                [(0, 2, 135, 0), (0, 2, 330, 0), (1, 0, 135, 0), (1, 2, 330, 0)]
+                + [(2, 2, 135, 0), (2, 1, 330, 0)],
+                {0: (1, 1, 0), 1: (0, 0, 0)},
+            ),
+            # trials above 2**40, out of order, with a repeated D1 click
+            (
+                [
+                    (2**41 + 3, 1, 330, 1),
+                    (2**40 + 1, 0, 100, 0),
+                    (2**41 + 3, 0, 140, 1),
+                    (2**40 + 1, 0, 102, 0),
+                    (2**40, 1, 300, 0),
+                ],
+                {0: (1, 1, 0), 1: (1, 1, 1)},
+            ),
+        ],
+        ids=["empty", "all_outside_gates", "channel_two_ignored", "trials_above_2_40"],
+    )
+    def test_edge_logs_match_the_structured_unique_oracle(self, rows, expected):
+        log = EventLog(
+            config=ExperimentConfig(),
+            settings=(MeasurementSetting(0, 0), MeasurementSetting(0, 90)),
+            seed=0,
+            n_trials_per_setting=2**41,
+            events=np.array(rows, dtype=EVENT_DTYPE),
+        )
+        assert counts_of(gate_and_count(log)) == oracle_gate_counts(log) == expected
+
     def test_default_gates_come_from_the_config(self):
         cfg = ExperimentConfig(delta_t_ns=500.0, dark_ns=1200.0)
         gates = GateConfig.from_experiment(cfg)

@@ -68,6 +68,19 @@ ORACLE_CASES = {
         ),
         [MeasurementSetting(30, -15)],
     ),
+    # both gates on the same three 2 ns cells with background in both channels:
+    # pair and background clicks share a cell and a channel, and D1 and D2 a cell
+    "shared_cells": (
+        clean_config(
+            excitation_prob=0.5,
+            bg_prob_s=0.5,
+            bg_prob_i=0.5,
+            write_len_ns=120.0,
+            gate_d1_ns=4.0,
+            gate_d2_ns=4.0,
+        ),
+        [MeasurementSetting(0, 0), MeasurementSetting(22.5, 67.5), MeasurementSetting(45, 0)],
+    ),
 }
 
 
@@ -163,6 +176,30 @@ class TestStreamPinning:
         log = run_trials(config, settings_, n, seed=77, chunk_trials=chunk)
         assert len(log) > 0
         assert log.events.tobytes() == events.tobytes()
+        assert log.true_counts == true_counts
+
+    def test_shared_cells_case_has_ties(self):
+        """The case really holds equal records, and D1 and D2 clicks in one cell of a trial."""
+        config, settings_ = ORACLE_CASES["shared_cells"]
+        (c1, w1), (c2, w2) = gate_windows(config)
+        assert (c1, w1) == (c2, w2)
+        ev = run_trials(config, settings_, 2_000, seed=77).events
+        same_cell = (ev["trial"][1:] == ev["trial"][:-1]) & (ev["t_ns"][1:] == ev["t_ns"][:-1])
+        assert (same_cell & (ev["channel"][1:] == ev["channel"][:-1])).any()
+        assert (same_cell & (ev["channel"][1:] != ev["channel"][:-1])).any()
+
+    @pytest.mark.parametrize("chunk", [1, 7_777, 1 << 18])
+    @pytest.mark.parametrize(
+        "config, n",
+        [(ExperimentConfig(), 0), (clean_config(excitation_prob=0.0), 3_000)],
+        ids=["zero_trials", "no_clicks"],
+    )
+    def test_runs_without_events_equal_the_oracle(self, config, n, chunk):
+        settings_ = [MeasurementSetting(0, 0), MeasurementSetting(45, 0)]
+        events, true_counts = oracle_run(config, settings_, n, seed=5)
+        log = run_trials(config, settings_, n, seed=5, chunk_trials=chunk)
+        assert len(log) == len(events) == 0
+        assert log.events.dtype == EVENT_DTYPE
         assert log.true_counts == true_counts
 
     def test_golden_digest(self):
@@ -324,6 +361,18 @@ class TestExperimentConfig:
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ExperimentConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected_at_construction(self, value):
+        """No config that cannot be simulated exists, whichever way it is built."""
+        for f in dataclasses.fields(ExperimentConfig):
+            message = f"^{f.name} must be finite, got {value}$"
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(**{f.name: value})
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(ExperimentConfig(), **{f.name: np.float64(value)})
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig.from_mapping({f.name: value})
 
     def test_read_gate_beyond_cycle_rejected(self):
         cfg = ExperimentConfig(delta_t_ns=2000.0)  # read gate past 1500 ns

@@ -19,13 +19,11 @@ from dlczsim.angular import HalfInt, LevelScheme, branching_table
 from dlczsim.states import (
     EnsembleModel,
     TwoQubitState,
-    WaveVectors,
     add_white_noise,
     concurrence,
     excited_commutator_deviation,
     ideal_state,
     mode_vacuum_overlap,
-    phase_match,
 )
 
 SCHEME = LevelScheme.of(3, 2, 3)
@@ -101,24 +99,6 @@ class TestConcurrence:
         state = ideal_state(0.81 * math.pi / 4)
         values = [concurrence(add_white_noise(state, v)) for v in (1.0, 0.8, 0.6, 0.4)]
         assert values == sorted(values, reverse=True)
-
-
-class TestPhaseMatch:
-    def test_counterpropagating_read_retrieves_backwards(self):
-        k = 2 * math.pi / 795e-9
-        tilt = math.radians(2.0)
-        k_w = np.array([0.0, 0.0, k])
-        k_s = k * np.array([math.sin(tilt), 0.0, math.cos(tilt)])
-        vectors = WaveVectors(write=k_w, read=-k_w, signal=k_s)
-        k_i = phase_match(vectors)
-        np.testing.assert_allclose(k_i, -k_s, rtol=1e-12)
-        # idler leaves at the same 2 degrees from the read direction
-        cos_angle = (k_i @ -k_w) / (np.linalg.norm(k_i) * k)
-        np.testing.assert_allclose(math.degrees(math.acos(cos_angle)), 2.0, atol=1e-9)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            WaveVectors(write=np.zeros(2), read=np.zeros(3), signal=np.zeros(3))
 
 
 class TestCollectiveOperator:

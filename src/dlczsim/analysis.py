@@ -194,7 +194,14 @@ def format_event_log(log: EventLog) -> str:
         lines.append(f"# setting {sid} {setting.theta_s_deg!r} {setting.theta_i_deg!r}")
     lines.append(f"# seed={log.seed}")
     ev = log.events
-    names = np.array(CHANNEL_NAMES)[ev["channel"]].tolist()
+    try:
+        names = np.array(CHANNEL_NAMES)[ev["channel"]].tolist()
+    except IndexError:
+        k = int(np.flatnonzero(ev["channel"] >= len(CHANNEL_NAMES))[0])
+        raise ValueError(
+            f"event {k} (trial {ev['trial'][k]}) has channel code {ev['channel'][k]},"
+            " not 0 (D1) or 1 (D2)"
+        ) from None
     body = [
         f"{trial} {name} {t} {sid}\n"
         for trial, name, t, sid in zip(
@@ -509,7 +516,8 @@ def gate_and_count(log: EventLog, gates: GateConfig | None = None) -> Coincidenc
     and extra clicks change nothing.  A trial adds to ``n_s`` of its setting
     when its D1 bit is set, to ``n_i`` when its D2 bit is set and to
     ``n_si`` when both are.  The setting is read from the trial's first
-    gated click: a trial has one setting, as the log parser enforces.
+    gated click and must be ``trial // n_trials_per_setting``, as the log
+    parser enforces; another raises ``ValueError``.
     """
     if gates is None:
         gates = GateConfig.from_experiment(log.config)
@@ -533,6 +541,15 @@ def gate_and_count(log: EventLog, gates: GateConfig | None = None) -> Coincidenc
     # per trial, bit 0 a gated D1 click and bit 1 a gated D2 click
     fired = np.bitwise_or.reduceat(np.take(channel, gated) + np.uint8(1), starts)
     setting = np.take(ev["setting_id"], gated[starts]).astype(np.int64)
+    # the parser's clamp: an n_per beyond int64 gives every trial >= 0 the
+    # same quotient as _INT64_MAX does
+    owner = trial[starts] // min(max(log.n_trials_per_setting, 1), _INT64_MAX)
+    wrong = np.flatnonzero(setting != owner)
+    if len(wrong):
+        k = wrong[0]
+        raise ValueError(
+            f"trial {trial[starts[k]]} belongs to setting {owner[k]}, not {setting[k]}"
+        )
     # tally[s, b]: the trials of setting s whose fired bits are b
     tally = np.bincount(4 * setting + fired, minlength=4 * n_settings).reshape(-1, 4)
     n_si = tally[:, 3]

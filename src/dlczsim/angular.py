@@ -119,6 +119,20 @@ def _check_jm(tj: int, tm: int) -> None:
         )
 
 
+# the j <= 4 sweep has 45 distinct (j, m) pairs; 512 hold every pair up to j = 15
+@lru_cache(maxsize=512, typed=True)
+def _jm(j, m) -> tuple[int, int]:
+    """``(2j, 2m)`` of one argument pair of ``cg``, checked by ``_check_jm``.
+
+    ``typed`` keys each argument by its type as well, so no pair is answered
+    from an equal pair of other types; a failed conversion or check raises
+    and so is never cached.
+    """
+    tj, tm = _doubled(j), _doubled(m)
+    _check_jm(tj, tm)
+    return tj, tm
+
+
 @lru_cache(maxsize=None)
 def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
     """Signed square of a Clebsch-Gordan coefficient as (sign, Fraction).
@@ -134,23 +148,22 @@ def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
         return 0, Fraction(0)
 
     f = math.factorial
-    # Racah's closed form; every factorial argument below is a non-negative
-    # integer once the parity and triangle checks above have passed.
-    delta = Fraction(
-        f((tj1 + tj2 - tJ) // 2) * f((tj1 - tj2 + tJ) // 2) * f((-tj1 + tj2 + tJ) // 2),
-        f((tj1 + tj2 + tJ) // 2 + 1),
-    )
+    a, b, c = (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tJ - tj2 + tm1) // 2, (tJ - tj1 - tm2) // 2
+    # Racah's closed form, (tJ+1) * delta * weight * sum^2, kept in integers
+    # up to one Fraction at the end; every factorial argument below is a
+    # non-negative integer once the parity and triangle checks above have passed.
+    delta_num = f(a) * f((tj1 - tj2 + tJ) // 2) * f((-tj1 + tj2 + tJ) // 2)
+    delta_den = f((tj1 + tj2 + tJ) // 2 + 1)
     weight = (
         f((tJ + tM) // 2)
         * f((tJ - tM) // 2)
-        * f((tj1 - tm1) // 2)
+        * f(b)
         * f((tj1 + tm1) // 2)
         * f((tj2 - tm2) // 2)
-        * f((tj2 + tm2) // 2)
+        * f(c)
     )
 
-    a, b, c = (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
-    d, e = (tJ - tj2 + tm1) // 2, (tJ - tj1 - tm2) // 2
     k_lo = max(0, -d, -e)
     k_hi = min(a, b, c)
     # sum (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!) over one common
@@ -160,13 +173,14 @@ def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
     for k in range(k_lo, k_hi + 1):
         term = common // (f(k) * f(a - k) * f(b - k) * f(c - k) * f(d + k) * f(e + k))
         numerator += -term if k % 2 else term
-    total = Fraction(numerator, common)
 
-    if total == 0:
+    if numerator == 0:
         return 0, Fraction(0)
-    sign = 1 if total > 0 else -1
-    square = Fraction(tJ + 1) * delta * weight * total * total
-    return sign, square
+    # the only normalization: one gcd over the whole product
+    square = Fraction(
+        (tJ + 1) * delta_num * weight * numerator * numerator, delta_den * common * common
+    )
+    return (1 if numerator > 0 else -1), square
 
 
 def cg(j1, m1, j2, m2, J, M) -> float:
@@ -175,11 +189,17 @@ def cg(j1, m1, j2, m2, J, M) -> float:
     Arguments may be ints, floats, Fractions or HalfInt.  Invalid couplings
     (M != m1+m2, triangle violations, |m| > j) return exactly 0.0.
     """
-    tj1, tm1, tj2, tm2 = _doubled(j1), _doubled(m1), _doubled(j2), _doubled(m2)
-    tJ, tM = _doubled(J), _doubled(M)
-    _check_jm(tj1, tm1)
-    _check_jm(tj2, tm2)
-    _check_jm(tJ, tM)
+    try:
+        tj1, tm1 = _jm(j1, m1)
+        tj2, tm2 = _jm(j2, m2)
+        tJ, tM = _jm(J, M)
+    except Exception:
+        # an invalid or unhashable argument: double all six before checking
+        # any pair, so the error raised is the one of the first bad argument
+        tj1, tm1, tj2, tm2, tJ, tM = map(_doubled, (j1, m1, j2, m2, J, M))
+        _check_jm(tj1, tm1)
+        _check_jm(tj2, tm2)
+        _check_jm(tJ, tM)
     if tM != tm1 + tm2:
         return 0.0  # most of any sweep; kept out of the cache
     sign, square = _cg_signed_square(tj1, tm1, tj2, tm2, tJ, tM)

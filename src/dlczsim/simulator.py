@@ -542,6 +542,7 @@ def run_trials(
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse ``key = value`` lines into a config; unlisted keys keep defaults."""
     mapping = {}
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -556,11 +557,15 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             mapping[key] = ascii_float(value)
         except ValueError:
             raise ValueError(f"{source}:{lineno}: {value!r} is not a number") from None
+        lines[key] = lineno
     try:
         config = ExperimentConfig.from_mapping(mapping)
         config.validate()
     except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+        # a single-field message starts with its field, which names the line
+        key = str(exc).split(" ", 1)[0]
+        where = f"{source}:{lines[key]}" if key in lines else source
+        raise ValueError(f"{where}: {exc}") from None
     return config
 
 

@@ -126,6 +126,31 @@ class TestLogRoundTrip:
             parse_event_log(tmp_path / "nope.log")
 
 
+def inconsistent_log():
+    """Channel code 2 in trial 3, and trial 4 filed under setting 1 though it is setting 0's."""
+    return EventLog(
+        ExperimentConfig(),
+        [MeasurementSetting(0, 0), MeasurementSetting(0, 90)],
+        0,
+        10,
+        events=[(3, 2, 140, 0), (4, 0, 140, 1)],
+    )
+
+
+class TestInconsistentLogs:
+    def test_writer_names_the_first_unknown_channel_code(self):
+        log = inconsistent_log()
+        with pytest.raises(ValueError, match=r"^event 0 \(trial 3\) has channel code 2, not 0"):
+            format_event_log(log)
+        log.events["channel"] = [1, 7]
+        with pytest.raises(ValueError, match=r"^event 1 \(trial 4\) has channel code 7"):
+            format_event_log(log)
+
+    def test_gating_rejects_a_trial_under_another_setting(self):
+        with pytest.raises(ValueError, match=r"^trial 4 belongs to setting 0, not 1$"):
+            gate_and_count(inconsistent_log())
+
+
 VALID_HEADER = (
     "# version=1\n"
     "# excitation_prob=0.1\n"

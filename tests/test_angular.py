@@ -2,13 +2,15 @@
 
 import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dlczsim import angular
 from dlczsim.angular import (
     BranchingTable,
     HalfInt,
@@ -19,7 +21,7 @@ from dlczsim.angular import (
     mixing_cos_sq,
     projections,
 )
-from dlczsim.angular import _cg_signed_square, _doubled
+from dlczsim.angular import _cg_signed_square, _check_jm, _doubled, _jm
 
 # ---------------------------------------------------------------------------
 # Oracle: couple two spins by explicit matrix algebra (build J^2 on the
@@ -415,3 +417,112 @@ class TestRacahSum:
             "60b9967277c5aa0e4dfb2038338094a76fe27347b2f902078017c97f592ecb6e"
         )
         assert repr(mixing_angle(LevelScheme.of(3, 2, 3))) == "0.6361320628050101"
+
+
+# ---------------------------------------------------------------------------
+# The per-(j, m) argument cache of cg
+# ---------------------------------------------------------------------------
+
+
+def _uncached_cg(j1, m1, j2, m2, J, M):
+    """cg from the uncached conversions and the per-term Fraction Racah sum.
+
+    All six arguments are doubled before any pair is checked, so the first
+    argument that cannot be doubled decides the exception.
+    """
+    tj1, tm1, tj2, tm2, tJ, tM = map(_doubled, (j1, m1, j2, m2, J, M))
+    _check_jm(tj1, tm1)
+    _check_jm(tj2, tm2)
+    _check_jm(tJ, tM)
+    allowed = (
+        tM == tm1 + tm2
+        and (tj1 + tj2 + tJ) % 2 == 0
+        and abs(tj1 - tj2) <= tJ <= tj1 + tj2
+        and abs(tm1) <= tj1
+        and abs(tm2) <= tj2
+        and abs(tM) <= tJ
+    )
+    if not allowed:
+        return 0.0
+    sign, square = _fraction_signed_square(tj1, tm1, tj2, tm2, tJ, tM)
+    return sign * math.sqrt(float(square)) if sign else 0.0
+
+
+def _cg_outcome(fn, args):
+    """Float bits, or the exception's type and message."""
+    try:
+        return "value", struct.pack("<d", fn(*args))
+    except Exception as exc:  # the exception is the outcome compared
+        return "raises", type(exc), str(exc)
+
+
+# few distinct values, in several types, so that valid couplings and cache
+# hits are common; the list and the 0-d array cannot be hashed
+_CG_ARGUMENT = st.one_of(
+    _ANY_ARGUMENT,
+    st.sampled_from(
+        [0, 1, 2, -1, True, 0.5, 1.0, -0.5, 1.5, Fraction(1, 2), HalfInt(2), HalfInt(-1)]
+    ),
+    st.sampled_from([0.0, 0.5, 1.0, -0.5, -1.0, 1.5]).map(np.float64),
+    st.builds(list, st.lists(st.integers(0, 2), max_size=1)),
+    st.sampled_from([0.5, 1.0, 2.0]).map(np.array),
+)
+
+
+# the value t / 2 in one of the types cg takes
+_REPRESENTATIONS = (
+    HalfInt,
+    lambda t: t // 2 if t % 2 == 0 else t / 2,
+    lambda t: t / 2,
+    lambda t: np.float64(t / 2),
+    lambda t: Fraction(t, 2),
+)
+
+
+@st.composite
+def _couplings(draw):
+    """Arguments with |m| <= j, the parity of m that of j and M = m1 + m2."""
+    tj1, tj2, tJ = (draw(st.integers(0, 6)) for _ in range(3))
+    tm1 = tj1 - 2 * draw(st.integers(0, tj1))
+    tm2 = tj2 - 2 * draw(st.integers(0, tj2))
+    twice = (tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
+    return tuple(draw(st.sampled_from(_REPRESENTATIONS))(t) for t in twice)
+
+
+class TestArgumentCache:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.tuples(*[_CG_ARGUMENT] * 6), _couplings()))
+    def test_same_outcome_as_the_uncached_arguments(self, args):
+        try:
+            doubled = list(map(_doubled, args))
+        except Exception:
+            doubled = []
+        # a valid coupling of huge j would spend the run in the Racah sum
+        assume(max(map(abs, doubled), default=0) <= 64)
+        expected = _cg_outcome(_uncached_cg, args)
+        # cold or warm, the cache changes nothing
+        assert _cg_outcome(cg, args) == expected
+        assert _cg_outcome(cg, args) == expected
+
+    def test_cache_is_bounded_and_cleared_from_the_module(self):
+        info = _jm.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 1024
+        for tj in range(2 * info.maxsize):
+            cg(HalfInt(tj), HalfInt(tj), 0, 0, HalfInt(tj), HalfInt(tj))
+        assert _jm.cache_info().currsize == info.maxsize
+        for value in vars(angular).values():  # as a fresh-process benchmark pass clears it
+            clear = getattr(value, "cache_clear", None)
+            if callable(clear):
+                clear()
+        assert _jm.cache_info().currsize == 0
+        assert cg(1, 0, 1, 0, 2, 0) == cg(1.0, 0.0, 1, 0, 2.0, 0.0)
+        assert _jm.cache_info().currsize == 4  # (1, 0), (2, 0), (1.0, 0.0), (2.0, 0.0)
+
+    def test_failures_are_not_cached(self):
+        _jm.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not an integer step away"):
+                cg(1, 0.5, 1, 0.5, 2, 1)
+            with pytest.raises(TypeError):
+                cg(1, 0, [1], 0, 1, 0)
+        assert _jm.cache_info().currsize == 1  # the valid pair (1, 0) alone

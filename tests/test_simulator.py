@@ -770,8 +770,33 @@ class TestConfigAndSettingsFiles:
             parse_settings_text(text, source="s.txt")
 
     def test_parse_config_rejects_infinite_resolution(self):
-        with pytest.raises(ValueError, match="cfg.txt: tia_resolution_ns must be finite"):
+        with pytest.raises(ValueError, match="cfg.txt:1: tia_resolution_ns must be finite"):
             parse_config_text("tia_resolution_ns = inf\n", source="cfg.txt")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("delta_t_ns = 300\nexcitation_prob = 1.7\n", "cfg.txt:2: excitation_prob must lie in [0, 1], got 1.7"),
+            ("# rate\n\nbg_prob_i = -0.1\n", "cfg.txt:3: bg_prob_i must lie in [0, 1], got -0.1"),
+            ("eta = 2\n", "cfg.txt:1: eta must lie in [0, pi/2], got 2.0"),
+            ("cycle_ns = 100\ngate_d2_ns = 0\n", "cfg.txt:2: gate_d2_ns must be positive"),
+            ("tia_resolution_ns = 1.5\n", "cfg.txt:1: tia_resolution_ns must be a positive integer"),
+        ],
+    )
+    def test_parse_config_value_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config_text(text, source="cfg.txt")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("cycle_ns = 100\n", "cfg.txt: read gate ends at"),
+            ("delta_t_ns = 0\nno_such_field = 1\n", "cfg.txt: unknown config keys: ['no_such_field']"),
+        ],
+    )
+    def test_parse_config_cross_field_errors_name_the_source(self, text, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            parse_config_text(text, source="cfg.txt")
 
     def test_settings_file(self, tmp_path):
         path = tmp_path / "settings.txt"

@@ -21,9 +21,11 @@ from .predictor import (
     CHSHResult,
     CountQuartet,
     MeasurementSetting,
+    _chsh_pairs,
     _quartet_settings,
     chsh_s,
     correlation_e,
+    pair_amplitudes,
 )
 from .simulator import (
     CHANNEL_NAMES,
@@ -515,9 +517,10 @@ def gate_and_count(log: EventLog, gates: GateConfig | None = None) -> Coincidenc
     each trial ORs its channel bits, so the first click per channel wins
     and extra clicks change nothing.  A trial adds to ``n_s`` of its setting
     when its D1 bit is set, to ``n_i`` when its D2 bit is set and to
-    ``n_si`` when both are.  The setting is read from the trial's first
-    gated click and must be ``trial // n_trials_per_setting``, as the log
-    parser enforces; another raises ``ValueError``.
+    ``n_si`` when both are.  As the log parser enforces, a gated trial must
+    lie in the run, below ``n_settings * n_trials_per_setting``, and its
+    setting, read from its first gated click, must be
+    ``trial // n_trials_per_setting``; anything else raises ``ValueError``.
     """
     if gates is None:
         gates = GateConfig.from_experiment(log.config)
@@ -541,14 +544,24 @@ def gate_and_count(log: EventLog, gates: GateConfig | None = None) -> Coincidenc
     # per trial, bit 0 a gated D1 click and bit 1 a gated D2 click
     fired = np.bitwise_or.reduceat(np.take(channel, gated) + np.uint8(1), starts)
     setting = np.take(ev["setting_id"], gated[starts]).astype(np.int64)
+    n_per = log.n_trials_per_setting
+    n_trials = n_settings * n_per
+    first_trial = trial[starts]
+    # a clamped bound flags at most one extra trial, which the exact test clears
+    for t in first_trial[(first_trial < 0) | (first_trial >= min(n_trials, _INT64_MAX))].tolist():
+        if t < 0:
+            raise ValueError(f"negative trial index {t}")
+        if t >= n_trials:
+            raise ValueError(f"trial {t} beyond the {n_trials} trials of {n_settings} settings"
+                             f" x {n_per} trials_per_setting")
     # the parser's clamp: an n_per beyond int64 gives every trial >= 0 the
     # same quotient as _INT64_MAX does
-    owner = trial[starts] // min(max(log.n_trials_per_setting, 1), _INT64_MAX)
+    owner = first_trial // min(max(n_per, 1), _INT64_MAX)
     wrong = np.flatnonzero(setting != owner)
     if len(wrong):
         k = wrong[0]
         raise ValueError(
-            f"trial {trial[starts[k]]} belongs to setting {owner[k]}, not {setting[k]}"
+            f"trial {first_trial[k]} belongs to setting {owner[k]}, not {setting[k]}"
         )
     # tally[s, b]: the trials of setting s whose fired bits are b
     tally = np.bincount(4 * setting + fired, minlength=4 * n_settings).reshape(-1, 4)
@@ -561,7 +574,7 @@ def gate_and_count(log: EventLog, gates: GateConfig | None = None) -> Coincidenc
             n_s=int(n_s[sid]),
             n_i=int(n_i[sid]),
             n_si=int(n_si[sid]),
-            n_trials=log.n_trials_per_setting,
+            n_trials=n_per,
         )
         for sid in range(n_settings)
     }
@@ -623,10 +636,9 @@ def chsh_from_log(
     angles compared modulo 180 degrees).
     """
     table = gate_and_count(log, gates)
-    ts, ti, tsp, tip = angles_deg
     e_pairs = []
     missing = []
-    for a, b in [(ts, ti), (tsp, ti), (ts, tip), (tsp, tip)]:
+    for a, b in _chsh_pairs(angles_deg):
         quartet_counts = []
         for s in _quartet_settings(MeasurementSetting(a, b)):
             n_si = _match_setting(table, s.theta_s_deg, s.theta_i_deg)
@@ -669,8 +681,11 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
     idler angle; eta and theta_i are held at the given values.  The model is
     amplitude * shape(theta_s - phase_offset) + background with the same
     shape used by the predictor, and the visibility is read off the fitted
-    curve's extrema over a full polarizer turn.
+    curve's extrema over a full polarizer turn.  eta must lie in [0, pi/2]
+    and theta_i must be finite.
     """
+    if not math.isfinite(theta_i_fixed):
+        raise ValueError(f"theta_i_fixed must be finite, got {theta_i_fixed}")
     pts = [(float(t), float(y), float(s)) for t, y, s in points]
     if len(pts) < 4:
         raise ValueError(f"need at least 4 fringe points, got {len(pts)}")
@@ -682,13 +697,10 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
     if theta.max() - theta.min() < math.pi / 2 - 1e-9:
         raise ValueError("fringe points must span at least half a period (pi/2)")
 
-    c, s = math.cos(eta_fixed), math.sin(eta_fixed)
-    a, b = c + s, c - s
-
     def shape_and_slope(th):
-        u = a * np.cos(th - theta_i_fixed) + b * np.cos(th + theta_i_fixed)
-        du = -a * np.sin(th - theta_i_fixed) - b * np.sin(th + theta_i_fixed)
-        return u * u / 2.0, u * du
+        # the fringe shape 2*a0**2 and its theta_s slope, since a2 = d(a0)/d(theta_s)
+        a0, _, a2, _ = pair_amplitudes(eta_fixed, th, theta_i_fixed)
+        return 2.0 * a0 * a0, 4.0 * a0 * a2
 
     def residual(p):
         amp, bg, phi = p
@@ -705,8 +717,9 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
     amp, bg, phi = result.x
 
     # extrema of the fitted curve over theta_s: shape ranges over [0, 2M]
-    m = c * c * math.cos(theta_i_fixed) ** 2 + s * s * math.sin(theta_i_fixed) ** 2
-    swing = 2.0 * m * amp
+    # with M = a0**2 + a2**2, the same at every theta_s
+    a0, _, a2, _ = pair_amplitudes(eta_fixed, 0.0, theta_i_fixed)
+    swing = 2.0 * (a0 * a0 + a2 * a2) * amp
     c_max = bg + max(swing, 0.0)
     c_min = bg + min(swing, 0.0)
     if c_max + c_min <= 0:

@@ -33,7 +33,7 @@ from .predictor import (
     CANONICAL_ANGLES_DEG,
     MeasurementSetting,
     FringeModel,
-    chsh_setting_table,
+    _chsh_pairs,
     coincidence_rate,
     predict_ideal_e,
     predict_ideal_s,
@@ -90,22 +90,25 @@ class _Report:
         return "\n".join(self.text)
 
 
-def _load_config(path) -> simulator.ExperimentConfig:
+def _load(reader, path):
+    """Read a config or settings file; an unreadable or invalid one exits 2."""
     try:
-        return simulator.load_config(path)
-    except OSError as exc:
-        raise analysis.ParseError(str(exc), source=None) from None
-    except ValueError as exc:
+        return reader(path)
+    except (OSError, ValueError) as exc:
         raise analysis.ParseError(str(exc), source=None) from None
 
 
-def _load_settings(path):
-    try:
-        return simulator.load_settings(path)
-    except OSError as exc:
-        raise analysis.ParseError(str(exc), source=None) from None
-    except ValueError as exc:
-        raise analysis.ParseError(str(exc), source=None) from None
+def _settings_table(table: analysis.CoincidenceTable) -> dict:
+    """The per-setting counts of a gated log, as the ``settings`` table of a report."""
+    rows = []
+    for sid, row in sorted(table.rows.items()):
+        setting = table.settings[sid]
+        rows.append((sid, setting.theta_s_deg, setting.theta_i_deg, row.n_s, row.n_i, row.n_si))
+    return {
+        "table_name": "settings",
+        "columns": ("setting_id", "theta_s_deg", "theta_i_deg", "n_s", "n_i", "n_si"),
+        "rows": rows,
+    }
 
 
 def _read_csv_points(path, expected_columns):
@@ -212,11 +215,11 @@ def _cmd_predict_fringe(args) -> _Report:
 
 
 def _cmd_predict_chsh(args) -> _Report:
-    ts, ti, tsp, tip = args.angles
     s = predict_ideal_s(args.eta, args.angles)
-    rows = []
-    for a, b in [(ts, ti), (tsp, ti), (ts, tip), (tsp, tip)]:
-        rows.append((a, b, predict_ideal_e(args.eta, MeasurementSetting(a, b))))
+    rows = [
+        (a, b, predict_ideal_e(args.eta, MeasurementSetting(a, b)))
+        for a, b in _chsh_pairs(args.angles)
+    ]
     text = [f"eta = {args.eta:.6f} rad"]
     text += [f"E(theta_s={a:+7.2f} deg, theta_i={b:+7.2f} deg) = {e:+.6f}" for a, b, e in rows]
     text.append(f"S = {s:.6f}")
@@ -230,44 +233,35 @@ def _cmd_predict_chsh(args) -> _Report:
 
 
 def _cmd_simulate(args) -> _Report:
-    config = _load_config(args.config) if args.config else simulator.ExperimentConfig()
-    settings = _load_settings(args.settings)
+    config = simulator.ExperimentConfig()
+    if args.config:
+        config = _load(simulator.load_config, args.config)
+    settings = _load(simulator.load_settings, args.settings)
     log = simulator.run_trials(config, settings, args.n, args.seed)
     analysis.write_event_log(log, args.out)
-    table = analysis.gate_and_count(log)
-    rows = [
-        (
-            sid,
-            settings[sid].theta_s_deg,
-            settings[sid].theta_i_deg,
-            row.n_s,
-            row.n_i,
-            row.n_si,
-        )
-        for sid, row in sorted(table.rows.items())
-    ]
+    table = _settings_table(analysis.gate_and_count(log))
     text = [
         f"wrote {len(log)} events to {args.out}",
         f"{args.n} trials per setting, seed {args.seed}",
         "setting  theta_s  theta_i      N_s      N_i     N_si",
     ]
-    text += [f"{sid:7d} {ts:8.2f} {ti:8.2f} {ns:8d} {ni:8d} {nsi:8d}" for sid, ts, ti, ns, ni, nsi in rows]
+    text += [
+        f"{sid:7d} {ts:8.2f} {ti:8.2f} {ns:8d} {ni:8d} {nsi:8d}"
+        for sid, ts, ti, ns, ni, nsi in table["rows"]
+    ]
     return _Report(
         scalars={"events": len(log), "trials_per_setting": args.n, "seed": args.seed},
-        table_name="settings",
-        columns=("setting_id", "theta_s_deg", "theta_i_deg", "n_s", "n_i", "n_si"),
-        rows=rows,
         text=text,
+        **table,
     )
 
 
 def _cmd_analyze_chsh(args) -> _Report:
     log = analysis.parse_event_log(args.log)
     result = analysis.chsh_from_log(log, angles_deg=args.angles)
-    ts, ti, tsp, tip = args.angles
-    pairs = [(ts, ti), (tsp, ti), (ts, tip), (tsp, tip)]
     rows = [
-        (a, b, e, sigma) for (a, b), (e, sigma) in zip(pairs, result.e_values)
+        (a, b, e, sigma)
+        for (a, b), (e, sigma) in zip(_chsh_pairs(args.angles), result.e_values)
     ]
     text = ["theta_s   theta_i         E     sigma"]
     text += [f"{a:+8.2f} {b:+8.2f} {e:+9.4f} {se:9.4f}" for a, b, e, se in rows]
@@ -287,17 +281,6 @@ def _cmd_analyze_gsi(args) -> _Report:
     g, sigma = analysis.compute_g_si(table)
     alpha_s, alpha_i = analysis.detection_efficiency(table)
     totals = table.totals()
-    rows = [
-        (
-            sid,
-            log.settings[sid].theta_s_deg,
-            log.settings[sid].theta_i_deg,
-            row.n_s,
-            row.n_i,
-            row.n_si,
-        )
-        for sid, row in sorted(table.rows.items())
-    ]
     text = [
         f"g_si = {g:.4f} +- {sigma:.4f}",
         f"alpha_s = N_si/N_i = {alpha_s:.6f}",
@@ -315,10 +298,8 @@ def _cmd_analyze_gsi(args) -> _Report:
             "n_si": totals.n_si,
             "n_trials": totals.n_trials,
         },
-        table_name="settings",
-        columns=("setting_id", "theta_s_deg", "theta_i_deg", "n_s", "n_i", "n_si"),
-        rows=rows,
         text=text,
+        **_settings_table(table),
     )
 
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grammar import as_float
 
 __all__ = [
     "CANONICAL_ANGLES_DEG",
     "MeasurementSetting",
     "FringeModel",
+    "pair_amplitudes",
     "CountQuartet",
     "CHSHResult",
     "coincidence_rate",
@@ -29,6 +32,21 @@ __all__ = [
 
 # theta_s, theta_i, theta_s', theta_i' of the standard Bell-test set
 CANONICAL_ANGLES_DEG = (-22.5, 0.0, 22.5, -45.0)
+
+
+def pair_amplitudes(eta, theta_s, theta_i) -> np.ndarray:
+    """Amplitudes of cos(eta)|r, S-> + sin(eta)|l, S+> on the polarizer outcomes.
+
+    Entries 0-3 are (pass, pass), (pass, fail), (fail, pass) and (fail, fail),
+    a polarizer at angle t passing (cos t, sin t) and failing (-sin t, cos t);
+    the angles (radians) broadcast.  Entry 2 is the theta_s derivative of entry 0.
+    """
+    if not 0.0 <= eta <= math.pi / 2:
+        raise ValueError(f"eta must lie in [0, pi/2], got {eta}")
+    c, s = math.cos(eta), math.sin(eta)
+    cs, ss, ci, si = np.cos(theta_s), np.sin(theta_s), np.cos(theta_i), np.sin(theta_i)
+    return np.array([c * cs * ci + s * ss * si, s * ss * ci - c * cs * si,
+                     s * cs * si - c * ss * ci, c * ss * si + s * cs * ci])
 
 
 @dataclass(frozen=True)
@@ -79,6 +97,9 @@ class FringeModel:
     def __post_init__(self):
         if not 0.0 <= self.eta <= math.pi / 2:
             raise ValueError(f"eta must lie in [0, pi/2], got {self.eta}")
+        for name in ("amplitude", "background"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.amplitude < 0 or self.background < 0:
             raise ValueError("amplitude and background must be non-negative")
 
@@ -116,13 +137,6 @@ class CHSHResult:
     angles_deg: tuple  # (theta_s, theta_i, theta_s', theta_i')
 
 
-def _fringe_shape(eta: float, theta_s: float, theta_i: float) -> float:
-    """Angular factor of the coincidence fringe, maximal value 2 at eta=0."""
-    c, s = math.cos(eta), math.sin(eta)
-    bracket = (c + s) * math.cos(theta_s - theta_i) + (c - s) * math.cos(theta_s + theta_i)
-    return bracket * bracket / 2.0
-
-
 def coincidence_rate(model: FringeModel, setting: MeasurementSetting) -> float:
     """Expected coincidence rate at one polarizer-pair setting.
 
@@ -130,8 +144,8 @@ def coincidence_rate(model: FringeModel, setting: MeasurementSetting) -> float:
     maximum (polarizers aligned) equals ``amplitude``, where the expression
     reduces to amplitude * cos^2(theta_s - theta_i).
     """
-    shape = _fringe_shape(model.eta, setting.theta_s_rad, setting.theta_i_rad)
-    return model.amplitude * shape + model.background
+    a = pair_amplitudes(model.eta, setting.theta_s_rad, setting.theta_i_rad)[0]
+    return float(model.amplitude * 2.0 * a * a + model.background)
 
 
 def correlation_e(quartet: CountQuartet) -> tuple[float, float]:
@@ -174,25 +188,25 @@ def _quartet_settings(setting: MeasurementSetting):
     return (setting, setting.perp_both(), setting.perp_s(), setting.perp_i())
 
 
+def _chsh_pairs(angles_deg) -> list[tuple[float, float]]:
+    """The four (theta_s, theta_i) combinations of a CHSH run, in the order of S."""
+    ts, ti, tsp, tip = angles_deg
+    return [(ts, ti), (tsp, ti), (ts, tip), (tsp, tip)]
+
+
 def predict_ideal_e(eta: float, setting: MeasurementSetting) -> float:
     """Correlation coefficient of the noiseless fringe at one setting."""
-    model = FringeModel(eta=eta, amplitude=1.0, background=0.0)
-    rates = [coincidence_rate(model, s) for s in _quartet_settings(setting)]
-    quartet = CountQuartet(*rates)
-    e, _ = correlation_e(quartet)
-    return e
+    a = pair_amplitudes(eta, setting.theta_s_rad, setting.theta_i_rad)
+    return float(a[0] * a[0] - a[1] * a[1] - a[2] * a[2] + a[3] * a[3])
 
 
 def predict_ideal_s(eta: float, angles_deg=CANONICAL_ANGLES_DEG) -> float:
     """Noiseless CHSH sum at the given angle set.
 
-    Evaluates the zero-background fringe at each of the four settings and
-    their perpendicular companions; at eta = pi/4 and the canonical angles
-    this reaches 2*sqrt(2).
+    Sums the ideal correlation coefficients of the four settings with the
+    signs of S; at eta = pi/4 and the canonical angles this reaches 2*sqrt(2).
     """
-    ts, ti, tsp, tip = angles_deg
-    pairs = [(ts, ti), (tsp, ti), (ts, tip), (tsp, tip)]
-    es = [predict_ideal_e(eta, MeasurementSetting(a, b)) for a, b in pairs]
+    es = [predict_ideal_e(eta, MeasurementSetting(a, b)) for a, b in _chsh_pairs(angles_deg)]
     return es[0] + es[1] + es[2] - es[3]
 
 
@@ -203,8 +217,7 @@ def chsh_setting_table(angles_deg=CANONICAL_ANGLES_DEG) -> list[MeasurementSetti
     setting itself plus its three perpendicular companions, in the order
     expected when assembling count quartets.
     """
-    ts, ti, tsp, tip = angles_deg
     settings = []
-    for a, b in [(ts, ti), (tsp, ti), (ts, tip), (tsp, tip)]:
+    for a, b in _chsh_pairs(angles_deg):
         settings.extend(_quartet_settings(MeasurementSetting(a, b)))
     return settings

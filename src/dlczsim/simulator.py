@@ -26,8 +26,7 @@ import numpy as np
 
 from .angular import LevelScheme, mixing_angle
 from .grammar import as_float, ascii_float
-from .predictor import MeasurementSetting
-from .states import add_white_noise, ideal_state
+from .predictor import MeasurementSetting, pair_amplitudes
 
 __all__ = [
     "DEFAULT_ETA",
@@ -271,23 +270,15 @@ def joint_outcome_probs(
     """Born probabilities of the four polarizer pass/fail outcomes.
 
     Order: (pass, pass), (pass, fail), (fail, pass), (fail, fail), for a
-    pair stored for delta_t_ns (default: the configured storage time).
+    pair stored for delta_t_ns (default: the configured storage time).  The
+    stored pair is the state of ``pair_amplitudes`` mixed with white noise
+    at the decayed visibility V, so each entry is V*a**2 + (1 - V)/4.
     """
     if delta_t_ns is None:
         delta_t_ns = config.delta_t_ns
     vis = decoherence_visibility(delta_t_ns, config.memory_tau_ns, config.base_visibility)
-    rho = add_white_noise(ideal_state(config.eta), vis).rho
-    ts, ti = setting.theta_s_rad, setting.theta_i_rad
-    pass_s = np.array([math.cos(ts), math.sin(ts)])
-    fail_s = np.array([-math.sin(ts), math.cos(ts)])
-    pass_i = np.array([math.cos(ti), math.sin(ti)])
-    fail_i = np.array([-math.sin(ti), math.cos(ti)])
-    probs = []
-    for vs in (pass_s, fail_s):
-        for vi in (pass_i, fail_i):
-            v = np.kron(vs, vi)
-            probs.append(float(np.real(v @ rho @ v)))
-    return np.array([probs[0], probs[1], probs[2], probs[3]])
+    amps = pair_amplitudes(config.eta, setting.theta_s_rad, setting.theta_i_rad)
+    return vis * amps * amps + (1.0 - vis) / 4.0
 
 
 def _click_classes(

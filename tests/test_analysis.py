@@ -150,6 +150,42 @@ class TestInconsistentLogs:
         with pytest.raises(ValueError, match=r"^trial 4 belongs to setting 0, not 1$"):
             gate_and_count(inconsistent_log())
 
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            # counted under a setting the run does not have, and silently dropped
+            ([(15, 0, 140, 1), (15, 1, 330, 1)], "trial 15 beyond the 10 trials"),
+            # tallied past the table, which failed to reshape
+            ([(15, 0, 140, 1)], "trial 15 beyond the 10 trials"),
+            # a negative index, which failed in bincount
+            ([(-1, 0, 140, -1)], "negative trial index -1$"),
+            # the first trial past the run
+            ([(10, 1, 330, 1)], "trial 10 beyond the 10 trials"),
+        ],
+    )
+    def test_gating_rejects_a_trial_outside_the_run(self, events, message):
+        log = EventLog(ExperimentConfig(), [MeasurementSetting(0, 0)], 0, 10, events=events)
+        with pytest.raises(ValueError, match=rf"^{message}"):
+            gate_and_count(log)
+
+    def test_outside_message_matches_the_parser(self):
+        log = EventLog(
+            ExperimentConfig(), [MeasurementSetting(0, 0)], 0, 10, events=[(15, 0, 140, 0)]
+        )
+        with pytest.raises(ValueError) as gated:
+            gate_and_count(log)
+        with pytest.raises(ParseError) as parsed:
+            parse_event_log_text(format_event_log(log))
+        expected = "trial 15 beyond the 10 trials of 1 settings x 10 trials_per_setting"
+        assert str(gated.value) == expected
+        assert str(parsed.value).endswith(expected)
+
+    def test_last_trial_of_the_run_still_counts(self):
+        log = EventLog(
+            ExperimentConfig(), [MeasurementSetting(0, 0)], 0, 10, events=[(9, 0, 140, 0)]
+        )
+        assert gate_and_count(log).rows[0].n_s == 1
+
 
 VALID_HEADER = (
     "# version=1\n"
@@ -574,6 +610,18 @@ class TestFitFringe:
         points[0] = (points[0][0], points[0][1], 0.0)
         with pytest.raises(ValueError, match="sigma"):
             fit_fringe(points, self.ETA, self.THETA_I)
+
+    @pytest.mark.parametrize("eta", [-0.1, 5.0, math.nan, math.inf])
+    def test_rejects_eta_outside_its_range(self, eta):
+        points = self.generate(100.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=rf"^eta must lie in \[0, pi/2\], got {eta}$"):
+            fit_fringe(points, eta, self.THETA_I)
+
+    @pytest.mark.parametrize("theta_i", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_idler_angle_by_name(self, theta_i):
+        points = self.generate(100.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=rf"^theta_i_fixed must be finite, got {theta_i}$"):
+            fit_fringe(points, self.ETA, theta_i)
 
 
 class TestFitExponential:

@@ -209,6 +209,24 @@ class TestSimulateAndAnalyze:
             payload["alpha_s"], payload["n_si"] / payload["n_i"], rtol=1e-12
         )
 
+    def test_simulate_and_analyze_gsi_print_the_same_settings_table(
+        self, capsys, tmp_path, settings_file
+    ):
+        out = tmp_path / "t.log"
+        for fmt in ("json", "csv"):
+            code, simulated, _ = run_cli(capsys, "simulate", "--settings", settings_file,
+                                         "--n", "20000", "--seed", "4", "--out", str(out),
+                                         "--format", fmt)
+            assert code == 0
+            code, analyzed, _ = run_cli(capsys, "analyze-gsi", "--log", str(out), "--format", fmt)
+            assert code == 0
+            if fmt == "json":
+                assert json.loads(simulated)["settings"] == json.loads(analyzed)["settings"]
+            else:
+                table = [line for line in simulated.splitlines() if not line.startswith("#")]
+                assert table[0] == "setting_id,theta_s_deg,theta_i_deg,n_s,n_i,n_si"
+                assert table == [ln for ln in analyzed.splitlines() if not ln.startswith("#")]
+
     def test_missing_log_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze-gsi", "--log", str(tmp_path / "gone.log"))
         assert code == 2
@@ -353,6 +371,45 @@ class TestNonFiniteAngleFlags:
         code, _, err = run_cli(capsys, "predict-fringe", "--theta-i", value)
         assert code == 1
         assert "theta_i_deg must be finite" in err
+
+
+class TestFringeFlagValues:
+    @pytest.mark.parametrize("flag", ["--amplitude", "--background"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_predict_fringe_non_finite_scale_exits_one(self, capsys, flag, value, fmt):
+        code, out, err = run_cli(capsys, "predict-fringe", flag, value, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert f"{flag[2:]} must be finite, got {value}" in err
+
+    @pytest.mark.parametrize("value", ["5", "-0.1", "nan", "inf"])
+    def test_fit_fringe_eta_out_of_range_exits_one(self, capsys, tmp_path, value):
+        data = tmp_path / "fringe.csv"
+        write_fringe_csv(data, amp=50.0, bg=2.0, eta=DEFAULT_ETA, theta_i_deg=67.5)
+        code, out, err = run_cli(
+            capsys, "fit-fringe", "--data", str(data), "--theta-i", "67.5", f"--eta={value}"
+        )
+        assert code == 1
+        assert out == ""
+        assert f"eta must lie in [0, pi/2], got {float(value)}" in err
+
+    def test_fit_fringe_and_predict_chsh_word_eta_alike(self, capsys, tmp_path):
+        data = tmp_path / "fringe.csv"
+        write_fringe_csv(data, amp=50.0, bg=2.0, eta=DEFAULT_ETA, theta_i_deg=67.5)
+        fit = run_cli(capsys, "fit-fringe", "--data", str(data), "--theta-i", "0", "--eta", "5")
+        chsh = run_cli(capsys, "predict-chsh", "--eta", "5")
+        assert fit[0] == chsh[0] == 1
+        assert fit[2] == chsh[2]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_fit_fringe_non_finite_idler_angle_exits_one(self, capsys, tmp_path, value):
+        data = tmp_path / "fringe.csv"
+        write_fringe_csv(data, amp=50.0, bg=2.0, eta=DEFAULT_ETA, theta_i_deg=67.5)
+        code, out, err = run_cli(capsys, "fit-fringe", "--data", str(data), f"--theta-i={value}")
+        assert code == 1
+        assert out == ""
+        assert f"theta_i_fixed must be finite, got {float(value)}" in err
 
 
 class TestCsvNumberGrammar:

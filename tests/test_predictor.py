@@ -15,6 +15,7 @@ from dlczsim.predictor import (
     chsh_setting_table,
     coincidence_rate,
     correlation_e,
+    pair_amplitudes,
     predict_ideal_e,
     predict_ideal_s,
 )
@@ -66,6 +67,13 @@ class TestCoincidenceRate:
             FringeModel(eta=-0.2, amplitude=1.0)
         with pytest.raises(ValueError):
             FringeModel(eta=0.5, amplitude=-1.0)
+
+    @pytest.mark.parametrize("field", ["amplitude", "background"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_scale_rejected_by_name(self, field, value):
+        kwargs = {"eta": 0.5, "amplitude": 1.0, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+            FringeModel(**kwargs)
 
 
 class TestCorrelationE:
@@ -205,3 +213,98 @@ class TestMeasurementSettingValues:
     def test_text_rejected(self):
         with pytest.raises(TypeError, match="theta_s_deg must be a number"):
             MeasurementSetting("22.5", 0.0)
+
+
+# The closed forms that pair_amplitudes replaced, kept here as oracles.
+def old_fringe_shape(eta, theta_s, theta_i):
+    c, s = math.cos(eta), math.sin(eta)
+    bracket = (c + s) * math.cos(theta_s - theta_i) + (c - s) * math.cos(theta_s + theta_i)
+    return bracket * bracket / 2.0
+
+
+def old_fringe_slope(eta, theta_s, theta_i):
+    c, s = math.cos(eta), math.sin(eta)
+    u = (c + s) * math.cos(theta_s - theta_i) + (c - s) * math.cos(theta_s + theta_i)
+    du = -(c + s) * math.sin(theta_s - theta_i) - (c - s) * math.sin(theta_s + theta_i)
+    return u * du
+
+
+def old_swing_factor(eta, theta_i):
+    c, s = math.cos(eta), math.sin(eta)
+    return c * c * math.cos(theta_i) ** 2 + s * s * math.sin(theta_i) ** 2
+
+
+def quartet_route_e(eta, setting):
+    """E through four coincidence rates and a count quartet, as predict_ideal_e once did."""
+    model = FringeModel(eta=eta, amplitude=1.0, background=0.0)
+    companions = (setting, setting.perp_both(), setting.perp_s(), setting.perp_i())
+    e, _ = correlation_e(CountQuartet(*[coincidence_rate(model, s) for s in companions]))
+    return e
+
+
+GRID_ETAS = (0.0, 0.3, ETA_ALKALI, math.pi / 4, 1.2, math.pi / 2)
+GRID_ANGLES = np.radians(np.linspace(-180.0, 180.0, 17))
+
+
+class TestPairAmplitudes:
+    def test_unit_norm(self):
+        for eta in GRID_ETAS:
+            a = pair_amplitudes(eta, GRID_ANGLES[:, None], GRID_ANGLES[None, :])
+            np.testing.assert_allclose((a * a).sum(axis=0), 1.0, atol=1e-15)
+
+    def test_fringe_shape_matches_the_old_bracket(self):
+        for eta in GRID_ETAS:
+            for ts in GRID_ANGLES:
+                for ti in GRID_ANGLES:
+                    a0 = pair_amplitudes(eta, ts, ti)[0]
+                    np.testing.assert_allclose(
+                        2.0 * a0 * a0, old_fringe_shape(eta, ts, ti), rtol=0, atol=1e-14
+                    )
+
+    def test_slope_matches_the_old_derivative(self):
+        for eta in GRID_ETAS:
+            for ts in GRID_ANGLES:
+                for ti in GRID_ANGLES:
+                    a0, _, a2, _ = pair_amplitudes(eta, ts, ti)
+                    np.testing.assert_allclose(
+                        4.0 * a0 * a2, old_fringe_slope(eta, ts, ti), rtol=0, atol=1e-14
+                    )
+
+    def test_swing_factor_matches_the_old_m_at_every_theta_s(self):
+        for eta in GRID_ETAS:
+            for ti in GRID_ANGLES:
+                a0, _, a2, _ = pair_amplitudes(eta, GRID_ANGLES, ti)
+                np.testing.assert_allclose(
+                    a0 * a0 + a2 * a2, old_swing_factor(eta, ti), rtol=0, atol=1e-15
+                )
+
+    def test_ideal_e_matches_the_quartet_route(self):
+        for eta in GRID_ETAS:
+            for ts in np.linspace(-180.0, 180.0, 17):
+                for ti in np.linspace(-180.0, 180.0, 17):
+                    setting = MeasurementSetting(ts, ti)
+                    np.testing.assert_allclose(
+                        predict_ideal_e(eta, setting),
+                        quartet_route_e(eta, setting),
+                        rtol=0,
+                        atol=1e-14,
+                    )
+
+    def test_ideal_e_keeps_its_eta_check(self):
+        for eta in (-0.1, 2.0, math.nan):
+            with pytest.raises(ValueError, match=r"^eta must lie in \[0, pi/2\], got "):
+                predict_ideal_e(eta, MeasurementSetting(0.0, 0.0))
+
+    def test_angles_broadcast(self):
+        ts = np.radians([[-30.0], [10.0], [75.0]])
+        ti = np.radians([0.0, 22.5, -45.0, 90.0])
+        a = pair_amplitudes(ETA_ALKALI, ts, ti)
+        assert a.shape == (4, 3, 4)
+        for j in range(3):
+            for k in range(4):
+                np.testing.assert_array_equal(
+                    a[:, j, k], pair_amplitudes(ETA_ALKALI, ts[j, 0], ti[k])
+                )
+        assert pair_amplitudes(ETA_ALKALI, 0.1, 0.2).shape == (4,)
+        assert pair_amplitudes(ETA_ALKALI, ts[:, 0], 0.2).shape == (4, 3)
+

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dlczsim import simulator
 from dlczsim.predictor import MeasurementSetting, chsh_setting_table
+from dlczsim.states import add_white_noise, ideal_state
 from dlczsim.simulator import (
     DEFAULT_ETA,
     EVENT_DTYPE,
@@ -512,6 +513,33 @@ class TestJointOutcomeProbs:
         cfg = clean_config(eta=math.pi / 4, base_visibility=0.0)
         p = joint_outcome_probs(cfg, MeasurementSetting(17.0, -62.0))
         np.testing.assert_allclose(p, [0.25] * 4, atol=1e-14)
+
+
+class TestBornProbabilitiesMatchTheDensityMatrix:
+    """joint_outcome_probs against the two-qubit density matrix of ``states``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        eta=st.floats(0.0, math.pi / 2),
+        vis=st.floats(0.0, 1.0),
+        ts=st.floats(-360.0, 360.0),
+        ti=st.floats(-360.0, 360.0),
+    )
+    def test_closed_form_equals_projectors_on_rho(self, eta, vis, ts, ti):
+        cfg = clean_config(eta=eta, base_visibility=vis)
+        rho = add_white_noise(ideal_state(eta), vis).rho
+
+        def pass_and_fail(theta_deg):
+            c, s = math.cos(math.radians(theta_deg)), math.sin(math.radians(theta_deg))
+            return np.array([c, s]), np.array([-s, c])
+
+        expected = [
+            np.real(np.kron(vs, vi) @ rho @ np.kron(vs, vi))
+            for vs in pass_and_fail(ts)
+            for vi in pass_and_fail(ti)
+        ]
+        got = joint_outcome_probs(cfg, MeasurementSetting(ts, ti), delta_t_ns=0.0)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
 class TestDeterminism:

@@ -13,7 +13,8 @@ The package covers the full chain of a write/read photon-pair experiment:
 - :mod:`dlczsim.analysis` parses logs, gates and counts clicks, and fits
   fringes and decay curves the way the measured data are treated.
 - :mod:`dlczsim.cli` wires the above into the ``dlczsim`` command.
-- :mod:`dlczsim.grammar` is the number grammar every text input reads.
+- :mod:`dlczsim.grammar` is the number grammar and the UTF-8 file reading
+  every text input shares.
 """
 
 from .analysis import (
@@ -22,7 +23,6 @@ from .analysis import (
     ExponentialFit,
     FitError,
     FringeFit,
-    GateConfig,
     ParseError,
     SettingCounts,
     chsh_from_log,
@@ -127,7 +127,6 @@ __all__ = [
     "ExponentialFit",
     "FitError",
     "FringeFit",
-    "GateConfig",
     "ParseError",
     "SettingCounts",
     "chsh_from_log",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.optimize import least_squares
 
-from .grammar import ascii_float, ascii_int
+from .grammar import ascii_float, ascii_int, read_text
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     CHSHResult,
@@ -38,7 +38,6 @@ from .simulator import (
 __all__ = [
     "ParseError",
     "FitError",
-    "GateConfig",
     "SettingCounts",
     "CoincidenceTable",
     "DecayPoint",
@@ -77,25 +76,6 @@ class ParseError(Exception):
 
 class FitError(Exception):
     """A least-squares fit failed to converge or is degenerate."""
-
-
-@dataclass(frozen=True)
-class GateConfig:
-    """Detection windows (center, width in ns) for the two channels."""
-
-    d1_center_ns: float
-    d1_width_ns: float = 140.0
-    d2_center_ns: float = 330.0
-    d2_width_ns: float = 130.0
-
-    def __post_init__(self):
-        if self.d1_width_ns <= 0 or self.d2_width_ns <= 0:
-            raise ValueError("gate widths must be positive")
-
-    @classmethod
-    def from_experiment(cls, config: ExperimentConfig) -> "GateConfig":
-        (c1, w1), (c2, w2) = gate_windows(config)
-        return cls(d1_center_ns=c1, d1_width_ns=w1, d2_center_ns=c2, d2_width_ns=w2)
 
 
 @dataclass(frozen=True)
@@ -435,9 +415,8 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
             raise ParseError(f"{key} must be a decimal number, got {value!r}", source, at) from None
     try:
         config = ExperimentConfig.from_mapping(config_lines)
-        config.validate()
     except ValueError as exc:
-        # validate's messages start with the offending field when there is one
+        # the config's messages start with the offending field when there is one
         key = str(exc).split(" ", 1)[0]
         raise ParseError(str(exc), source, header[key][1] if key in header else None) from None
 
@@ -493,12 +472,11 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
 def parse_event_log(path) -> EventLog:
     try:
         # newline="" hands "\r" to the parser, which accepts it only before "\n"
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        text = read_text(path, newline="")
     except OSError as exc:
         raise ParseError(str(exc), str(path)) from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})", str(path)) from None
+    except ValueError as exc:
+        raise ParseError(str(exc), source=None) from None
     return parse_event_log_text(text, source=str(path))
 
 
@@ -507,30 +485,29 @@ def parse_event_log(path) -> EventLog:
 # ---------------------------------------------------------------------------
 
 
-def gate_and_count(log: EventLog, gates: GateConfig | None = None) -> CoincidenceTable:
+def gate_and_count(log: EventLog) -> CoincidenceTable:
     """Apply the detection gates and tally singles and same-trial pairs.
 
-    A D1 click counts when its time lies in the D1 gate and a D2 click when
-    it lies in the D2 gate; other channel codes never count.  The gated
-    clicks are grouped by trial (a stable sort, near-linear on the sorted
-    logs the simulator and the parser produce, correct for any order) and
-    each trial ORs its channel bits, so the first click per channel wins
-    and extra clicks change nothing.  A trial adds to ``n_s`` of its setting
-    when its D1 bit is set, to ``n_i`` when its D2 bit is set and to
-    ``n_si`` when both are.  As the log parser enforces, a gated trial must
+    The gates are ``gate_windows(log.config)``.  A D1 click counts when its
+    time lies in the D1 gate and a D2 click when it lies in the D2 gate;
+    other channel codes never count.  The gated clicks are grouped by trial
+    (a stable sort, near-linear on the sorted logs the simulator and the
+    parser produce, correct for any order) and each trial ORs its channel
+    bits, so the first click per channel wins and extra clicks change
+    nothing.  A trial adds to ``n_s`` of its setting when its D1 bit is set,
+    to ``n_i`` when its D2 bit is set and to ``n_si`` when both are.  As the log parser enforces, a gated trial must
     lie in the run, below ``n_settings * n_trials_per_setting``, and its
     setting, read from its first gated click, must be
     ``trial // n_trials_per_setting``; anything else raises ``ValueError``.
     """
-    if gates is None:
-        gates = GateConfig.from_experiment(log.config)
     ev = log.events
     n_settings = len(log.settings)
 
     channel, t_ns = ev["channel"], ev["t_ns"]
     # per-event gate bounds: index 0 is the D1 gate, index 1 the D2 gate
-    center = np.array([gates.d1_center_ns, gates.d2_center_ns])
-    half = np.array([gates.d1_width_ns, gates.d2_width_ns]) / 2
+    (c1, w1), (c2, w2) = gate_windows(log.config)
+    center = np.array([c1, c2])
+    half = np.array([w1, w2]) / 2
     which = channel & 1
     in_gate = (t_ns >= np.take(center - half, which)) & (t_ns <= np.take(center + half, which))
     gated = np.flatnonzero(in_gate & (channel <= 1))
@@ -626,16 +603,14 @@ def _match_setting(table: CoincidenceTable, theta_s_deg: float, theta_i_deg: flo
     return sum(r.n_si for r in found)
 
 
-def chsh_from_log(
-    log: EventLog, gates: GateConfig | None = None, angles_deg=CANONICAL_ANGLES_DEG
-) -> CHSHResult:
+def chsh_from_log(log: EventLog, angles_deg=CANONICAL_ANGLES_DEG) -> CHSHResult:
     """Gate a log taken at the 16 CHSH settings and compute S with its error.
 
     For each of the four (theta_s, theta_i) combinations the log must
     contain the setting and its three perpendicular companions (polarizer
     angles compared modulo 180 degrees).
     """
-    table = gate_and_count(log, gates)
+    table = gate_and_count(log)
     e_pairs = []
     missing = []
     for a, b in _chsh_pairs(angles_deg):

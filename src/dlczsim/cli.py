@@ -28,7 +28,7 @@ from .angular import (
     mixing_angle,
     mixing_cos_sq,
 )
-from .grammar import ascii_float
+from .grammar import ascii_float, read_text
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     MeasurementSetting,
@@ -114,11 +114,10 @@ def _settings_table(table: analysis.CoincidenceTable) -> dict:
 def _read_csv_points(path, expected_columns):
     """Read a CSV data file with an exact one-line header."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
+        text = read_text(path, newline="")
+    except (OSError, ValueError) as exc:
         raise analysis.ParseError(str(exc), source=None) from None
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise analysis.ParseError("empty data file", str(path))
     header = [c.strip() for c in rows[0]]

@@ -1,4 +1,4 @@
-"""The number grammar shared by every text input.
+"""The number grammar and the file reading shared by every text input.
 
 Config files, settings files, fit CSVs and event-log headers all read
 numbers through these two functions, so each accepts exactly the spellings
@@ -7,13 +7,15 @@ what ``repr()`` writes for a float or an int.  Python's ``int()`` and
 ``float()`` also take ``+``, ``_`` digit separators, surrounding
 whitespace, non-ASCII digits and ``Infinity``; these do not.  ``as_float``
 turns a numeric field into the builtin float whose ``repr()`` they read.
+``read_text`` reads each input file as UTF-8 and names the file and the
+byte when it is not.
 """
 
 from __future__ import annotations
 
 import re
 
-__all__ = ["ascii_int", "ascii_float", "as_float"]
+__all__ = ["ascii_int", "ascii_float", "as_float", "read_text"]
 
 _INT_FIELD = re.compile("-?[0-9]+")
 # a number as repr() spells a float or an int, nan and inf included
@@ -43,3 +45,15 @@ def as_float(name: str, value) -> float:
     if isinstance(value, (str, bytes)):
         raise TypeError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def read_text(path, newline=None) -> str:
+    """The UTF-8 text of a file; other bytes raise ``ValueError`` naming the file and the byte.
+
+    ``newline`` is ``open``'s.  ``OSError`` passes through for the caller to report.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: byte {exc.start} ({exc.reason})") from None

@@ -19,13 +19,14 @@ only click trials read more words, for their timestamps.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .angular import LevelScheme, mixing_angle
-from .grammar import as_float, ascii_float
+from .grammar import as_float, ascii_float, read_text
 from .predictor import MeasurementSetting, pair_amplitudes
 
 __all__ = [
@@ -60,6 +61,9 @@ EVENT_DTYPE = np.dtype(
 # the time words of a click are keyed by its block of 2**16 trials
 _BLOCK_BITS = 16
 
+# trials drawn at a time: it bounds the draw's memory, and no output depends on it
+_CHUNK_TRIALS = 1 << 18
+
 # click class c of one trial: bit 0 a D1 pair click, bit 1 a D1 background
 # click, bit 2 a D2 pair click, bit 3 a D2 background click; class 0 is silent
 _D1_CLICKS = (np.arange(16) & 0b0011) != 0
@@ -76,8 +80,9 @@ class ExperimentConfig:
     visibility extrapolated to zero storage time; it decays with
     ``memory_tau_ns`` while the retrieval efficiency decays with
     ``retrieval_tau_ns`` (equal by default).  Every field is coerced to a
-    builtin float and must be finite at construction; ``validate`` checks
-    the ranges and the timing layout.
+    builtin float, and construction checks, whichever way a config is
+    built, that each is finite and in range and that the read gate ends
+    within the cycle; one that ends past the dark period only warns.
     """
 
     eta: float = DEFAULT_ETA
@@ -101,14 +106,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # finite builtin floats, so the log header spells every value as its
-        # reader expects and no config that cannot be simulated exists
+        # reader expects; then the ranges and the timing layout, so no config
+        # that cannot be simulated exists
         for f in fields(self):
             value = as_float(f.name, getattr(self, f.name))
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
             object.__setattr__(self, f.name, value)
-
-    def validate(self) -> None:
         for name in (
             "excitation_prob",
             "retrieval_eff",
@@ -140,7 +144,7 @@ class ExperimentConfig:
         res = self.tia_resolution_ns
         if res < 1 or res != int(res):
             raise ValueError(f"tia_resolution_ns must be a positive integer, got {res}")
-        (c1, w1), (c2, w2) = gate_windows(self)
+        _, (c2, w2) = gate_windows(self)
         read_gate_end = c2 + w2 / 2
         if read_gate_end > self.cycle_ns:
             raise ValueError(
@@ -148,10 +152,15 @@ class ExperimentConfig:
                 " increase cycle_ns (and dark_ns) for long storage times"
             )
         if read_gate_end > self.dark_ns:
+            # name the line that built the config: the first frame past this
+            # module and dataclasses (the generated __init__ and replace)
+            level, frame = 1, sys._getframe()
+            while frame and frame.f_globals.get("__name__") in (__name__, "dataclasses"):
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 f"read gate ends at {read_gate_end} ns, beyond the {self.dark_ns} ns dark"
                 " period; a real run would extend the dark period",
-                stacklevel=2,
+                stacklevel=level,
             )
 
     def as_mapping(self) -> dict:
@@ -386,7 +395,7 @@ def _classify(words: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rows, 1 + np.searchsorted(limits, words[rows] >> np.uint64(11), side="right")
 
 
-def _draw_clicks(config, settings, n_trials_per_setting, seed, chunk_trials):
+def _draw_clicks(config, settings, n_trials_per_setting, seed):
     """Per chunk: (setting id, clicks by origin, (n_s, n_i, n_si)).
 
     Trial t reads raw word t of numpy's ``Philox(key=seed).random_raw()``
@@ -401,8 +410,8 @@ def _draw_clicks(config, settings, n_trials_per_setting, seed, chunk_trials):
     reads raw words 4k..4k+3 of ``Philox(key=seed + ((b + 1) << 64))``, the
     four words of counter k + 1 under a key the gate words never use: the
     times of its D1 pair, D1 background, D2 pair and D2 background clicks.
-    Both keys are read strictly in trial order, so chunks and setting
-    boundaries do not matter.
+    Both keys are read strictly in trial order, so chunks of
+    ``_CHUNK_TRIALS`` trials and setting boundaries do not matter.
     """
     gate = np.random.Philox(key=seed)
     # one time-word generator, re-keyed per block: the state of a fresh
@@ -414,8 +423,8 @@ def _draw_clicks(config, settings, n_trials_per_setting, seed, chunk_trials):
     for sid, setting in enumerate(settings):
         cum = np.cumsum(_click_classes(config, setting, config.delta_t_ns)[1:])
         base = sid * n_trials_per_setting
-        for lo in range(base, base + n_trials_per_setting, chunk_trials):
-            hi = min(lo + chunk_trials, base + n_trials_per_setting)
+        for lo in range(base, base + n_trials_per_setting, _CHUNK_TRIALS):
+            hi = min(lo + _CHUNK_TRIALS, base + n_trials_per_setting)
             rows, classes = _classify(gate.random_raw(hi - lo), cum)
             if len(rows) == 0:
                 continue
@@ -441,14 +450,7 @@ def _draw_clicks(config, settings, n_trials_per_setting, seed, chunk_trials):
             )
 
 
-def run_trials(
-    config: ExperimentConfig,
-    settings,
-    n_trials_per_setting: int,
-    seed: int,
-    *,
-    chunk_trials: int = 1 << 18,
-) -> EventLog:
+def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, seed: int) -> EventLog:
     """Simulate n trials at every polarizer setting and collect the clicks.
 
     Trials are numbered globally, setting ``k`` owning the contiguous block
@@ -456,7 +458,7 @@ def run_trials(
     time) with the exact per-setting tallies attached as ``true_counts``.
 
     Each trial reads one raw word and each click trial four more
-    (``_draw_clicks``), so the log does not depend on ``chunk_trials``.  A
+    (``_draw_clicks``), so the log does not depend on the chunk size.  A
     click's timestamp is the time word's uniform variate scaled onto its
     gate's resolution cells.
 
@@ -467,7 +469,6 @@ def run_trials(
     filled once from the sorted keys: trial and cell from ``divmod`` by the
     span, channel from the low bit, setting from the trial.
     """
-    config.validate()
     settings = tuple(settings)
     if not settings:
         raise ValueError("at least one polarizer setting is required")
@@ -475,8 +476,6 @@ def run_trials(
         raise ValueError("n_trials_per_setting must be >= 0")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if chunk_trials < 1:
-        raise ValueError("chunk_trials must be >= 1")
 
     res = int(config.tia_resolution_ns)
     gates = [_gate_cells(center, width, res) for center, width in gate_windows(config)]
@@ -492,7 +491,7 @@ def run_trials(
 
     keys = [np.zeros(0, dtype=np.int64)]
     tallies = np.zeros((len(settings), 3), dtype=np.int64)
-    draws = _draw_clicks(config, settings, n_trials_per_setting, seed, chunk_trials)
+    draws = _draw_clicks(config, settings, n_trials_per_setting, seed)
     for sid, origins, tally in draws:
         tallies[sid] += tally
         # origins: D1 pair, D1 background, D2 pair, D2 background
@@ -551,7 +550,6 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         lines[key] = lineno
     try:
         config = ExperimentConfig.from_mapping(mapping)
-        config.validate()
     except ValueError as exc:
         # a single-field message starts with its field, which names the line
         key = str(exc).split(" ", 1)[0]
@@ -561,8 +559,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    return parse_config_text(read_text(path), source=str(path))
 
 
 def parse_settings_text(text: str, source: str = "<settings>"):
@@ -590,5 +587,4 @@ def parse_settings_text(text: str, source: str = "<settings>"):
 
 
 def load_settings(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_settings_text(fh.read(), source=str(path))
+    return parse_settings_text(read_text(path), source=str(path))

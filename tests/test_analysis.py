@@ -11,7 +11,6 @@ from dlczsim.analysis import (
     CoincidenceTable,
     DecayPoint,
     FitError,
-    GateConfig,
     ParseError,
     SettingCounts,
     chsh_from_log,
@@ -66,13 +65,13 @@ def make_log(events, settings=(MeasurementSetting(0.0, 0.0),), n=100, config=Non
     )
 
 
-def oracle_gate_counts(log, gates=None):
+def oracle_gate_counts(log):
     """Per-setting (n_s, n_i, n_si) from unique (trial, setting_id) rows per channel.
 
     The original gating: one row per distinct (trial, setting) pair in each
     gate, and a coincidence for every D1 row whose trial also fired D2.
     """
-    gates = gates or GateConfig.from_experiment(log.config)
+    (d1_center, d1_width), (d2_center, d2_width) = gate_windows(log.config)
     ev = log.events
     n_settings = len(log.settings)
 
@@ -83,8 +82,8 @@ def oracle_gate_counts(log, gates=None):
         pairs["setting_id"] = sub["setting_id"]
         return np.unique(pairs)
 
-    d1 = gated(0, gates.d1_center_ns, gates.d1_width_ns)
-    d2 = gated(1, gates.d2_center_ns, gates.d2_width_ns)
+    d1 = gated(0, d1_center, d1_width)
+    d2 = gated(1, d2_center, d2_width)
     n_s = np.bincount(d1["setting_id"], minlength=n_settings)
     n_i = np.bincount(d2["setting_id"], minlength=n_settings)
     n_si = np.bincount(d1[np.isin(d1["trial"], d2["trial"])]["setting_id"], minlength=n_settings)
@@ -310,18 +309,16 @@ class TestGateAndCount:
             assert row.n_trials == 100_000
 
     def test_click_outside_gate_ignored(self):
-        gates = GateConfig(d1_center_ns=135, d1_width_ns=140, d2_center_ns=330, d2_width_ns=130)
         log = make_log(
             [
                 DetectionEvent(0, "D1", 100, 0),  # inside D1 gate
                 DetectionEvent(0, "D2", 600, 0),  # outside D2 gate
             ]
         )
-        table = gate_and_count(log, gates)
+        table = gate_and_count(log)
         assert table.rows[0] == SettingCounts(n_s=1, n_i=0, n_si=0, n_trials=100)
 
     def test_gate_edges_are_inclusive(self):
-        gates = GateConfig(d1_center_ns=135, d1_width_ns=140, d2_center_ns=330, d2_width_ns=130)
         log = make_log(
             [
                 DetectionEvent(0, "D1", 65, 0),
@@ -330,7 +327,7 @@ class TestGateAndCount:
                 DetectionEvent(3, "D2", 395, 0),
             ]
         )
-        table = gate_and_count(log, gates)
+        table = gate_and_count(log)
         assert table.rows[0].n_s == 2 and table.rows[0].n_i == 2
 
     def test_first_click_rule_deduplicates(self):
@@ -437,16 +434,14 @@ class TestGateAndCount:
         )
         assert counts_of(gate_and_count(log)) == oracle_gate_counts(log) == expected
 
-    def test_default_gates_come_from_the_config(self):
-        cfg = ExperimentConfig(delta_t_ns=500.0, dark_ns=1200.0)
-        gates = GateConfig.from_experiment(cfg)
-        (c1, w1), (c2, w2) = gate_windows(cfg)
-        assert (gates.d1_center_ns, gates.d1_width_ns) == (c1, w1)
-        assert (gates.d2_center_ns, gates.d2_width_ns) == (c2, w2)
-
-    def test_invalid_gate_widths(self):
-        with pytest.raises(ValueError):
-            GateConfig(d1_center_ns=100, d1_width_ns=0.0)
+    def test_gates_follow_the_log_config(self):
+        """Narrowing the D1 gate in the log's config drops a click that counted before."""
+        events = [DetectionEvent(0, "D1", 70, 0), DetectionEvent(1, "D1", 135, 0)]
+        assert gate_and_count(make_log(events)).rows[0].n_s == 2
+        # the D1 gate [65, 205] ns becomes [91, 171] ns
+        narrow = make_log(events, config=ExperimentConfig(gate_d1_ns=80.0))
+        assert gate_windows(narrow.config)[0] == (131.0, 80.0)
+        assert gate_and_count(narrow).rows[0].n_s == 1
 
 
 class TestCountStatistics:

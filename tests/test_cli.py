@@ -280,6 +280,27 @@ class TestSimulateAndAnalyze:
         assert code == 2
         assert "bad.log" in err and "UTF-8" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit-fringe", "--theta-i", "0", "--data"],
+            ["fit-decay", "--data"],
+            ["simulate", "--settings", "SETTINGS", "--n", "10", "--out", "OUT", "--config"],
+            ["simulate", "--n", "10", "--out", "OUT", "--settings"],
+        ],
+        ids=["fit_fringe_data", "fit_decay_data", "simulate_config", "simulate_settings"],
+    )
+    def test_input_that_is_not_utf8_exits_two_naming_the_file(
+        self, capsys, tmp_path, settings_file, argv
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 0\n\xff\n")
+        fill = {"SETTINGS": settings_file, "OUT": str(tmp_path / "run.log")}
+        code, out, err = run_cli(capsys, *[fill.get(a, a) for a in argv], str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: not UTF-8 text: byte 4 (invalid start byte)\n"
+        assert not (tmp_path / "run.log").exists()
+
 
 def write_fringe_csv(path, amp, bg, eta, theta_i_deg, step=10.0):
     ti = math.radians(theta_i_deg)

@@ -1,7 +1,8 @@
 """Event-log writer and parser: totality, round trips, and agreement with the line-loop parser.
 
 ``oracle_parse_event_log_text`` below is the line-at-a-time parser that the
-column parser replaced, kept verbatim (apart from its name) as the reference.  On near-valid logs
+column parser replaced, kept verbatim as the reference apart from its name and its
+``config.validate()`` call, whose checks the config's construction now makes.  On near-valid logs
 (a canonical log with one mutation) both must return equal logs or raise
 the same ParseError at the same line.  The spellings the column parser
 rejects on purpose, which the reference let through ``int()`` and
@@ -145,7 +146,6 @@ def oracle_parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     config_lines = {k: v for k, (v, _) in header.items()}
     try:
         config = ExperimentConfig.from_mapping(config_lines)
-        config.validate()
     except ValueError as exc:
         raise ParseError(str(exc), source) from None
 

@@ -169,12 +169,13 @@ class TestStreamPinning:
 
     @pytest.mark.parametrize("chunk", [1, 7_777, 1 << 18])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_byte_equal_to_oracle(self, case, chunk):
+    def test_byte_equal_to_oracle(self, case, chunk, monkeypatch):
         config, settings_ = ORACLE_CASES[case]
         # past 2**16 trials the time-word blocks straddle the settings
         n = 2_000 if chunk == 1 else 70_001
         events, true_counts = oracle_run(config, settings_, n, seed=77)
-        log = run_trials(config, settings_, n, seed=77, chunk_trials=chunk)
+        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", chunk)
+        log = run_trials(config, settings_, n, seed=77)
         assert len(log) > 0
         assert log.events.tobytes() == events.tobytes()
         assert log.true_counts == true_counts
@@ -195,10 +196,11 @@ class TestStreamPinning:
         [(ExperimentConfig(), 0), (clean_config(excitation_prob=0.0), 3_000)],
         ids=["zero_trials", "no_clicks"],
     )
-    def test_runs_without_events_equal_the_oracle(self, config, n, chunk):
+    def test_runs_without_events_equal_the_oracle(self, config, n, chunk, monkeypatch):
         settings_ = [MeasurementSetting(0, 0), MeasurementSetting(45, 0)]
         events, true_counts = oracle_run(config, settings_, n, seed=5)
-        log = run_trials(config, settings_, n, seed=5, chunk_trials=chunk)
+        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", chunk)
+        log = run_trials(config, settings_, n, seed=5)
         assert len(log) == len(events) == 0
         assert log.events.dtype == EVENT_DTYPE
         assert log.true_counts == true_counts
@@ -242,13 +244,15 @@ class TestClassSampling:
     """One gate word per trial, sampled from the closed-form click-class table."""
 
     @pytest.mark.parametrize("chunk", [1, 7_777, (1 << 16) - 1, 1 << 18])
-    def test_chunking_does_not_change_the_stream(self, chunk):
+    def test_chunking_does_not_change_the_stream(self, chunk, monkeypatch):
         """Clicks carry their rank in a block across chunk and setting boundaries."""
         cfg = clean_config(excitation_prob=0.05, bg_prob_s=0.01, bg_prob_i=0.01, base_visibility=0.8)
         settings_ = [MeasurementSetting(10, 40), MeasurementSetting(67.5, 112.5)]
         n = 40_000
-        reference = run_trials(cfg, settings_, n, seed=5, chunk_trials=1 << 20)
-        log = run_trials(cfg, settings_, n, seed=5, chunk_trials=chunk)
+        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 1 << 20)
+        reference = run_trials(cfg, settings_, n, seed=5)
+        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", chunk)
+        log = run_trials(cfg, settings_, n, seed=5)
         assert log == reference
         assert log.true_counts == reference.true_counts
         # clicks of both settings share the first block
@@ -328,7 +332,7 @@ class TestClickClassTable:
 
 class TestExperimentConfig:
     def test_defaults_validate(self):
-        ExperimentConfig().validate()
+        ExperimentConfig()
 
     def test_default_eta_comes_from_the_level_scheme(self):
         assert ExperimentConfig().eta == DEFAULT_ETA
@@ -349,19 +353,33 @@ class TestExperimentConfig:
             ("memory_tau_ns", 0.0),
             ("cycle_ns", -1.0),
             ("write_len_ns", 0.0),
+            ("gate_d1_ns", 0.0),
             ("tia_resolution_ns", 0.0),
             ("tia_resolution_ns", 2.5),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{field: value}).validate()
+        """No out-of-range config exists, whichever way it is built."""
+        message = f"^{field} must "
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ExperimentConfig(), **{field: value})
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_mapping({field: value})
+
+    def test_out_of_range_config_gives_no_numbers(self):
+        """Once gave P_s = 0.0362 from a no-pair probability of -0.7, and 'a channel never clicks'."""
+        with pytest.raises(ValueError, match=re.escape("excitation_prob must lie in [0, 1], got 1.7")):
+            trial_click_probabilities(ExperimentConfig(excitation_prob=1.7))
+        with pytest.raises(ValueError, match=re.escape("det_eff_s must lie in [0, 1], got -0.5")):
+            expected_g_si(ExperimentConfig(det_eff_s=-0.5, det_eff_i=2.0))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            ExperimentConfig(**{field: value}).validate()
+            ExperimentConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected_at_construction(self, value):
@@ -376,19 +394,33 @@ class TestExperimentConfig:
                 ExperimentConfig.from_mapping({f.name: value})
 
     def test_read_gate_beyond_cycle_rejected(self):
-        cfg = ExperimentConfig(delta_t_ns=2000.0)  # read gate past 1500 ns
         with pytest.raises(ValueError, match="cycle"):
-            cfg.validate()
+            ExperimentConfig(delta_t_ns=2000.0)  # read gate past 1500 ns
 
     def test_read_gate_beyond_dark_period_warns(self):
-        cfg = ExperimentConfig(delta_t_ns=1000.0)  # ends at 1195 ns < cycle
         with pytest.warns(UserWarning, match="dark"):
-            cfg.validate()
+            ExperimentConfig(delta_t_ns=1000.0)  # ends at 1195 ns < cycle
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ExperimentConfig(delta_t_ns=1000.0),
+            lambda: dataclasses.replace(ExperimentConfig(), delta_t_ns=1000.0),
+            lambda: ExperimentConfig.from_mapping({"delta_t_ns": 1000.0}),
+            lambda: parse_config_text("delta_t_ns = 1000"),
+        ],
+        ids=["constructor", "replace", "from_mapping", "parse_config_text"],
+    )
+    def test_dark_period_warning_names_the_line_that_built_the_config(self, build):
+        with pytest.warns(UserWarning, match="dark") as record:
+            build()
+        assert len(record) == 1
+        assert (record[0].filename, record[0].lineno) == (__file__, build.__code__.co_firstlineno)
 
     def test_defaults_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ExperimentConfig().validate()
+            ExperimentConfig()
 
     def test_mapping_round_trip(self):
         cfg = ExperimentConfig(excitation_prob=0.07, delta_t_ns=450.0)
@@ -558,12 +590,13 @@ class TestDeterminism:
         assert a != b
 
     @pytest.mark.parametrize("chunk", [1_000, 7_777, 1 << 18])
-    def test_chunking_does_not_change_the_stream(self, chunk):
+    def test_chunking_does_not_change_the_stream(self, chunk, monkeypatch):
         """Trial t owns a fixed counter block, so chunk size is irrelevant."""
         cfg = ExperimentConfig()
         settings = [MeasurementSetting(0, 0), MeasurementSetting(45, 0)]
         reference = run_trials(cfg, settings, 25_000, seed=9)
-        assert run_trials(cfg, settings, 25_000, seed=9, chunk_trials=chunk) == reference
+        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", chunk)
+        assert run_trials(cfg, settings, 25_000, seed=9) == reference
 
     def test_zero_trials_gives_empty_log(self):
         log = run_trials(ExperimentConfig(), [MeasurementSetting(0, 0)], 0, seed=1)

@@ -10,7 +10,7 @@ visibility fits, and the storage-time decay fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -29,9 +29,10 @@ from .predictor import (
 )
 from .simulator import (
     CHANNEL_NAMES,
-    EVENT_DTYPE,
     EventLog,
     ExperimentConfig,
+    _INT64_MAX,
+    _setting_ids,
     gate_windows,
 )
 
@@ -175,20 +176,11 @@ def format_event_log(log: EventLog) -> str:
     for sid, setting in enumerate(log.settings):
         lines.append(f"# setting {sid} {setting.theta_s_deg!r} {setting.theta_i_deg!r}")
     lines.append(f"# seed={log.seed}")
-    ev = log.events
-    try:
-        names = np.array(CHANNEL_NAMES)[ev["channel"]].tolist()
-    except IndexError:
-        k = int(np.flatnonzero(ev["channel"] >= len(CHANNEL_NAMES))[0])
-        raise ValueError(
-            f"event {k} (trial {ev['trial'][k]}) has channel code {ev['channel'][k]},"
-            " not 0 (D1) or 1 (D2)"
-        ) from None
+    names = np.array(CHANNEL_NAMES)[log.channel].tolist()
+    sids = _setting_ids(log.trial, log.n_trials_per_setting).tolist()
     body = [
         f"{trial} {name} {t} {sid}\n"
-        for trial, name, t, sid in zip(
-            ev["trial"].tolist(), names, ev["t_ns"].tolist(), ev["setting_id"].tolist()
-        )
+        for trial, name, t, sid in zip(log.trial.tolist(), names, log.t_ns.tolist(), sids)
     ]
     return "\n".join(lines) + "\n" + "".join(body)
 
@@ -198,7 +190,6 @@ def write_event_log(log: EventLog, path) -> None:
         fh.write(format_event_log(log))
 
 
-_INT64_MAX = 2**63 - 1
 # every integer of up to 18 decimal digits fits in an int64
 _MAX_DIGITS = 18
 
@@ -452,21 +443,14 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
 
     # clamped bounds only ever flag extra rows, which the exact check clears
     suspect = too_long | (trial >= min(n_trials, _INT64_MAX))
-    suspect |= sid != trial // min(max(n_per, 1), _INT64_MAX)
+    suspect |= sid != _setting_ids(trial, n_per)
     suspect |= (t_ns % res != 0) if res <= _INT64_MAX else (t_ns != 0)
     suspect |= (t_ns < 0) | (t_ns > min(math.floor(config.cycle_ns), _INT64_MAX))
     for row in np.flatnonzero(suspect).tolist():
         check_range(row)
 
-    events = np.empty(n_rows, dtype=EVENT_DTYPE)
-    events["trial"] = trial
-    events["channel"] = channel
-    events["t_ns"] = t_ns
-    events["setting_id"] = sid
     ordered = tuple(settings[k] for k in range(len(settings)))
-    return EventLog(
-        config=config, settings=ordered, seed=seed, n_trials_per_setting=n_per, events=events
-    )
+    return EventLog(config, ordered, seed, n_per, trial=trial, channel=channel, t_ns=t_ns)
 
 
 def parse_event_log(path) -> EventLog:
@@ -489,62 +473,29 @@ def gate_and_count(log: EventLog) -> CoincidenceTable:
     """Apply the detection gates and tally singles and same-trial pairs.
 
     The gates are ``gate_windows(log.config)``.  A D1 click counts when its
-    time lies in the D1 gate and a D2 click when it lies in the D2 gate;
-    other channel codes never count.  The gated clicks are grouped by trial
-    (a stable sort, near-linear on the sorted logs the simulator and the
-    parser produce, correct for any order) and each trial ORs its channel
-    bits, so the first click per channel wins and extra clicks change
-    nothing.  A trial adds to ``n_s`` of its setting when its D1 bit is set,
-    to ``n_i`` when its D2 bit is set and to ``n_si`` when both are.  As the log parser enforces, a gated trial must
-    lie in the run, below ``n_settings * n_trials_per_setting``, and its
-    setting, read from its first gated click, must be
-    ``trial // n_trials_per_setting``; anything else raises ``ValueError``.
+    time lies in the D1 gate and a D2 click when it lies in the D2 gate,
+    edges included.  The first click per channel in a trial wins, so extra
+    clicks change nothing: each channel keeps its distinct gated trials.  A
+    trial adds to ``n_s`` of its setting when it has a gated D1 click, to
+    ``n_i`` when it has a gated D2 click and to ``n_si`` when it has both.
+    An ``EventLog`` is sorted by (trial, t_ns) and holds only trials of the
+    run and channels 0 and 1, so no click needs checking here.
     """
-    ev = log.events
     n_settings = len(log.settings)
-
-    channel, t_ns = ev["channel"], ev["t_ns"]
-    # per-event gate bounds: index 0 is the D1 gate, index 1 the D2 gate
-    (c1, w1), (c2, w2) = gate_windows(log.config)
-    center = np.array([c1, c2])
-    half = np.array([w1, w2]) / 2
-    which = channel & 1
-    in_gate = (t_ns >= np.take(center - half, which)) & (t_ns <= np.take(center + half, which))
-    gated = np.flatnonzero(in_gate & (channel <= 1))
-    # the gated rows in trial order; reading the trials again after the sort
-    # keeps one int64 column fewer alive than gathering them by the order
-    gated = gated[np.argsort(np.take(ev["trial"], gated), kind="stable")]
-    trial = np.take(ev["trial"], gated)
-    first = np.ones(len(trial), dtype=bool)
-    first[1:] = trial[1:] != trial[:-1]
-    starts = np.flatnonzero(first)
-    # per trial, bit 0 a gated D1 click and bit 1 a gated D2 click
-    fired = np.bitwise_or.reduceat(np.take(channel, gated) + np.uint8(1), starts)
-    setting = np.take(ev["setting_id"], gated[starts]).astype(np.int64)
     n_per = log.n_trials_per_setting
-    n_trials = n_settings * n_per
-    first_trial = trial[starts]
-    # a clamped bound flags at most one extra trial, which the exact test clears
-    for t in first_trial[(first_trial < 0) | (first_trial >= min(n_trials, _INT64_MAX))].tolist():
-        if t < 0:
-            raise ValueError(f"negative trial index {t}")
-        if t >= n_trials:
-            raise ValueError(f"trial {t} beyond the {n_trials} trials of {n_settings} settings"
-                             f" x {n_per} trials_per_setting")
-    # the parser's clamp: an n_per beyond int64 gives every trial >= 0 the
-    # same quotient as _INT64_MAX does
-    owner = first_trial // min(max(n_per, 1), _INT64_MAX)
-    wrong = np.flatnonzero(setting != owner)
-    if len(wrong):
-        k = wrong[0]
-        raise ValueError(
-            f"trial {first_trial[k]} belongs to setting {owner[k]}, not {setting[k]}"
-        )
-    # tally[s, b]: the trials of setting s whose fired bits are b
-    tally = np.bincount(4 * setting + fired, minlength=4 * n_settings).reshape(-1, 4)
-    n_si = tally[:, 3]
-    n_s = tally[:, 1] + n_si
-    n_i = tally[:, 2] + n_si
+    gated = []
+    for channel, (center, width) in enumerate(gate_windows(log.config)):
+        # the integer times inside [center - width/2, center + width/2]
+        lo, hi = math.ceil(center - width / 2), math.floor(center + width / 2)
+        trial = log.trial[(log.channel == channel) & (log.t_ns >= lo) & (log.t_ns <= hi)]
+        # the distinct trials: the column is sorted, and no trial is -1
+        gated.append(trial[np.diff(trial, prepend=-1) != 0])
+    d1, d2 = gated
+    # the D1 trials that D2 holds too: both are sorted, and -1 pads the end of D2
+    both = d1[np.append(d2, -1)[np.searchsorted(d2, d1)] == d1]
+    n_s, n_i, n_si = (
+        np.bincount(_setting_ids(trials, n_per), minlength=n_settings) for trials in (d1, d2, both)
+    )
 
     rows = {
         sid: SettingCounts(

@@ -19,6 +19,7 @@ only click trials read more words, for their timestamps.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
@@ -46,7 +47,6 @@ __all__ = [
     "parse_config_text",
     "load_settings",
     "parse_settings_text",
-    "events_to_array",
 ]
 
 # mixing angle of the F=3 -> F'=3 -> F=2 alkali scheme driven on the D1 line
@@ -57,6 +57,11 @@ CHANNEL_NAMES = ("D1", "D2")
 EVENT_DTYPE = np.dtype(
     [("trial", np.int64), ("channel", np.uint8), ("t_ns", np.int64), ("setting_id", np.int32)]
 )
+
+_INT64_MAX = 2**63 - 1
+
+# an EventLog's click columns and their dtypes
+_COLUMNS = {"trial": np.int64, "channel": np.uint8, "t_ns": np.int64}
 
 # the time words of a click are keyed by its block of 2**16 trials
 _BLOCK_BITS = 16
@@ -81,8 +86,9 @@ class ExperimentConfig:
     ``memory_tau_ns`` while the retrieval efficiency decays with
     ``retrieval_tau_ns`` (equal by default).  Every field is coerced to a
     builtin float, and construction checks, whichever way a config is
-    built, that each is finite and in range and that the read gate ends
-    within the cycle; one that ends past the dark period only warns.
+    built, that each is finite and in range, that the read gate ends within
+    the cycle and that each gate holds a timing cell; a read gate that ends
+    past the dark period only warns.
     """
 
     eta: float = DEFAULT_ETA
@@ -151,6 +157,11 @@ class ExperimentConfig:
                 f"read gate ends at {read_gate_end} ns, beyond the {self.cycle_ns} ns cycle;"
                 " increase cycle_ns (and dark_ns) for long storage times"
             )
+        for name, (center, width) in zip(("gate_d1_ns", "gate_d2_ns"), gate_windows(self)):
+            if _gate_cells(center, width, int(res))[1] == 0:
+                raise ValueError(
+                    f"{name} of {width} ns around {center} ns holds no multiple of {int(res)} ns"
+                )
         if read_gate_end > self.dark_ns:
             # name the line that built the config: the first frame past this
             # module and dataclasses (the generated __init__ and replace)
@@ -190,48 +201,107 @@ class DetectionEvent:
             raise ValueError(f"channel must be one of {CHANNEL_NAMES}")
 
 
-def events_to_array(events) -> np.ndarray:
-    """Pack an iterable of DetectionEvent into the structured array layout."""
-    arr = np.zeros(len(events), dtype=EVENT_DTYPE)
-    for k, ev in enumerate(events):
-        arr[k] = (ev.trial, CHANNEL_NAMES.index(ev.channel), ev.t_ns, ev.setting_id)
-    return arr
+def _setting_ids(trial: np.ndarray, n_trials_per_setting: int) -> np.ndarray:
+    """``trial // n_trials_per_setting``, exact for every int64 trial and every n >= 0.
+
+    An n of 0 owns no trial and divides by 1; an n beyond int64 owns every int64 trial.
+    """
+    if n_trials_per_setting > _INT64_MAX:
+        return np.zeros_like(trial)
+    return trial // max(n_trials_per_setting, 1)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EventLog:
-    """All clicks of a run plus the header needed to re-analyze them."""
+    """All clicks of a run, as read-only columns, plus the header needed to re-analyze them.
+
+    Setting k owns the trials ``[k*n, (k+1)*n)`` for n = ``n_trials_per_setting``.
+    Construction checks the header as its reader does and, before any cast, that
+    the columns are 1-D integers of one length, every channel 0 (D1) or 1 (D2)
+    and every trial in the run.  It keeps copies stably sorted by (trial, t_ns).
+    """
 
     config: ExperimentConfig
     settings: tuple
     seed: int
     n_trials_per_setting: int
-    events: np.ndarray
+    trial: np.ndarray
+    channel: np.ndarray
+    t_ns: np.ndarray
     # ground-truth per-setting tallies {setting_id: (n_s, n_i, n_si)};
     # filled by the simulator, never serialized, ignored by equality
     true_counts: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.settings = tuple(self.settings)
-        self.events = np.asarray(self.events, dtype=EVENT_DTYPE)
+        object.__setattr__(self, "settings", tuple(self.settings))
+        if not self.settings:
+            raise ValueError("settings must name at least one polarizer setting")
+        for name in ("n_trials_per_setting", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, int(value))
+        cols = {name: np.asarray(getattr(self, name)) for name in _COLUMNS}
+        for name, col in cols.items():
+            if col.ndim != 1 or (col.size and not np.can_cast(col.dtype, np.int64)):
+                raise ValueError(
+                    f"{name} must be a 1-D column of integers that fit in int64,"
+                    f" got {col.ndim}-D {col.dtype}"
+                )
+        trial, channel, t_ns = cols.values()
+        if not len(trial) == len(channel) == len(t_ns):
+            lengths = ", ".join(f"{name} {len(col)}" for name, col in cols.items())
+            raise ValueError(f"columns differ in length: {lengths}")
+        bad = (channel < 0) | (channel > 1)
+        if bad.any():
+            k = np.argmax(bad)
+            raise ValueError(
+                f"event {k} (trial {trial[k]}) has channel code {channel[k]}, not 0 (D1) or 1 (D2)"
+            )
+        if np.any(trial < 0):
+            raise ValueError(f"negative trial index {trial[np.argmax(trial < 0)]}")
+        n_trials = len(self.settings) * self.n_trials_per_setting
+        if np.any(trial >= n_trials):
+            raise ValueError(
+                f"trial {trial[np.argmax(trial >= n_trials)]} beyond the {n_trials} trials of"
+                f" {len(self.settings)} settings x {self.n_trials_per_setting} trials_per_setting"
+            )
+        trial, channel, t_ns = (np.array(col, dtype=_COLUMNS[name]) for name, col in cols.items())
+        if np.any((trial[1:] < trial[:-1]) | ((trial[1:] == trial[:-1]) & (t_ns[1:] < t_ns[:-1]))):
+            order = np.lexsort((t_ns, trial))
+            trial, channel, t_ns = trial[order], channel[order], t_ns[order]
+        for name, col in zip(_COLUMNS, (trial, channel, t_ns)):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.trial)
+
+    @property
+    def events(self) -> np.ndarray:
+        """The clicks as read-only ``EVENT_DTYPE`` records, built on each access."""
+        events = np.empty(len(self), dtype=EVENT_DTYPE)
+        for name in _COLUMNS:
+            events[name] = getattr(self, name)
+        events["setting_id"] = _setting_ids(self.trial, self.n_trials_per_setting)
+        events.flags.writeable = False
+        return events
 
     def event(self, index: int) -> DetectionEvent:
-        row = self.events[index]
+        trial = self.trial[index]
+        setting = int(_setting_ids(trial, self.n_trials_per_setting))
         return DetectionEvent(
-            int(row["trial"]), CHANNEL_NAMES[row["channel"]], int(row["t_ns"]), int(row["setting_id"])
+            int(trial), CHANNEL_NAMES[self.channel[index]], int(self.t_ns[index]), setting
         )
 
     def __eq__(self, other):
+        header = (self.config, self.settings, self.seed, self.n_trials_per_setting)
         return (
             isinstance(other, EventLog)
-            and self.config == other.config
-            and self.settings == other.settings
-            and self.seed == other.seed
-            and self.n_trials_per_setting == other.n_trials_per_setting
-            and np.array_equal(self.events, other.events)
+            and header == (other.config, other.settings, other.seed, other.n_trials_per_setting)
+            and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in _COLUMNS)
         )
 
 
@@ -265,11 +335,9 @@ def gate_windows(config: ExperimentConfig):
 
 
 def _gate_cells(center: float, width: float, res: int) -> tuple[int, int]:
-    """First resolution cell inside a gate and the number of cells."""
+    """First resolution cell inside a gate and the number of cells, 0 when none is."""
     first = math.ceil((center - width / 2) / res)
     last = math.floor((center + width / 2) / res)
-    if last < first:
-        raise ValueError("gate narrower than the timing resolution")
     return first, last - first + 1
 
 
@@ -465,15 +533,11 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
     Events are assembled as one int64 column: each click's key
     ``(trial * span + cell) * 2 + channel``, with ``cell`` counted from the
     earliest gate start and ``span`` cells per trial, holds the whole event.
-    The keys of all origins are sorted once (stable), and the records are
-    filled once from the sorted keys: trial and cell from ``divmod`` by the
-    span, channel from the low bit, setting from the trial.
+    The keys of all origins are sorted once (stable), and the log's columns
+    come from the sorted keys: trial and cell from ``divmod`` by the span,
+    channel from the low bit.
     """
     settings = tuple(settings)
-    if not settings:
-        raise ValueError("at least one polarizer setting is required")
-    if n_trials_per_setting < 0:
-        raise ValueError("n_trials_per_setting must be >= 0")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -508,18 +572,19 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
     # a key holds its whole event, so the sorted keys are the sorted events;
     # the stable sort merges the origins' runs, each already in trial order
     key = np.sort(np.concatenate(keys), kind="stable")
-    trial, cell = np.divmod(key >> 1, span)
-    events = np.empty(len(key), dtype=EVENT_DTYPE)
-    events["trial"] = trial
-    events["channel"] = key & 1
-    events["t_ns"] = (cell + first_cell) * res
-    events["setting_id"] = trial // n_trials_per_setting
+    channel = (key & 1).astype(np.uint8)
+    trial, t_ns = np.divmod(key >> 1, span)
+    del key
+    t_ns += first_cell
+    t_ns *= res
     return EventLog(
         config=config,
         settings=settings,
         seed=seed,
         n_trials_per_setting=n_trials_per_setting,
-        events=events,
+        trial=trial,
+        channel=channel,
+        t_ns=t_ns,
         true_counts=true_counts,
     )
 

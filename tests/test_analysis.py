@@ -1,5 +1,6 @@
 """Tests for event-log parsing, gating/counting and the two fits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,11 +27,9 @@ from dlczsim.analysis import (
 )
 from dlczsim.predictor import MeasurementSetting, chsh_setting_table, correlation_e
 from dlczsim.simulator import (
-    EVENT_DTYPE,
     DetectionEvent,
     EventLog,
     ExperimentConfig,
-    events_to_array,
     gate_windows,
     run_trials,
 )
@@ -54,14 +53,20 @@ def clean_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def make_log(events, settings=(MeasurementSetting(0.0, 0.0),), n=100, config=None):
-    """Hand-built log for counting tests."""
+def columns(rows):
+    """The trial, channel and t_ns columns of (trial, channel code, t_ns) rows."""
+    trial, channel, t_ns = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return dict(trial=trial, channel=channel, t_ns=t_ns)
+
+
+def make_log(rows, settings=(MeasurementSetting(0.0, 0.0),), n=100, config=None):
+    """Hand-built log for counting tests, from (trial, channel code, t_ns) rows."""
     return EventLog(
         config=config or ExperimentConfig(),
         settings=settings,
         seed=0,
         n_trials_per_setting=n,
-        events=events_to_array(events),
+        **columns(rows),
     )
 
 
@@ -88,6 +93,10 @@ def oracle_gate_counts(log):
     n_i = np.bincount(d2["setting_id"], minlength=n_settings)
     n_si = np.bincount(d1[np.isin(d1["trial"], d2["trial"])]["setting_id"], minlength=n_settings)
     return {sid: (int(n_s[sid]), int(n_i[sid]), int(n_si[sid])) for sid in range(n_settings)}
+
+
+# D1 and D2 gate widths whose gate edges fall on odd, half-ns and even times
+GATE_WIDTHS = [(140.0, 130.0), (141.0, 131.0), (142.0, 132.0)]
 
 
 def counts_of(table):
@@ -125,65 +134,120 @@ class TestLogRoundTrip:
             parse_event_log(tmp_path / "nope.log")
 
 
-def inconsistent_log():
-    """Channel code 2 in trial 3, and trial 4 filed under setting 1 though it is setting 0's."""
-    return EventLog(
-        ExperimentConfig(),
-        [MeasurementSetting(0, 0), MeasurementSetting(0, 90)],
-        0,
-        10,
-        events=[(3, 2, 140, 0), (4, 0, 140, 1)],
-    )
+class TestEventLogConstruction:
+    """An EventLog checks itself once, with the log parser's messages, so gating and the writer need not."""
 
-
-class TestInconsistentLogs:
-    def test_writer_names_the_first_unknown_channel_code(self):
-        log = inconsistent_log()
-        with pytest.raises(ValueError, match=r"^event 0 \(trial 3\) has channel code 2, not 0"):
-            format_event_log(log)
-        log.events["channel"] = [1, 7]
-        with pytest.raises(ValueError, match=r"^event 1 \(trial 4\) has channel code 7"):
-            format_event_log(log)
-
-    def test_gating_rejects_a_trial_under_another_setting(self):
-        with pytest.raises(ValueError, match=r"^trial 4 belongs to setting 0, not 1$"):
-            gate_and_count(inconsistent_log())
+    @pytest.mark.parametrize("code", [2, 255, -1, 256])
+    def test_unknown_channel_code_rejected(self, code):
+        """Code 2 was once ignored by gating and refused only by the writer; -1 and 256 are not wrapped."""
+        message = rf"^event 1 \(trial 4\) has channel code {code}, not 0 \(D1\) or 1 \(D2\)$"
+        with pytest.raises(ValueError, match=message):
+            make_log([(3, 0, 140), (4, code, 140)], n=10)
 
     @pytest.mark.parametrize(
-        "events, message",
+        "rows, message",
         [
-            # counted under a setting the run does not have, and silently dropped
-            ([(15, 0, 140, 1), (15, 1, 330, 1)], "trial 15 beyond the 10 trials"),
-            # tallied past the table, which failed to reshape
-            ([(15, 0, 140, 1)], "trial 15 beyond the 10 trials"),
-            # a negative index, which failed in bincount
-            ([(-1, 0, 140, -1)], "negative trial index -1$"),
+            # once counted under a setting the run does not have, and silently dropped
+            ([(15, 0, 140), (15, 1, 330)], "trial 15 beyond the 10 trials"),
+            # a negative index, which once failed in bincount
+            ([(3, 0, 140), (-1, 0, 140)], "negative trial index -1$"),
             # the first trial past the run
-            ([(10, 1, 330, 1)], "trial 10 beyond the 10 trials"),
+            ([(10, 1, 330)], "trial 10 beyond the 10 trials"),
         ],
     )
-    def test_gating_rejects_a_trial_outside_the_run(self, events, message):
-        log = EventLog(ExperimentConfig(), [MeasurementSetting(0, 0)], 0, 10, events=events)
+    def test_a_trial_outside_the_run_is_rejected(self, rows, message):
         with pytest.raises(ValueError, match=rf"^{message}"):
-            gate_and_count(log)
+            make_log(rows, n=10)
 
-    def test_outside_message_matches_the_parser(self):
-        log = EventLog(
-            ExperimentConfig(), [MeasurementSetting(0, 0)], 0, 10, events=[(15, 0, 140, 0)]
-        )
-        with pytest.raises(ValueError) as gated:
-            gate_and_count(log)
+    @pytest.mark.parametrize(
+        "trial, message",
+        [
+            (-1, "negative trial index -1"),
+            (10, "trial 10 beyond the 10 trials of 1 settings x 10 trials_per_setting"),
+        ],
+    )
+    def test_outside_messages_match_the_parser(self, trial, message):
+        with pytest.raises(ValueError) as built:
+            make_log([(trial, 0, 140)], n=10)
+        text = "# version=1\n# seed=0\n# trials_per_setting=10\n# setting 0 0 0\n"
         with pytest.raises(ParseError) as parsed:
-            parse_event_log_text(format_event_log(log))
-        expected = "trial 15 beyond the 10 trials of 1 settings x 10 trials_per_setting"
-        assert str(gated.value) == expected
-        assert str(parsed.value).endswith(expected)
+            parse_event_log_text(f"{text}{trial} D1 140 0\n")
+        assert str(built.value) == message
+        assert str(parsed.value) == f"<log>:5: {message}"
 
     def test_last_trial_of_the_run_still_counts(self):
-        log = EventLog(
-            ExperimentConfig(), [MeasurementSetting(0, 0)], 0, 10, events=[(9, 0, 140, 0)]
-        )
-        assert gate_and_count(log).rows[0].n_s == 1
+        assert gate_and_count(make_log([(9, 0, 140)], n=10)).rows[0].n_s == 1
+
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("settings", (), ValueError, "settings must name at least one polarizer setting"),
+            ("n_trials_per_setting", -5, ValueError, "n_trials_per_setting must be >= 0, got -5"),
+            ("n_trials_per_setting", 2.0, TypeError, "n_trials_per_setting must be an integer, got 2.0"),
+            ("n_trials_per_setting", True, TypeError, "n_trials_per_setting must be an integer, got True"),
+            ("seed", -1, ValueError, "seed must be >= 0, got -1"),
+            ("seed", "7", TypeError, "seed must be an integer, got '7'"),
+        ],
+    )
+    def test_header_fields_are_checked_as_the_header_reader_checks_them(self, field, value, error, message):
+        """No settings once formatted to a log its reader refused, and n = -5 failed inside SettingCounts."""
+        log = make_log([])
+        with pytest.raises(error, match=f"^{message}$"):
+            dataclasses.replace(log, **{field: value})
+
+    def test_numpy_integer_header_fields_become_ints(self):
+        log = make_log([], n=np.int64(10))
+        assert type(log.n_trials_per_setting) is int and log.n_trials_per_setting == 10
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^columns differ in length: trial 2, channel 1, t_ns 2$"):
+            EventLog(
+                ExperimentConfig(), [MeasurementSetting(0, 0)], 0, 10, trial=[0, 1], channel=[0], t_ns=[66, 68]
+            )
+
+    def test_two_dimensional_column_rejected(self):
+        message = r"^trial must be a 1-D column of integers that fit in int64, got 2-D int64$"
+        with pytest.raises(ValueError, match=message):
+            EventLog(ExperimentConfig(), [MeasurementSetting(0, 0)], 0, 10, trial=[[0], [1]], channel=[0, 0],
+                     t_ns=[66, 68])
+
+    @pytest.mark.parametrize(
+        "field, column",
+        [("t_ns", [66.5]), ("trial", np.array([2**63], dtype=np.uint64)), ("channel", [object()])],
+    )
+    def test_column_that_is_not_int64_rejected(self, field, column):
+        cols = {"trial": [0], "channel": [0], "t_ns": [66], field: column}
+        message = f"^{field} must be a 1-D column of integers that fit in int64, got 1-D"
+        with pytest.raises(ValueError, match=message):
+            EventLog(ExperimentConfig(), [MeasurementSetting(0, 0)], 0, 10, **cols)
+
+    def test_fields_cannot_be_assigned(self):
+        log = make_log([(0, 0, 66)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            log.trial = np.array([1])
+
+    def test_columns_and_records_are_read_only(self):
+        log = make_log([(0, 0, 66), (1, 1, 330)])
+        for column in (log.trial, log.channel, log.t_ns, log.events["t_ns"]):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            log.events[0] = (0, 1, 330, 0)
+
+    def test_columns_are_copies(self):
+        """Writing to the arrays a log was built from leaves the log as it was checked."""
+        cols = columns([(0, 0, 66), (1, 1, 330)])
+        log = make_log([(0, 0, 66), (1, 1, 330)])
+        built = EventLog(log.config, log.settings, log.seed, log.n_trials_per_setting, **cols)
+        cols["trial"][0], cols["channel"][1] = -1, 7
+        assert built == log
+
+    def test_unsorted_input_comes_out_sorted_with_ties_in_input_order(self):
+        rows = [(2, 1, 330), (0, 1, 300), (2, 0, 140), (1, 1, 200), (1, 0, 200), (0, 0, 100), (1, 1, 200)]
+        log = make_log(rows)
+        got = list(zip(log.trial.tolist(), log.channel.tolist(), log.t_ns.tolist()))
+        assert got == sorted(rows, key=lambda row: (row[0], row[2]))
+        assert got[2:5] == [(1, 1, 200), (1, 0, 200), (1, 1, 200)]
 
 
 VALID_HEADER = (
@@ -268,6 +332,20 @@ class TestParserTotality:
         with pytest.raises(ParseError, match=fragment):
             parse_event_log_text(text)
 
+    def test_last_int64_trial_of_a_run_beyond_int64_counts_under_its_setting(self):
+        """With 2**63 trials per setting, trial 2**63 - 1 is setting 0's; gating once said setting 1."""
+        text = f"# version=1\n# seed=1\n# trials_per_setting={2**63}\n# setting 0 0 0\n{2**63 - 1} D1 140 0\n"
+        log = parse_event_log_text(text)
+        assert log.event(0) == DetectionEvent(2**63 - 1, "D1", 140, 0)
+        assert counts_of(gate_and_count(log)) == {0: (1, 0, 0)}
+
+    def test_gate_without_a_timing_cell_is_reported_at_its_header_line(self):
+        text = "# version=1\n# seed=1\n# trials_per_setting=5\n# setting 0 0 0\n# gate_d1_ns=1.0\n"
+        message = "^run.log:5: gate_d1_ns of 1.0 ns around 131.0 ns holds no multiple of 2 ns$"
+        with pytest.raises(ParseError, match=message) as err:
+            parse_event_log_text(text, source="run.log")
+        assert err.value.line == 5
+
     def test_trials_beyond_the_run_rejected(self):
         """Two trials per setting, then clicks at trials 5 and 7 that no run made."""
         text = (
@@ -311,45 +389,27 @@ class TestGateAndCount:
     def test_click_outside_gate_ignored(self):
         log = make_log(
             [
-                DetectionEvent(0, "D1", 100, 0),  # inside D1 gate
-                DetectionEvent(0, "D2", 600, 0),  # outside D2 gate
+                (0, 0, 100),  # inside D1 gate
+                (0, 1, 600),  # outside D2 gate
             ]
         )
         table = gate_and_count(log)
         assert table.rows[0] == SettingCounts(n_s=1, n_i=0, n_si=0, n_trials=100)
 
     def test_gate_edges_are_inclusive(self):
-        log = make_log(
-            [
-                DetectionEvent(0, "D1", 65, 0),
-                DetectionEvent(1, "D1", 205, 0),
-                DetectionEvent(2, "D2", 265, 0),
-                DetectionEvent(3, "D2", 395, 0),
-            ]
-        )
+        log = make_log([(0, 0, 65), (1, 0, 205), (2, 1, 265), (3, 1, 395)])
         table = gate_and_count(log)
         assert table.rows[0].n_s == 2 and table.rows[0].n_i == 2
 
     def test_first_click_rule_deduplicates(self):
         """Extra clicks in the same gate change nothing (start/stop semantics)."""
-        log = make_log(
-            [
-                DetectionEvent(0, "D1", 66, 0),
-                DetectionEvent(0, "D1", 70, 0),
-                DetectionEvent(0, "D1", 72, 0),
-                DetectionEvent(0, "D2", 300, 0),
-                DetectionEvent(0, "D2", 302, 0),
-            ]
-        )
+        log = make_log([(0, 0, 66), (0, 0, 70), (0, 0, 72), (0, 1, 300), (0, 1, 302)])
         table = gate_and_count(log)
         assert table.rows[0] == SettingCounts(n_s=1, n_i=1, n_si=1, n_trials=100)
 
     def test_perfectly_paired_trials_all_coincide(self):
-        events = []
-        for trial in range(17):
-            events.append(DetectionEvent(trial, "D1", 100, 0))
-            events.append(DetectionEvent(trial, "D2", 330, 0))
-        table = gate_and_count(make_log(events))
+        rows = [(trial, channel, t) for trial in range(17) for channel, t in ((0, 100), (1, 330))]
+        table = gate_and_count(make_log(rows))
         assert table.rows[0].n_si == 17
 
     def test_idempotent(self):
@@ -362,38 +422,58 @@ class TestGateAndCount:
         cfg = ExperimentConfig(bg_prob_s=1e-3, bg_prob_i=1e-3)
         settings_ = [MeasurementSetting(0, 0), MeasurementSetting(30, -10)]
         log = run_trials(cfg, settings_, 50_000, seed=23)
+        order = np.random.default_rng(4).permutation(len(log))
         shuffled = EventLog(
             config=log.config,
             settings=log.settings,
             seed=log.seed,
             n_trials_per_setting=log.n_trials_per_setting,
-            events=np.random.default_rng(4).permutation(log.events),
+            trial=log.trial[order],
+            channel=log.channel[order],
+            t_ns=log.t_ns[order],
         )
         expected = counts_of(gate_and_count(log))
         assert expected == log.true_counts == oracle_gate_counts(log)
+        # construction sorts by (trial, t_ns); no two channels share a time here
+        assert shuffled == log
         assert counts_of(gate_and_count(shuffled)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
         rows=st.lists(
-            st.tuples(st.integers(0, 29), st.integers(0, 1), st.integers(0, 250)),
+            st.tuples(st.integers(0, 29), st.integers(0, 1), st.integers(0, 500)),
             max_size=60,
         ),
         n_per=st.integers(10, 30),
+        widths=st.sampled_from(GATE_WIDTHS),
     )
-    def test_matches_the_structured_unique_oracle(self, rows, n_per):
-        """Any order, repeats and out-of-gate clicks: the same counts as the original gating."""
-        events = np.zeros(len(rows), dtype=EVENT_DTYPE)
-        for k, (trial, chan, half_ns) in enumerate(rows):
-            events[k] = (trial, chan, 2 * half_ns, trial // n_per)
-        log = EventLog(
-            config=ExperimentConfig(),
+    def test_matches_the_structured_unique_oracle(self, rows, n_per, widths):
+        """Any order, repeats, odd times and out-of-gate clicks: the same counts as the original gating."""
+        log = make_log(
+            rows,
             settings=(MeasurementSetting(0, 0), MeasurementSetting(0, 90), MeasurementSetting(90, 0)),
-            seed=0,
-            n_trials_per_setting=n_per,
-            events=events,
+            n=n_per,
+            config=ExperimentConfig(gate_d1_ns=widths[0], gate_d2_ns=widths[1]),
         )
         assert counts_of(gate_and_count(log)) == oracle_gate_counts(log)
+
+    @pytest.mark.parametrize("widths", GATE_WIDTHS, ids=["odd_edges", "half_ns_edges", "even_edges"])
+    def test_times_next_to_the_gate_edges_match_the_oracle(self, widths):
+        """Each time from one ns outside to one ns inside each gate edge, in a trial of its own.
+
+        The edges fall on odd, half-ns and even times, so odd off-grid times sit
+        on an edge, one ns inside it and one ns outside it.  Of the times next to
+        each edge two lie inside, so each gate counts four.
+        """
+        config = ExperimentConfig(gate_d1_ns=widths[0], gate_d2_ns=widths[1])
+        rows = []
+        for channel, (center, width) in enumerate(gate_windows(config)):
+            for edge in (center - width / 2, center + width / 2):
+                times = range(math.floor(edge) - 1, math.ceil(edge) + 2)
+                rows += [(len(rows) + k, channel, t) for k, t in enumerate(times)]
+        assert any(t % 2 for _, _, t in rows)
+        log = make_log(rows, n=len(rows), config=config)
+        assert counts_of(gate_and_count(log)) == oracle_gate_counts(log) == {0: (4, 4, 0)}
 
     @pytest.mark.parametrize(
         "rows, expected",
@@ -401,45 +481,39 @@ class TestGateAndCount:
             ([], {0: (0, 0, 0), 1: (0, 0, 0)}),
             # every click outside its own gate, including D1 and D2 times swapped
             (
-                [(0, 0, 64, 0), (0, 1, 264, 0), (1, 0, 330, 0), (2, 1, 135, 0), (3, 1, 396, 1)],
+                [(0, 0, 64), (0, 1, 264), (1, 0, 330), (2, 1, 135), (2**41 + 3, 1, 396)],
                 {0: (0, 0, 0), 1: (0, 0, 0)},
             ),
-            # channel code 2 is no detector, even inside either gate
+            # odd times: on each gate edge, one ns inside it and one ns outside it
             (
-                [(0, 2, 135, 0), (0, 2, 330, 0), (1, 0, 135, 0), (1, 2, 330, 0)]
-                + [(2, 2, 135, 0), (2, 1, 330, 0)],
-                {0: (1, 1, 0), 1: (0, 0, 0)},
+                [(0, 0, 63), (1, 0, 65), (2, 0, 67), (3, 0, 203), (4, 0, 205), (5, 0, 207)]
+                + [(2**41 + k, 1, t) for k, t in enumerate((263, 265, 267, 393, 395, 397))],
+                {0: (4, 0, 0), 1: (0, 4, 0)},
             ),
             # trials above 2**40, out of order, with a repeated D1 click
             (
                 [
-                    (2**41 + 3, 1, 330, 1),
-                    (2**40 + 1, 0, 100, 0),
-                    (2**41 + 3, 0, 140, 1),
-                    (2**40 + 1, 0, 102, 0),
-                    (2**40, 1, 300, 0),
+                    (2**41 + 3, 1, 330),
+                    (2**40 + 1, 0, 100),
+                    (2**41 + 3, 0, 140),
+                    (2**40 + 1, 0, 102),
+                    (2**40, 1, 300),
                 ],
                 {0: (1, 1, 0), 1: (1, 1, 1)},
             ),
         ],
-        ids=["empty", "all_outside_gates", "channel_two_ignored", "trials_above_2_40"],
+        ids=["empty", "all_outside_gates", "odd_times_at_the_edges", "trials_above_2_40"],
     )
     def test_edge_logs_match_the_structured_unique_oracle(self, rows, expected):
-        log = EventLog(
-            config=ExperimentConfig(),
-            settings=(MeasurementSetting(0, 0), MeasurementSetting(0, 90)),
-            seed=0,
-            n_trials_per_setting=2**41,
-            events=np.array(rows, dtype=EVENT_DTYPE),
-        )
+        log = make_log(rows, settings=(MeasurementSetting(0, 0), MeasurementSetting(0, 90)), n=2**41)
         assert counts_of(gate_and_count(log)) == oracle_gate_counts(log) == expected
 
     def test_gates_follow_the_log_config(self):
         """Narrowing the D1 gate in the log's config drops a click that counted before."""
-        events = [DetectionEvent(0, "D1", 70, 0), DetectionEvent(1, "D1", 135, 0)]
-        assert gate_and_count(make_log(events)).rows[0].n_s == 2
+        rows = [(0, 0, 70), (1, 0, 135)]
+        assert gate_and_count(make_log(rows)).rows[0].n_s == 2
         # the D1 gate [65, 205] ns becomes [91, 171] ns
-        narrow = make_log(events, config=ExperimentConfig(gate_d1_ns=80.0))
+        narrow = make_log(rows, config=ExperimentConfig(gate_d1_ns=80.0))
         assert gate_windows(narrow.config)[0] == (131.0, 80.0)
         assert gate_and_count(narrow).rows[0].n_s == 1
 

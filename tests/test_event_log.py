@@ -1,8 +1,9 @@
 """Event-log writer and parser: totality, round trips, and agreement with the line-loop parser.
 
 ``oracle_parse_event_log_text`` below is the line-at-a-time parser that the
-column parser replaced, kept verbatim as the reference apart from its name and its
-``config.validate()`` call, whose checks the config's construction now makes.  On near-valid logs
+column parser replaced, kept verbatim as the reference apart from its name, its
+``config.validate()`` call, whose checks the config's construction now makes, and
+its last line, which hands the record columns to ``EventLog``.  On near-valid logs
 (a canonical log with one mutation) both must return equal logs or raise
 the same ParseError at the same line.  The spellings the column parser
 rejects on purpose, which the reference let through ``int()`` and
@@ -174,7 +175,13 @@ def oracle_parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
 
     ordered = tuple(settings[sid] for sid in range(len(settings)))
     return EventLog(
-        config=config, settings=ordered, seed=seed, n_trials_per_setting=n_per, events=events
+        config=config,
+        settings=ordered,
+        seed=seed,
+        n_trials_per_setting=n_per,
+        trial=events["trial"],
+        channel=events["channel"],
+        t_ns=events["t_ns"],
     )
 
 
@@ -203,13 +210,16 @@ def event_logs(draw, int64_scale=False, max_events=20):
             )
         )
     rows.sort(key=lambda r: (r[0], r[2]))
-    events = np.array([(trial, chan, 2 * cell, trial // n_per) for trial, chan, cell in rows], dtype=EVENT_DTYPE)
+    columns = np.array([(trial, chan, 2 * cell) for trial, chan, cell in rows], dtype=np.int64)
+    trial, channel, t_ns = columns.reshape(-1, 3).T
     return EventLog(
         config=CONFIG,
         settings=[MeasurementSetting(22.5 * k, -45.0 * k) for k in range(n_settings)],
         seed=draw(st.integers(0, 2**64 - 1)),
         n_trials_per_setting=n_per,
-        events=events,
+        trial=trial,
+        channel=channel,
+        t_ns=t_ns,
     )
 
 

@@ -21,7 +21,6 @@ from dlczsim.simulator import (
     EventLog,
     ExperimentConfig,
     decoherence_visibility,
-    events_to_array,
     expected_g_si,
     gate_windows,
     joint_outcome_probs,
@@ -397,6 +396,35 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="cycle"):
             ExperimentConfig(delta_t_ns=2000.0)  # read gate past 1500 ns
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ExperimentConfig(gate_d1_ns=1.0),
+            lambda: dataclasses.replace(ExperimentConfig(), gate_d1_ns=1.0),
+            lambda: ExperimentConfig.from_mapping({"gate_d1_ns": 1.0}),
+        ],
+        ids=["constructor", "replace", "from_mapping"],
+    )
+    def test_gate_without_a_timing_cell_rejected(self, build):
+        """The D1 gate [130.5, 131.5] ns holds no even time; it once gave P_s = 0.00215 and no run."""
+        message = "gate_d1_ns of 1.0 ns around 131.0 ns holds no multiple of 2 ns"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_gate_without_a_timing_cell_names_its_config_line(self, tmp_path):
+        path = tmp_path / "narrow.cfg"
+        path.write_text("delta_t_ns = 200\ngate_d1_ns = 1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: gate_d1_ns of 1.0 ns"):
+            load_config(path)
+
+    def test_one_ns_gate_on_a_timing_cell_builds(self):
+        """The D2 gate [329.5, 330.5] ns holds the 330 ns cell, and every D2 click lands there."""
+        assert gate_windows(ExperimentConfig(gate_d2_ns=1.0))[1] == (330.0, 1.0)
+        cfg = clean_config(delta_t_ns=200.0, gate_d2_ns=1.0)
+        assert gate_windows(cfg)[1] == (330.0, 1.0)
+        log = run_trials(cfg, [MeasurementSetting(0, 0)], 2_000, seed=3)
+        assert set(log.t_ns[log.channel == 1].tolist()) == {330}
+
     def test_read_gate_beyond_dark_period_warns(self):
         with pytest.warns(UserWarning, match="dark"):
             ExperimentConfig(delta_t_ns=1000.0)  # ends at 1195 ns < cycle
@@ -757,15 +785,18 @@ class TestEventLogContainer:
         key = ev["trial"] * 10_000_000 + ev["t_ns"]
         assert np.all(np.diff(key) >= 0)
 
-    def test_events_to_array_round_trip(self):
-        events = [
-            DetectionEvent(trial=0, channel="D1", t_ns=66, setting_id=0),
-            DetectionEvent(trial=0, channel="D2", t_ns=330, setting_id=0),
-            DetectionEvent(trial=3, channel="D2", t_ns=332, setting_id=1),
-        ]
-        arr = events_to_array(events)
-        assert arr.dtype == EVENT_DTYPE
-        assert [tuple(row) for row in arr] == [(0, 0, 66, 0), (0, 1, 330, 0), (3, 1, 332, 1)]
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_records_built_from_columns_equal_the_oracle_records(self, case):
+        """The records carry the setting derived from the trial, packed as the stream's records."""
+        config, settings_ = ORACLE_CASES[case]
+        events, _ = oracle_run(config, settings_, 2_000, seed=77)
+        log = EventLog(config, settings_, 77, 2_000, trial=events["trial"], channel=events["channel"],
+                       t_ns=events["t_ns"])
+        assert log.events.dtype == EVENT_DTYPE
+        assert log.events.tobytes() == events.tobytes()
+        k = len(log) - 1
+        assert log.event(k) == DetectionEvent(int(events["trial"][k]), ("D1", "D2")[events["channel"][k]],
+                                              int(events["t_ns"][k]), int(events["setting_id"][k]))
 
     def test_bad_channel_name_rejected(self):
         with pytest.raises(ValueError):
@@ -778,7 +809,9 @@ class TestEventLogContainer:
             settings=log.settings,
             seed=log.seed,
             n_trials_per_setting=log.n_trials_per_setting,
-            events=log.events.copy(),
+            trial=log.trial,
+            channel=log.channel,
+            t_ns=log.t_ns,
             true_counts=None,
         )
         assert log == twin

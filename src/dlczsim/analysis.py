@@ -168,7 +168,44 @@ class ExponentialFit:
 # by single spaces; the integers are ASCII digits with an optional "-".
 
 
+# 1, 10, ..., 10**19: every uint64 magnitude lies below 10**20
+_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _decimal(column: np.ndarray):
+    """(negative mask, magnitude, width) of the decimal spelling of an int64 column.
+
+    The magnitude is a uint64, so it is exact for the int64 minimum too; the
+    width counts the digits and the "-".
+    """
+    neg = column < 0
+    mag = column.astype(np.uint64)
+    mag[neg] = (-(column[neg] + 1)).astype(np.uint64) + 1
+    digits = np.maximum(np.searchsorted(_POWERS_OF_TEN, mag, side="right"), 1)
+    return neg, mag, digits + neg
+
+
+def _scatter_decimal(buf: np.ndarray, end: np.ndarray, neg, mag, width) -> None:
+    """Write each value into the bytes [end - width, end) of ``buf``: "-", then its digits."""
+    buf[(end - width)[neg]] = ord("-")
+    last, digits = end - 1, width - neg
+    # least significant digit first; only the rows with digits left are written
+    for _ in range(int(digits.max(initial=0))):
+        mag, digit = np.divmod(mag, np.uint64(10))
+        buf[last] = digit.astype(np.uint8) + np.uint8(ord("0"))
+        last, digits = last - 1, digits - 1
+        left = digits > 0
+        if not left.all():
+            last, mag, digits = last[left], mag[left], digits[left]
+
+
 def format_event_log(log: EventLog) -> str:
+    """The version-1 text of a log, its body written a column at a time.
+
+    The digit counts of each row's trial, t_ns and setting id give the line
+    lengths and so every field's place; the fixed bytes and then the digits
+    are scattered into one byte buffer.
+    """
     lines = [f"# version={LOG_FORMAT_VERSION}"]
     for key, value in log.config.as_mapping().items():
         lines.append(f"# {key}={value!r}")
@@ -176,18 +213,29 @@ def format_event_log(log: EventLog) -> str:
     for sid, setting in enumerate(log.settings):
         lines.append(f"# setting {sid} {setting.theta_s_deg!r} {setting.theta_i_deg!r}")
     lines.append(f"# seed={log.seed}")
-    names = np.array(CHANNEL_NAMES)[log.channel].tolist()
-    sids = _setting_ids(log.trial, log.n_trials_per_setting).tolist()
-    body = [
-        f"{trial} {name} {t} {sid}\n"
-        for trial, name, t, sid in zip(log.trial.tolist(), names, log.t_ns.tolist(), sids)
-    ]
-    return "\n".join(lines) + "\n" + "".join(body)
+
+    # a body line: <trial> " D" <channel byte> " " <t_ns> " " <setting_id> "\n"
+    trial, t_ns, sid = (
+        _decimal(column)
+        for column in (log.trial, log.t_ns, _setting_ids(log.trial, log.n_trials_per_setting))
+    )
+    line_end = np.cumsum(trial[2] + t_ns[2] + sid[2] + 6)
+    buf = np.empty(int(line_end[-1]) if len(line_end) else 0, dtype=np.uint8)
+    sid_end = line_end - 1  # the newline
+    t_end = sid_end - sid[2] - 1  # the space before the setting id
+    trial_end = t_end - t_ns[2] - 4  # the space before the channel
+    buf[trial_end] = buf[trial_end + 3] = buf[t_end] = ord(" ")
+    buf[trial_end + 1] = ord("D")
+    buf[trial_end + 2] = log.channel + np.uint8(ord("1"))
+    buf[sid_end] = ord("\n")
+    for end, field in ((trial_end, trial), (t_end, t_ns), (sid_end, sid)):
+        _scatter_decimal(buf, end, *field)
+    return "\n".join(lines) + "\n" + buf.tobytes().decode("ascii")
 
 
 def write_event_log(log: EventLog, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_event_log(log))
+    with open(path, "wb") as fh:
+        fh.write(format_event_log(log).encode("utf-8"))
 
 
 # every integer of up to 18 decimal digits fits in an int64

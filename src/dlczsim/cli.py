@@ -237,7 +237,11 @@ def _cmd_simulate(args) -> _Report:
         config = _load(simulator.load_config, args.config)
     settings = _load(simulator.load_settings, args.settings)
     log = simulator.run_trials(config, settings, args.n, args.seed)
-    analysis.write_event_log(log, args.out)
+    try:
+        analysis.write_event_log(log, args.out)
+    except OSError as exc:
+        # a path that cannot be written is an argument error
+        raise ValueError(f"{args.out}: {exc.strerror or exc}") from None
     table = _settings_table(analysis.gate_and_count(log))
     text = [
         f"wrote {len(log)} events to {args.out}",

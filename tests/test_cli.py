@@ -227,6 +227,23 @@ class TestSimulateAndAnalyze:
                 assert table[0] == "setting_id,theta_s_deg,theta_i_deg,n_s,n_i,n_si"
                 assert table == [ln for ln in analyzed.splitlines() if not ln.startswith("#")]
 
+    @pytest.mark.parametrize(
+        "out, reason",
+        [
+            (".", "Is a directory"),
+            ("missing/run.log", "No such file or directory"),
+            ("", "No such file or directory"),
+        ],
+        ids=["directory", "missing_directory", "empty"],
+    )
+    def test_unwritable_out_path_exits_one(self, capsys, tmp_path, settings_file, out, reason):
+        path = str(tmp_path / out) if out else out
+        code, _, err = run_cli(capsys, "simulate", "--settings", settings_file, "--n", "10",
+                               "--out", path)
+        assert code == 1
+        assert err == f"error: {path}: {reason}\n"
+        assert "Traceback" not in err
+
     def test_missing_log_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze-gsi", "--log", str(tmp_path / "gone.log"))
         assert code == 2

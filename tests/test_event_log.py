@@ -1,4 +1,4 @@
-"""Event-log writer and parser: totality, round trips, and agreement with the line-loop parser.
+"""Event-log writer and parser: totality, round trips, and agreement with the line-loop versions.
 
 ``oracle_parse_event_log_text`` below is the line-at-a-time parser that the
 column parser replaced, kept verbatim as the reference apart from its name, its
@@ -8,6 +8,10 @@ its last line, which hands the record columns to ``EventLog``.  On near-valid lo
 the same ParseError at the same line.  The spellings the column parser
 rejects on purpose, which the reference let through ``int()`` and
 ``str.strip()``, are listed one test each.
+
+``oracle_format_event_log`` is the one-f-string-per-event writer that the
+column writer replaced, kept verbatim apart from its name.  Both must give the
+same bytes for every log, valid or not.
 """
 
 import numpy as np
@@ -18,7 +22,15 @@ from hypothesis import strategies as st
 from dlczsim import analysis
 from dlczsim.analysis import LOG_FORMAT_VERSION, ParseError, format_event_log
 from dlczsim.predictor import MeasurementSetting
-from dlczsim.simulator import CHANNEL_NAMES, EVENT_DTYPE, EventLog, ExperimentConfig, run_trials
+from dlczsim.simulator import (
+    CHANNEL_NAMES,
+    EVENT_DTYPE,
+    EventLog,
+    ExperimentConfig,
+    _setting_ids,
+    run_trials,
+)
+from test_simulator import ORACLE_CASES
 
 INT64_MAX = 2**63 - 1
 CONFIG = ExperimentConfig()  # 2 ns resolution, 1500 ns cycle
@@ -185,6 +197,26 @@ def oracle_parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     )
 
 
+# ---------------------------------------------------------------------------
+# the f-string writer, verbatim
+# ---------------------------------------------------------------------------
+
+
+def oracle_format_event_log(log: EventLog) -> str:
+    lines = [f"# version={LOG_FORMAT_VERSION}"]
+    for key, value in log.config.as_mapping().items():
+        lines.append(f"# {key}={value!r}")
+    lines.append(f"# trials_per_setting={log.n_trials_per_setting}")
+    for sid, setting in enumerate(log.settings):
+        lines.append(f"# setting {sid} {setting.theta_s_deg!r} {setting.theta_i_deg!r}")
+    lines.append(f"# seed={log.seed}")
+    names = np.array(CHANNEL_NAMES)[log.channel].tolist()
+    sids = _setting_ids(log.trial, log.n_trials_per_setting).tolist()
+    body = [
+        f"{trial} {name} {t} {sid}\n"
+        for trial, name, t, sid in zip(log.trial.tolist(), names, log.t_ns.tolist(), sids)
+    ]
+    return "\n".join(lines) + "\n" + "".join(body)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +252,38 @@ def event_logs(draw, int64_scale=False, max_events=20):
         trial=trial,
         channel=channel,
         t_ns=t_ns,
+    )
+
+
+# decimal spellings at the edges: every digit count, both signs and the int64 extremes
+EDGE_MAGNITUDES = sorted(
+    {0, 1, 9, 10, INT64_MAX} | {10**k + d for k in range(1, 19) for d in (-1, 1)}
+)
+EDGE_TIMES = sorted({s * v for v in EDGE_MAGNITUDES for s in (1, -1)} | {-INT64_MAX - 1})
+
+
+@st.composite
+def hand_built_logs(draw):
+    """A log built from drawn columns: t_ns anywhere in int64, trials at the digit edges."""
+    n_settings = draw(st.integers(1, 3))
+    n_per = draw(st.sampled_from([0, 1, 7, INT64_MAX, 2**64]))
+    n_trials = min(n_settings * n_per, INT64_MAX + 1)
+    size = draw(st.integers(0, 12)) if n_trials else 0
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=size, max_size=size))
+
+    edge_trials = [t for t in EDGE_MAGNITUDES if t < n_trials]
+    trials = st.sampled_from(edge_trials) | st.integers(0, n_trials - 1)
+    on_grid = st.integers(0, 750).map(lambda cell: 2 * cell)
+    return EventLog(
+        config=CONFIG,
+        settings=[MeasurementSetting(22.5 * k, -45.0 * k) for k in range(n_settings)],
+        seed=draw(st.integers(0, 2**64 - 1)),
+        n_trials_per_setting=n_per,
+        trial=np.array(column(trials), dtype=np.int64),
+        channel=np.array(column(st.integers(0, 1)), dtype=np.uint8),
+        t_ns=np.array(column(st.sampled_from(EDGE_TIMES) | on_grid), dtype=np.int64),
     )
 
 
@@ -336,6 +400,35 @@ class TestRoundTrip:
         for trial, name, t, sid in zip(ev["trial"], chan, ev["t_ns"], ev["setting_id"]):
             lines.append(f"{trial} {name} {t} {sid}")
         assert format_event_log(log) == "\n".join(lines) + "\n"
+
+
+class TestAgainstTheFStringWriter:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_simulated_runs(self, case):
+        config, settings_ = ORACLE_CASES[case]
+        log = run_trials(config, settings_, 20_000, seed=77)
+        assert len(log) > 0
+        assert format_event_log(log).encode() == oracle_format_event_log(log).encode()
+
+    def test_empty_log_is_the_header_alone(self):
+        log = run_trials(CONFIG, [MeasurementSetting(0, 0)], 0, seed=1)
+        assert format_event_log(log).encode() == oracle_format_event_log(log).encode()
+        assert format_event_log(log).endswith("# seed=1\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_logs())
+    def test_hand_built_columns(self, log):
+        text = format_event_log(log)
+        assert text.encode() == oracle_format_event_log(log).encode()
+        res = int(CONFIG.tia_resolution_ns)
+        if np.all((log.t_ns % res == 0) & (log.t_ns >= 0) & (log.t_ns <= CONFIG.cycle_ns)):
+            assert parse(text) == log
+
+    def test_file_holds_the_same_bytes_with_newlines_untranslated(self, tmp_path):
+        config, settings_ = ORACLE_CASES["defaults"]
+        log = run_trials(config, settings_, 20_000, seed=77)
+        analysis.write_event_log(log, tmp_path / "run.log")
+        assert (tmp_path / "run.log").read_bytes() == oracle_format_event_log(log).encode()
 
 
 class TestAgainstTheLineLoopParser:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .grammar import ascii_float, ascii_int, read_text
 from .predictor import (
@@ -633,7 +632,11 @@ def chsh_from_log(log: EventLog, angles_deg=CANONICAL_ANGLES_DEG) -> CHSHResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_lm(residual, jacobian, x0) -> "least_squares":
+def _run_lm(residual, jacobian, x0):
+    # scipy.optimize costs a process about a third of a second to load, so
+    # only the fits pay for it
+    from scipy.optimize import least_squares
+
     result = least_squares(residual, x0, jac=jacobian, method="lm", max_nfev=2000)
     if not result.success:
         raise FitError(f"fit did not converge: {result.message}")

@@ -188,9 +188,10 @@ def _cmd_eta(args) -> _Report:
 
 def _cmd_predict_fringe(args) -> _Report:
     model = FringeModel(eta=args.eta, amplitude=args.amplitude, background=args.background)
+    for flag, value in (("--points", args.points), ("--periods", args.periods)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1 to give at least one sample, got {value}")
     n = args.points * args.periods
-    if n < 1:
-        raise ValueError("need at least one sample point")
     step = 180.0 / args.points
     rows = []
     for k in range(n):
@@ -367,6 +368,8 @@ def _cmd_check_ops(args) -> _Report:
         raise ValueError(f"--n-max must be <= {CHECK_OPS_MAX_ATOMS}, got {args.n_max}")
     if not 1 <= args.n_min <= args.n_max:
         raise ValueError("atom numbers must satisfy 1 <= --n-min <= --n-max")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     scheme = LevelScheme.of(3, 2, 3)
     table = branching_table(scheme)
     rows = []

@@ -11,17 +11,20 @@ the interpolator resolution.
 
 Randomness is counter-based: trial ``t`` always reads the same words of
 the keyed Philox stream, so a run is reproducible event-for-event no matter
-how trials are chunked or distributed.  Each trial reads one word and
-samples its joint click class from the same table the closed form sums;
-only click trials read more words, for their timestamps.
+how trials are cut into units or spread over threads.  Each trial reads one
+word and samples its joint click class from the same table the closed form
+sums; only click trials read more words, for their timestamps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import os
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -66,8 +69,15 @@ _COLUMNS = {"trial": np.int64, "channel": np.uint8, "t_ns": np.int64}
 # the time words of a click are keyed by its block of 2**16 trials
 _BLOCK_BITS = 16
 
-# trials drawn at a time: it bounds the draw's memory, and no output depends on it
-_CHUNK_TRIALS = 1 << 18
+# trials drawn as one unit: a whole number of blocks, cut at its global
+# multiples; it bounds a unit's memory, and no output depends on it
+_UNIT_TRIALS = 1 << 18
+
+# threads drawing units at once: at most two, and no more than the CPUs this
+# process may run on; no output depends on it
+_WORKERS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 # click class c of one trial: bit 0 a D1 pair click, bit 1 a D1 background
 # click, bit 2 a D2 pair click, bit 3 a D2 background click; class 0 is silent
@@ -463,59 +473,81 @@ def _classify(words: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rows, 1 + np.searchsorted(limits, words[rows] >> np.uint64(11), side="right")
 
 
-def _draw_clicks(config, settings, n_trials_per_setting, seed):
-    """Per chunk: (setting id, clicks by origin, (n_s, n_i, n_si)).
+def _seek(gen: np.random.Philox, state: dict, stream: int, counter: int) -> np.random.Philox:
+    """Position gen as ``Philox(key=seed + (stream << 64))`` after ``counter`` blocks.
+
+    ``state`` is the state of a fresh ``Philox(key=seed)``: key words
+    (seed, 0), counter 0 and an empty buffer; it is reused, and setting it
+    costs a tenth of constructing a generator.  The buffer stays empty, so
+    the next raw word is word 0 of counter ``counter + 1``: raw word
+    ``4 * counter`` of that key's stream.
+    """
+    state["state"]["key"][1] = stream
+    state["state"]["counter"][0] = counter
+    gen.state = state
+    return gen
+
+
+def _draw_unit(lo, hi, *, seed, n_trials_per_setting, cums, cells, span):
+    """Sorted event keys and per-setting (n_s, n_i, n_si) of the trials [lo, hi).
 
     Trial t reads raw word t of numpy's ``Philox(key=seed).random_raw()``
     (word t % 4 of counter t // 4 + 1, as numpy steps the counter before
-    each block) as its gate word.  With u = (word >> 11) * 2**-53 and S_c
-    the sum of the probabilities of classes 1..c (S_0 = 0), the trial falls
-    in class c >= 1 when S_{c-1} <= u < S_c and is silent when u >= S_15
-    (``_classify``).  Both tests are integer compares of the word against
-    ``ceil(S * 2**53)``, as in ``_below``, so a class of probability 0 is
-    never drawn and one of probability 1 always is.  Only click trials are
-    classified, and the k-th click trial of block b = t >> 16 (k from 0)
-    reads raw words 4k..4k+3 of ``Philox(key=seed + ((b + 1) << 64))``, the
-    four words of counter k + 1 under a key the gate words never use: the
-    times of its D1 pair, D1 background, D2 pair and D2 background clicks.
-    Both keys are read strictly in trial order, so chunks of
-    ``_CHUNK_TRIALS`` trials and setting boundaries do not matter.
+    each block) as its gate word, so a unit, which starts at a multiple of
+    4, reads its words from counter lo // 4 on.  With u = (word >> 11) *
+    2**-53 and S_c the sum of the probabilities of classes 1..c (S_0 = 0,
+    ``cums[k]`` for setting k), the trial falls in class c >= 1 when
+    S_{c-1} <= u < S_c and is silent when u >= S_15 (``_classify``).  Both
+    tests are integer compares of the word against ``ceil(S * 2**53)``, as
+    in ``_below``, so a class of probability 0 is never drawn and one of
+    probability 1 always is.  Only click trials are classified, and the
+    k-th click trial of block b = t >> 16 (k from 0) reads raw words
+    4k..4k+3 of ``Philox(key=seed + ((b + 1) << 64))``, the four words of
+    counter k + 1 under a key the gate words never use: the times of its D1
+    pair, D1 background, D2 pair and D2 background clicks.  A unit holds
+    whole blocks, so it needs no click count from before lo.
+
+    ``cells[channel]`` is the first cell of that channel's gate, counted
+    from the keys' cell origin, and its number of cells; ``span`` is the
+    number of cells per trial in a key.
     """
-    gate = np.random.Philox(key=seed)
-    # one time-word generator, re-keyed per block: the state of a fresh
-    # Philox(key=seed + ((b + 1) << 64)) is key words (seed, b + 1), counter 0
-    # and an empty buffer, and setting it costs a tenth of constructing one
-    timer = np.random.Philox(key=seed)
-    keyed = timer.state
-    block = -1  # the block the time-word generator is keyed for
-    for sid, setting in enumerate(settings):
-        cum = np.cumsum(_click_classes(config, setting, config.delta_t_ns)[1:])
-        base = sid * n_trials_per_setting
-        for lo in range(base, base + n_trials_per_setting, _CHUNK_TRIALS):
-            hi = min(lo + _CHUNK_TRIALS, base + n_trials_per_setting)
-            rows, classes = _classify(gate.random_raw(hi - lo), cum)
-            if len(rows) == 0:
-                continue
-            trials = lo + rows
-            times = np.empty((len(trials), 4), dtype=np.uint64)
-            blocks = trials >> _BLOCK_BITS
-            starts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist()
-            for start, stop in zip(starts, starts[1:] + [len(trials)]):
-                if blocks[start] != block:
-                    block = int(blocks[start])
-                    keyed["state"]["key"][1] = block + 1
-                    timer.state = keyed
-                times[start:stop] = timer.random_raw(4 * (stop - start)).reshape(-1, 4)
-            origins = []
-            for bit in range(4):
-                has = ((classes >> bit) & 1) == 1
-                origins.append((trials[has], times[has, bit]))
-            counts = np.bincount(classes, minlength=16)
-            yield sid, origins, (
-                counts[_D1_CLICKS].sum(),
-                counts[_D2_CLICKS].sum(),
-                counts[_BOTH_CLICK].sum(),
-            )
+    gen = np.random.Philox(key=seed)
+    fresh = gen.state
+    words = _seek(gen, fresh, 0, lo // 4).random_raw(hi - lo)
+    n = n_trials_per_setting
+    tallies = np.zeros((len(cums), 3), dtype=np.int64)
+    trials, classes = [], []
+    for sid in range(lo // n, (hi - 1) // n + 1):
+        a, b = max(lo, sid * n), min(hi, (sid + 1) * n)
+        rows, cls = _classify(words[a - lo : b - lo], cums[sid])
+        counts = np.bincount(cls, minlength=16)
+        tallies[sid] = counts[_D1_CLICKS].sum(), counts[_D2_CLICKS].sum(), counts[_BOTH_CLICK].sum()
+        trials.append(a + rows)
+        classes.append(cls)
+    del words
+    trials, classes = np.concatenate(trials), np.concatenate(classes)
+
+    times = np.empty((len(trials), 4), dtype=np.uint64)
+    blocks = trials >> _BLOCK_BITS
+    starts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist()
+    for start, stop in zip(starts, starts[1:] + [len(trials)]):
+        block = _seek(gen, fresh, int(blocks[start]) + 1, 0)
+        times[start:stop] = block.random_raw(4 * (stop - start)).reshape(-1, 4)
+
+    # bits of the class: D1 pair, D1 background, D2 pair, D2 background
+    keys = []
+    for bit in range(4):
+        has = ((classes >> bit) & 1) == 1
+        channel = bit >> 1
+        first, count = cells[channel]
+        key = (_uniform(times[has, bit]) * count).astype(np.int64)
+        key += trials[has] * span + first
+        key *= 2
+        key += channel
+        keys.append(key)
+    # a key holds its whole event, so the sorted keys are the sorted events;
+    # the stable sort merges the origins' runs, each already in trial order
+    return np.sort(np.concatenate(keys), kind="stable"), tallies
 
 
 def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, seed: int) -> EventLog:
@@ -526,16 +558,19 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
     time) with the exact per-setting tallies attached as ``true_counts``.
 
     Each trial reads one raw word and each click trial four more
-    (``_draw_clicks``), so the log does not depend on the chunk size.  A
-    click's timestamp is the time word's uniform variate scaled onto its
-    gate's resolution cells.
+    (``_draw_unit``), at counters fixed by the trial alone.  The trials are
+    drawn in units cut at the global multiples of ``_UNIT_TRIALS``, on
+    ``_WORKERS`` threads, so the log depends on neither.  A click's
+    timestamp is the time word's uniform variate scaled onto its gate's
+    resolution cells.
 
     Events are assembled as one int64 column: each click's key
     ``(trial * span + cell) * 2 + channel``, with ``cell`` counted from the
     earliest gate start and ``span`` cells per trial, holds the whole event.
-    The keys of all origins are sorted once (stable), and the log's columns
-    come from the sorted keys: trial and cell from ``divmod`` by the span,
-    channel from the low bit.
+    Each unit sorts its keys; the units are in trial order, so their sorted
+    keys, joined, are the sorted keys of the run.  The log's columns come
+    from them: trial and cell from ``divmod`` by the span, channel from the
+    low bit.
     """
     settings = tuple(settings)
     if not 0 <= seed < 2**64:
@@ -553,25 +588,28 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
             f"{n_total} trials x {span} timing cells per trial overflow the int64 sort key"
         )
 
-    keys = [np.zeros(0, dtype=np.int64)]
+    draw = functools.partial(
+        _draw_unit,
+        seed=seed,
+        n_trials_per_setting=n_trials_per_setting,
+        cums=[np.cumsum(_click_classes(config, s, config.delta_t_ns)[1:]) for s in settings],
+        cells=[(first - first_cell, cells) for first, cells in gates],
+        span=span,
+    )
+    lows = range(0, n_total, _UNIT_TRIALS)
+    highs = [min(lo + _UNIT_TRIALS, n_total) for lo in lows]
+    if _WORKERS > 1 and len(lows) > 1:
+        with ThreadPoolExecutor(_WORKERS) as pool:
+            units = list(pool.map(draw, lows, highs))
+    else:
+        units = list(map(draw, lows, highs))
     tallies = np.zeros((len(settings), 3), dtype=np.int64)
-    draws = _draw_clicks(config, settings, n_trials_per_setting, seed)
-    for sid, origins, tally in draws:
-        tallies[sid] += tally
-        # origins: D1 pair, D1 background, D2 pair, D2 background
-        for origin, (trials, words) in enumerate(origins):
-            channel = origin >> 1
-            first, cells = gates[channel]
-            key = (_uniform(words) * cells).astype(np.int64)
-            key += trials * span + (first - first_cell)
-            key *= 2
-            key += channel
-            keys.append(key)
+    for _, unit_tallies in units:
+        tallies += unit_tallies
     true_counts = {sid: tuple(int(x) for x in row) for sid, row in enumerate(tallies)}
 
-    # a key holds its whole event, so the sorted keys are the sorted events;
-    # the stable sort merges the origins' runs, each already in trial order
-    key = np.sort(np.concatenate(keys), kind="stable")
+    key = np.concatenate([np.zeros(0, dtype=np.int64)] + [keys for keys, _ in units])
+    del units
     channel = (key & 1).astype(np.uint8)
     trial, t_ns = np.divmod(key >> 1, span)
     del key

@@ -56,6 +56,13 @@ class TestEntryPoints:
         assert result.returncode == 0
         assert "11/17" in result.stdout
 
+    def test_scipy_is_not_loaded_by_the_package(self):
+        """Only the fits need scipy, so importing the package and its CLI must not load it."""
+        probe = "import sys, dlczsim, dlczsim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_no_arguments_is_a_usage_error(self):
         result = subprocess.run(
             [sys.executable, "-m", "dlczsim"], capture_output=True, text=True
@@ -141,6 +148,22 @@ class TestPredictions:
         code, _, err = run_cli(capsys, "predict-fringe", "--points", "0")
         assert code == 1
         assert "at least one sample" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--points", "-1", "--periods", "-1"), "--points must be >= 1"),
+            (("--points", "-3"), "--points must be >= 1"),
+            (("--periods", "0"), "--periods must be >= 1"),
+            (("--points", "4", "--periods", "-1"), "--periods must be >= 1"),
+        ],
+    )
+    def test_negative_counts_name_their_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "predict-fringe", *argv)
+        assert code == 1
+        assert out == ""
+        assert flag in err and "at least one sample" in err
+        assert "Traceback" not in err
 
 
 class TestSimulateAndAnalyze:
@@ -490,6 +513,12 @@ class TestCheckOps:
         assert code == 1
         assert out == ""
         assert "--n-max" in err and "1000" in err
+
+    def test_negative_seed_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "check-ops", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed must be >= 0, got -1\n"
 
     def test_beyond_twelve_atoms_succeeds(self, capsys):
         payload = run_json(capsys, "check-ops", "--n-min", "12", "--n-max", "13")

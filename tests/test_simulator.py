@@ -163,17 +163,28 @@ def philox4x64(counter, key):
     return c
 
 
+# unit sizes (whole numbers of 2**16-trial blocks) and thread counts the log must not depend on
+UNITS = [1 << 16, 1 << 17, 1 << 18, 1 << 20]
+WORKERS = [1, 2]
+
+
+def cut_units(monkeypatch, unit, workers):
+    monkeypatch.setattr(simulator, "_UNIT_TRIALS", unit)
+    monkeypatch.setattr(simulator, "_WORKERS", workers)
+
+
 class TestStreamPinning:
     """The draw must reproduce the stream's description byte for byte."""
 
-    @pytest.mark.parametrize("chunk", [1, 7_777, 1 << 18])
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("unit", UNITS)
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_byte_equal_to_oracle(self, case, chunk, monkeypatch):
+    def test_byte_equal_to_oracle(self, case, unit, workers, monkeypatch):
         config, settings_ = ORACLE_CASES[case]
-        # past 2**16 trials the time-word blocks straddle the settings
-        n = 2_000 if chunk == 1 else 70_001
+        # past 2**16 trials the time-word blocks and the units straddle the settings
+        n = 70_001
         events, true_counts = oracle_run(config, settings_, n, seed=77)
-        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", chunk)
+        cut_units(monkeypatch, unit, workers)
         log = run_trials(config, settings_, n, seed=77)
         assert len(log) > 0
         assert log.events.tobytes() == events.tobytes()
@@ -189,16 +200,17 @@ class TestStreamPinning:
         assert (same_cell & (ev["channel"][1:] == ev["channel"][:-1])).any()
         assert (same_cell & (ev["channel"][1:] != ev["channel"][:-1])).any()
 
-    @pytest.mark.parametrize("chunk", [1, 7_777, 1 << 18])
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("unit", UNITS)
     @pytest.mark.parametrize(
         "config, n",
         [(ExperimentConfig(), 0), (clean_config(excitation_prob=0.0), 3_000)],
         ids=["zero_trials", "no_clicks"],
     )
-    def test_runs_without_events_equal_the_oracle(self, config, n, chunk, monkeypatch):
+    def test_runs_without_events_equal_the_oracle(self, config, n, unit, workers, monkeypatch):
         settings_ = [MeasurementSetting(0, 0), MeasurementSetting(45, 0)]
         events, true_counts = oracle_run(config, settings_, n, seed=5)
-        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", chunk)
+        cut_units(monkeypatch, unit, workers)
         log = run_trials(config, settings_, n, seed=5)
         assert len(log) == len(events) == 0
         assert log.events.dtype == EVENT_DTYPE
@@ -209,6 +221,37 @@ class TestStreamPinning:
         log = run_trials(ExperimentConfig(), [MeasurementSetting(0, 0)], 50_000, seed=9)
         digest = hashlib.sha256(log.events.tobytes()).hexdigest()
         assert digest == "a7c1621f1cdad7f672925fe833f9b7e15ea1ca5b77fd846ff31c9282f9dae7e4"
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_golden_digest_on_any_number_of_workers(self, workers, monkeypatch):
+        """The golden digest holds whatever the number of threads the process may use."""
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        log = run_trials(ExperimentConfig(), [MeasurementSetting(0, 0)], 50_000, seed=9)
+        digest = hashlib.sha256(log.events.tobytes()).hexdigest()
+        assert digest == "a7c1621f1cdad7f672925fe833f9b7e15ea1ca5b77fd846ff31c9282f9dae7e4"
+
+    def test_units_hold_whole_blocks(self):
+        """A unit must not start inside a block: its clicks' time counters count from the block start."""
+        assert simulator._UNIT_TRIALS % (1 << simulator._BLOCK_BITS) == 0
+
+    @pytest.mark.parametrize("lo", [0, 1 << 16, 3 << 18])
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_positioned_gate_words_continue_the_stream(self, seed, lo):
+        """A unit's gate words, read from counter lo // 4 on, are raw words lo.. of Philox(key=seed)."""
+        gen = np.random.Philox(key=seed)
+        simulator._seek(gen, gen.state, 0, lo // 4)
+        expected = np.random.Philox(key=seed).random_raw(lo + 1_001)[lo:]
+        assert np.array_equal(gen.random_raw(1_001), expected)
+
+    @pytest.mark.parametrize("block", [0, 5, 2**40])
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_reseeked_time_words_are_the_block_stream(self, seed, block):
+        """After any other draw, seeking to stream b + 1 gives the words of a fresh block generator."""
+        gen = np.random.Philox(key=seed)
+        fresh = gen.state
+        simulator._seek(gen, fresh, 0, 5).random_raw(7)
+        words = simulator._seek(gen, fresh, block + 1, 0).random_raw(4 * 3)
+        assert np.array_equal(words, np.random.Philox(key=seed + ((block + 1) << 64)).random_raw(12))
 
     @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
     def test_words_are_philox_blocks_from_counter_one(self, seed):
@@ -242,15 +285,16 @@ class TestStreamPinning:
 class TestClassSampling:
     """One gate word per trial, sampled from the closed-form click-class table."""
 
-    @pytest.mark.parametrize("chunk", [1, 7_777, (1 << 16) - 1, 1 << 18])
-    def test_chunking_does_not_change_the_stream(self, chunk, monkeypatch):
-        """Clicks carry their rank in a block across chunk and setting boundaries."""
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("unit", UNITS)
+    def test_units_do_not_change_the_stream(self, unit, workers, monkeypatch):
+        """Clicks carry their rank in a block across unit and setting boundaries."""
         cfg = clean_config(excitation_prob=0.05, bg_prob_s=0.01, bg_prob_i=0.01, base_visibility=0.8)
         settings_ = [MeasurementSetting(10, 40), MeasurementSetting(67.5, 112.5)]
         n = 40_000
-        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 1 << 20)
+        cut_units(monkeypatch, 1 << 20, 1)
         reference = run_trials(cfg, settings_, n, seed=5)
-        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", chunk)
+        cut_units(monkeypatch, unit, workers)
         log = run_trials(cfg, settings_, n, seed=5)
         assert log == reference
         assert log.true_counts == reference.true_counts
@@ -617,13 +661,14 @@ class TestDeterminism:
         b = run_trials(cfg, [MeasurementSetting(0, 0)], 30_000, seed=124)
         assert a != b
 
-    @pytest.mark.parametrize("chunk", [1_000, 7_777, 1 << 18])
-    def test_chunking_does_not_change_the_stream(self, chunk, monkeypatch):
-        """Trial t owns a fixed counter block, so chunk size is irrelevant."""
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("unit", UNITS)
+    def test_units_do_not_change_the_stream(self, unit, workers, monkeypatch):
+        """Trial t owns a fixed counter block, so unit size and thread count are irrelevant."""
         cfg = ExperimentConfig()
         settings = [MeasurementSetting(0, 0), MeasurementSetting(45, 0)]
         reference = run_trials(cfg, settings, 25_000, seed=9)
-        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", chunk)
+        cut_units(monkeypatch, unit, workers)
         assert run_trials(cfg, settings, 25_000, seed=9) == reference
 
     def test_zero_trials_gives_empty_log(self):

@@ -9,6 +9,7 @@ visibility fits, and the storage-time decay fit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -31,6 +32,8 @@ from .simulator import (
     EventLog,
     ExperimentConfig,
     _INT64_MAX,
+    _even_cuts,
+    _map_on_workers,
     _setting_ids,
     gate_windows,
 )
@@ -167,6 +170,15 @@ class ExponentialFit:
 # by single spaces; the integers are ASCII digits with an optional "-".
 
 
+# rows below which a piece of a log body is not worth a thread of its own;
+# no output depends on it
+_PIECE_ROWS = 1 << 15
+
+# the bytes of the shortest body line, "0 D1 0 0\n": the parser, which
+# counts no rows before it reads them, cuts the body into pieces of at least
+# _PIECE_ROWS * _SHORTEST_LINE bytes
+_SHORTEST_LINE = 9
+
 # 1, 10, ..., 10**19: every uint64 magnitude lies below 10**20
 _POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
 
@@ -198,12 +210,39 @@ def _scatter_decimal(buf: np.ndarray, end: np.ndarray, neg, mag, width) -> None:
             last, mag, digits = last[left], mag[left], digits[left]
 
 
-def format_event_log(log: EventLog) -> str:
-    """The version-1 text of a log, its body written a column at a time.
+def _format_rows(log: EventLog, lo: int, hi: int) -> np.ndarray:
+    """The body lines of the rows [lo, hi) of a log, as one byte buffer.
 
     The digit counts of each row's trial, t_ns and setting id give the line
     lengths and so every field's place; the fixed bytes and then the digits
-    are scattered into one byte buffer.
+    are scattered into the buffer.
+    """
+    # a body line: <trial> " D" <channel byte> " " <t_ns> " " <setting_id> "\n"
+    trial_col = log.trial[lo:hi]
+    trial, t_ns, sid = (
+        _decimal(column)
+        for column in (trial_col, log.t_ns[lo:hi], _setting_ids(trial_col, log.n_trials_per_setting))
+    )
+    line_end = np.cumsum(trial[2] + t_ns[2] + sid[2] + 6)
+    buf = np.empty(int(line_end[-1]) if len(line_end) else 0, dtype=np.uint8)
+    sid_end = line_end - 1  # the newline
+    t_end = sid_end - sid[2] - 1  # the space before the setting id
+    trial_end = t_end - t_ns[2] - 4  # the space before the channel
+    buf[trial_end] = buf[trial_end + 3] = buf[t_end] = ord(" ")
+    buf[trial_end + 1] = ord("D")
+    buf[trial_end + 2] = log.channel[lo:hi] + np.uint8(ord("1"))
+    buf[sid_end] = ord("\n")
+    for end, field in ((trial_end, trial), (t_end, t_ns), (sid_end, sid)):
+        _scatter_decimal(buf, end, *field)
+    return buf
+
+
+def _event_log_text(log: EventLog) -> tuple[str, list]:
+    """(header, body pieces) of the version-1 text of a log.
+
+    The body is cut at row boundaries into up to ``_WORKERS`` pieces of at
+    least ``_PIECE_ROWS`` rows, formatted on as many threads; the pieces'
+    bytes, in order, are the body, so no byte depends on the cut.
     """
     lines = [f"# version={LOG_FORMAT_VERSION}"]
     for key, value in log.config.as_mapping().items():
@@ -213,28 +252,22 @@ def format_event_log(log: EventLog) -> str:
         lines.append(f"# setting {sid} {setting.theta_s_deg!r} {setting.theta_i_deg!r}")
     lines.append(f"# seed={log.seed}")
 
-    # a body line: <trial> " D" <channel byte> " " <t_ns> " " <setting_id> "\n"
-    trial, t_ns, sid = (
-        _decimal(column)
-        for column in (log.trial, log.t_ns, _setting_ids(log.trial, log.n_trials_per_setting))
-    )
-    line_end = np.cumsum(trial[2] + t_ns[2] + sid[2] + 6)
-    buf = np.empty(int(line_end[-1]) if len(line_end) else 0, dtype=np.uint8)
-    sid_end = line_end - 1  # the newline
-    t_end = sid_end - sid[2] - 1  # the space before the setting id
-    trial_end = t_end - t_ns[2] - 4  # the space before the channel
-    buf[trial_end] = buf[trial_end + 3] = buf[t_end] = ord(" ")
-    buf[trial_end + 1] = ord("D")
-    buf[trial_end + 2] = log.channel + np.uint8(ord("1"))
-    buf[sid_end] = ord("\n")
-    for end, field in ((trial_end, trial), (t_end, t_ns), (sid_end, sid)):
-        _scatter_decimal(buf, end, *field)
-    return "\n".join(lines) + "\n" + buf.tobytes().decode("ascii")
+    cuts = _even_cuts(len(log), _PIECE_ROWS)
+    body = _map_on_workers(functools.partial(_format_rows, log), cuts[:-1], cuts[1:])
+    return "\n".join(lines) + "\n", body
+
+
+def format_event_log(log: EventLog) -> str:
+    """The version-1 text of a log, its body written a column at a time, in pieces."""
+    header, body = _event_log_text(log)
+    return header + b"".join(body).decode("ascii")
 
 
 def write_event_log(log: EventLog, path) -> None:
+    header, body = _event_log_text(log)
     with open(path, "wb") as fh:
-        fh.write(format_event_log(log).encode("utf-8"))
+        fh.write(header.encode("utf-8"))
+        fh.writelines(body)
 
 
 # every integer of up to 18 decimal digits fits in an int64
@@ -320,6 +353,39 @@ def _int_column(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
     return np.where(neg, -value, value), bad, too_long
 
 
+def _parse_rows(buf: np.ndarray, lo: int, hi: int):
+    """The body pass over the bytes [lo, hi) of ``buf``, whole lines each ending in "\n".
+
+    Returns whether every line holds exactly three spaces, then the columns
+    of the lines before the first that does not: the offsets in ``buf`` of
+    their newlines, trial, channel, t_ns and setting id, a mask of rows that
+    break the field syntax and a mask of rows with a field too long to read
+    here (see ``_int_column``).
+    """
+    buf = buf[lo:hi]
+    sep = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
+    is_nl = buf[sep] == ord("\n")
+    # rows before the first line without exactly three spaces: each owns
+    # separators (space, space, space, newline)
+    quads = is_nl[: len(sep) // 4 * 4].reshape(-1, 4)
+    aligned = ~quads[:, 0] & ~quads[:, 1] & ~quads[:, 2] & quads[:, 3]
+    n_rows = len(aligned) if aligned.all() else int(np.argmin(aligned))
+    ends = sep[: 4 * n_rows].reshape(n_rows, 4)  # the three spaces and the newline
+    newline = ends[:, 3]
+    line_start = np.zeros_like(newline)
+    line_start[1:] = newline[:-1] + 1
+    sid_end = newline - (buf[newline - 1] == ord("\r"))
+
+    trial, bad, too_long = _int_column(buf, line_start, ends[:, 0])
+    t_ns, bad_t, long_t = _int_column(buf, ends[:, 1] + 1, ends[:, 2])
+    sid, bad_sid, long_sid = _int_column(buf, ends[:, 2] + 1, sid_end)
+    channel = buf[ends[:, 0] + 2] - np.uint8(ord("1"))
+    bad |= bad_t | bad_sid | (ends[:, 1] - ends[:, 0] != 3) | (buf[ends[:, 0] + 1] != ord("D"))
+    bad |= channel > 1
+    too_long |= long_t | long_sid
+    return 4 * n_rows == len(sep), newline + lo, trial, channel, t_ns, sid, bad, too_long
+
+
 def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     """Parse the version-1 text format, validating structure and ordering.
 
@@ -368,27 +434,18 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     if data and not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
-    sep = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
-    is_nl = buf[sep] == ord("\n")
-    # rows before the first line without exactly three spaces: each owns
-    # separators (space, space, space, newline)
-    quads = is_nl[: len(sep) // 4 * 4].reshape(-1, 4)
-    aligned = ~quads[:, 0] & ~quads[:, 1] & ~quads[:, 2] & quads[:, 3]
-    n_rows = len(aligned) if aligned.all() else int(np.argmin(aligned))
-    ends = sep[: 4 * n_rows].reshape(n_rows, 4)  # the three spaces and the newline
-    newline = ends[:, 3]
-    line_start = np.zeros_like(newline)
-    line_start[1:] = newline[:-1] + 1
-    sid_end = newline - (buf[newline - 1] == ord("\r"))
-
-    trial, bad, too_long = _int_column(buf, line_start, ends[:, 0])
-    t_ns, bad_t, long_t = _int_column(buf, ends[:, 1] + 1, ends[:, 2])
-    sid, bad_sid, long_sid = _int_column(buf, ends[:, 2] + 1, sid_end)
-    channel = buf[ends[:, 0] + 2] - np.uint8(ord("1"))
-    bad |= bad_t | bad_sid | (ends[:, 1] - ends[:, 0] != 3) | (buf[ends[:, 0] + 1] != ord("D"))
-    bad |= channel > 1
-    too_long |= long_t | long_sid
-    del line_start, sid_end, bad_t, long_t, bad_sid, long_sid
+    # pieces of whole lines: each inner cut moves to just after a newline
+    inner = _even_cuts(len(buf), _PIECE_ROWS * _SHORTEST_LINE)[1:-1]
+    cuts = [0] + [data.find(b"\n", c - 1) + 1 for c in inner] + [len(buf)]
+    pieces = _map_on_workers(functools.partial(_parse_rows, buf), cuts[:-1], cuts[1:])
+    # the first piece that stops at a line without exactly three spaces is
+    # the last one read
+    n_read = next((k + 1 for k, piece in enumerate(pieces) if not piece[0]), len(pieces))
+    whole = pieces[n_read - 1][0]
+    newline, trial, channel, t_ns, sid, bad, too_long = (
+        np.concatenate(column) for column in zip(*(piece[1:] for piece in pieces[:n_read]))
+    )
+    del pieces
 
     def raw_line(row: int) -> str:
         lo = pos if row == 0 else pos + int(newline[row - 1]) + 1
@@ -415,9 +472,10 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     suspect[1:] |= (trial[1:] < trial[:-1]) | ((trial[1:] == trial[:-1]) & (t_ns[1:] < t_ns[:-1]))
     for row in np.flatnonzero(suspect).tolist():
         check_structure(row)
-    if 4 * n_rows < len(sep):
-        # line n_rows lacks exactly three spaces, so it fails the per-line rules
-        check_structure(n_rows)
+    if not whole:
+        # the line after the rows read lacks exactly three spaces, so it fails
+        # the per-line rules
+        check_structure(len(trial))
 
     # -- header consistency ----------------------------------------------------
     for required in ("seed", "trials_per_setting"):
@@ -537,11 +595,12 @@ def gate_and_count(log: EventLog) -> CoincidenceTable:
         trial = log.trial[(log.channel == channel) & (log.t_ns >= lo) & (log.t_ns <= hi)]
         # the distinct trials: the column is sorted, and no trial is -1
         gated.append(trial[np.diff(trial, prepend=-1) != 0])
-    d1, d2 = gated
-    # the D1 trials that D2 holds too: both are sorted, and -1 pads the end of D2
-    both = d1[np.append(d2, -1)[np.searchsorted(d2, d1)] == d1]
+    # the trials of the shorter list that the longer holds too: both are
+    # sorted, and -1 pads the end of the longer
+    shorter, longer = sorted(gated, key=len)
+    both = shorter[np.append(longer, -1)[np.searchsorted(longer, shorter)] == shorter]
     n_s, n_i, n_si = (
-        np.bincount(_setting_ids(trials, n_per), minlength=n_settings) for trials in (d1, d2, both)
+        np.bincount(_setting_ids(trials, n_per), minlength=n_settings) for trials in (*gated, both)
     )
 
     rows = {

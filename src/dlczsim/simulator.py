@@ -73,11 +73,34 @@ _BLOCK_BITS = 16
 # multiples; it bounds a unit's memory, and no output depends on it
 _UNIT_TRIALS = 1 << 18
 
-# threads drawing units at once: at most two, and no more than the CPUs this
-# process may run on; no output depends on it
+# threads drawing units, or writing or reading pieces of a text log, at once:
+# at most two, and no more than the CPUs this process may run on; no output
+# depends on it
 _WORKERS = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
+
+
+def _map_on_workers(fn, *args) -> list:
+    """``list(map(fn, *args))``, on ``_WORKERS`` threads when there are two items or more.
+
+    The results come back in the order of the items, so no output depends on
+    the number of threads.
+    """
+    if _WORKERS > 1 and len(args[0]) > 1:
+        with ThreadPoolExecutor(_WORKERS) as pool:
+            return list(pool.map(fn, *args))
+    return list(map(fn, *args))
+
+
+def _even_cuts(n: int, least: int) -> list:
+    """Bounds that cut ``[0, n)`` into up to ``_WORKERS`` even pieces of at least ``least``.
+
+    Too short a range for two such pieces stays whole.
+    """
+    pieces = max(1, min(_WORKERS, n // least))
+    return [n * k // pieces for k in range(pieces + 1)]
+
 
 # click class c of one trial: bit 0 a D1 pair click, bit 1 a D1 background
 # click, bit 2 a D2 pair click, bit 3 a D2 background click; class 0 is silent
@@ -597,12 +620,7 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
         span=span,
     )
     lows = range(0, n_total, _UNIT_TRIALS)
-    highs = [min(lo + _UNIT_TRIALS, n_total) for lo in lows]
-    if _WORKERS > 1 and len(lows) > 1:
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            units = list(pool.map(draw, lows, highs))
-    else:
-        units = list(map(draw, lows, highs))
+    units = _map_on_workers(draw, lows, [min(lo + _UNIT_TRIALS, n_total) for lo in lows])
     tallies = np.zeros((len(settings), 3), dtype=np.int64)
     for _, unit_tallies in units:
         tallies += unit_tallies

@@ -12,14 +12,20 @@ rejects on purpose, which the reference let through ``int()`` and
 ``oracle_format_event_log`` is the one-f-string-per-event writer that the
 column writer replaced, kept verbatim apart from its name.  Both must give the
 same bytes for every log, valid or not.
+
+``TestPieces`` cuts the body into pieces of one or three rows, on one worker or
+two, and requires the bytes, the parsed log and the first error of one piece.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlczsim import analysis
+from dlczsim import analysis, simulator
 from dlczsim.analysis import LOG_FORMAT_VERSION, ParseError, format_event_log
 from dlczsim.predictor import MeasurementSetting
 from dlczsim.simulator import (
@@ -627,3 +633,172 @@ class TestScalarRoundTrip:
         assert "# excitation_prob=0.2\n" in text and "# cycle_ns=1500.0\n" in text
         assert "# setting 0 22.5 0.5\n" in text
         assert parse(text) == log
+
+
+# ---------------------------------------------------------------------------
+# the body written and read in pieces
+# ---------------------------------------------------------------------------
+
+# (minimum piece rows, workers): one worker keeps one piece; two cut every
+# body of two rows (or 18 bytes) and more, or of six rows (or 54 bytes) and more
+PIECES = [(rows, workers) for rows in (1, 3) for workers in (1, 2)]
+
+
+@contextlib.contextmanager
+def cut_pieces(rows, workers):
+    with mock.patch.object(analysis, "_PIECE_ROWS", rows), mock.patch.object(simulator, "_WORKERS", workers):
+        yield
+
+
+@contextlib.contextmanager
+def piece_starts():
+    """The body offsets at which the parser's pieces start, for each parse in the block."""
+    starts = []
+    parse_rows = analysis._parse_rows
+
+    def recorded(buf, lo, hi):
+        starts.append(lo)
+        return parse_rows(buf, lo, hi)
+
+    with mock.patch.object(analysis, "_parse_rows", recorded):
+        yield starts
+
+
+def one_row_log():
+    return EventLog(
+        config=CONFIG,
+        settings=[MeasurementSetting(0, 0)],
+        seed=3,
+        n_trials_per_setting=10,
+        trial=np.array([7]),
+        channel=np.array([1], dtype=np.uint8),
+        t_ns=np.array([330]),
+    )
+
+
+# twelve rows over two settings of ten trials
+TWELVE_ROWS = EventLog(
+    config=CONFIG,
+    settings=[MeasurementSetting(0, 0), MeasurementSetting(45, 90)],
+    seed=5,
+    n_trials_per_setting=10,
+    trial=np.array([0, 0, 2, 3, 3, 8, 9, 10, 12, 12, 15, 19]),
+    channel=np.array([0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0], dtype=np.uint8),
+    t_ns=np.array([64, 330, 66, 330, 332, 70, 64, 328, 64, 330, 330, 68]),
+)
+
+# replacements for one body line of TWELVE_ROWS, each an error of its own
+BAD_LINES = {
+    "two_spaces": "3 D2 330",
+    "four_spaces": "3 D2 330 0 0",
+    "blank": "",
+    "header_in_body": "# seed=9",
+    "bad_channel": "3 D3 330 0",
+    "non_digit": "3 D2 3x0 0",
+    "non_ascii_digit": "3 D2 33٣ 0",
+    "non_ascii_letter": "3 Dé 330 0",
+    "negative_trial": "-3 D2 330 0",
+    "unknown_setting": "3 D2 330 7",
+    "beyond_int64": "3 D2 330 99999999999999999999",
+    "trial_beyond_run": "20 D2 330 1",
+    "wrong_block": "3 D2 330 1",
+    "off_grid": "3 D2 331 0",
+    "out_of_cycle": "3 D2 1502 0",
+}
+
+
+TWELVE_HEADER, *TWELVE_LINES = format_event_log(TWELVE_ROWS).rsplit("\n", 13)[:-1]
+# the file line of body line 0
+FIRST_BODY_LINE = TWELVE_HEADER.count("\n") + 2
+
+
+def body_text(lines, newline="\n", final=True):
+    """TWELVE_ROWS's header and the given body lines."""
+    text = newline.join([TWELVE_HEADER, *lines])
+    return text + newline if final else text
+
+
+class TestPieces:
+    """Cut into pieces on either number of workers, the log keeps every byte and every error."""
+
+    @pytest.mark.parametrize("rows,workers", PIECES)
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_simulated_runs(self, case, rows, workers, tmp_path):
+        config, settings_ = ORACLE_CASES[case]
+        log = run_trials(config, settings_, 20_000, seed=77)
+        with cut_pieces(rows, workers):
+            text = format_event_log(log)
+            analysis.write_event_log(log, tmp_path / "run.log")
+            with piece_starts() as starts:
+                assert parse(text) == log
+        assert text.encode() == (tmp_path / "run.log").read_bytes() == oracle_format_event_log(log).encode()
+        assert len(starts) == workers
+
+    @pytest.mark.parametrize("rows,workers", PIECES)
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_empty_and_one_row_logs(self, n_rows, rows, workers):
+        log = one_row_log() if n_rows else run_trials(CONFIG, [MeasurementSetting(0, 0)], 0, seed=1)
+        with cut_pieces(rows, workers):
+            text = format_event_log(log)
+            assert parse(text) == log
+        assert text.encode() == oracle_format_event_log(log).encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(hand_built_logs())
+    def test_hand_built_columns(self, log):
+        res = int(CONFIG.tia_resolution_ns)
+        valid = np.all((log.t_ns % res == 0) & (log.t_ns >= 0) & (log.t_ns <= CONFIG.cycle_ns))
+        for rows, workers in PIECES:
+            with cut_pieces(rows, workers):
+                text = format_event_log(log)
+                assert text.encode() == oracle_format_event_log(log).encode()
+                if valid:
+                    assert parse(text) == log
+
+    @pytest.mark.parametrize("ending", ["lf", "crlf", "no_final_newline"])
+    @pytest.mark.parametrize("kind", BAD_LINES)
+    def test_same_first_error_as_one_piece(self, kind, ending):
+        """Each line in turn is bad; at least once it is a second piece's first line, and once inside it."""
+        newline, final = ("\r\n", True) if ending == "crlf" else ("\n", ending == "lf")
+        placed = set()
+        for i in range(len(TWELVE_LINES)):
+            lines = list(TWELVE_LINES)
+            lines[i] = BAD_LINES[kind]
+            text = body_text(lines, newline, final)
+            with cut_pieces(1, 1):
+                expected = outcome(analysis.parse_event_log_text, text)
+            # an empty last line without its newline leaves the text ending in one
+            assert isinstance(expected, tuple) or (kind, i, final) == ("blank", 11, False)
+            offset = sum(len(line) + len(newline) for line in lines[:i])
+            for rows in (1, 3):
+                with cut_pieces(rows, 2), piece_starts() as starts:
+                    assert outcome(analysis.parse_event_log_text, text) == expected
+                if not starts:
+                    continue  # a blank or "#" first line is read with the header
+                assert len(starts) == 2
+                placed.add("first" if offset == starts[1] else "inside" if offset > starts[1] else "before")
+        assert {"first", "inside"} <= placed
+
+    @pytest.mark.parametrize("later", sorted(set(BAD_LINES) - {"two_spaces"}))
+    def test_an_early_stop_in_piece_one_is_reported_first(self, later):
+        """Piece one stops at a line without three spaces; piece two's error comes later in the file."""
+        lines = list(TWELVE_LINES)
+        lines[2] = BAD_LINES["two_spaces"]
+        lines[10] = BAD_LINES[later]
+        text = body_text(lines)
+        with cut_pieces(1, 2), piece_starts() as starts:
+            found = outcome(analysis.parse_event_log_text, text)
+        assert len(starts) == 2 and sum(len(line) + 1 for line in lines[:2]) < starts[1]
+        assert starts[1] <= sum(len(line) + 1 for line in lines[:10])
+        at = FIRST_BODY_LINE + 2
+        message = f"event line needs '<trial> <channel> <t_ns> <setting_id>', got {lines[2]!r}"
+        assert found == (f"t.log:{at}: {message}", at)
+
+    def test_an_error_in_piece_one_comes_before_an_early_stop_in_piece_two(self):
+        lines = list(TWELVE_LINES)
+        lines[2] = BAD_LINES["bad_channel"]
+        lines[10] = BAD_LINES["two_spaces"]
+        with cut_pieces(1, 2):
+            found = outcome(analysis.parse_event_log_text, body_text(lines))
+        at = FIRST_BODY_LINE + 2
+        assert found == (f"t.log:{at}: unknown channel 'D3'", at)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -171,6 +172,40 @@ WORKERS = [1, 2]
 def cut_units(monkeypatch, unit, workers):
     monkeypatch.setattr(simulator, "_UNIT_TRIALS", unit)
     monkeypatch.setattr(simulator, "_WORKERS", workers)
+
+
+class TestWorkers:
+    """The one thread decision that the draw and the text-log codec share."""
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 5])
+    def test_results_come_in_item_order(self, n_items, workers, monkeypatch):
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        lows = range(0, 10 * n_items, 10)
+        assert simulator._map_on_workers(lambda lo, hi: (lo, hi), lows, [lo + 3 for lo in lows]) == [
+            (lo, lo + 3) for lo in lows
+        ]
+
+    @pytest.mark.parametrize("workers,n_items,threaded", [(1, 3, False), (2, 1, False), (2, 3, True)])
+    def test_one_worker_or_one_item_runs_inline(self, workers, n_items, threaded, monkeypatch):
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        idents = simulator._map_on_workers(lambda _: threading.get_ident(), range(n_items))
+        assert (threading.get_ident() not in idents) == threaded
+
+    @pytest.mark.parametrize(
+        "n,least,workers,cuts",
+        [
+            (0, 1, 2, [0, 0]),
+            (1, 1, 2, [0, 1]),
+            (2, 1, 2, [0, 1, 2]),
+            (5, 3, 2, [0, 5]),
+            (7, 3, 2, [0, 3, 7]),
+            (7, 3, 1, [0, 7]),
+        ],
+    )
+    def test_even_cuts(self, n, least, workers, cuts, monkeypatch):
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        assert simulator._even_cuts(n, least) == cuts
 
 
 class TestStreamPinning:

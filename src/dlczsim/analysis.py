@@ -696,7 +696,10 @@ def _run_lm(residual, jacobian, x0):
     # only the fits pay for it
     from scipy.optimize import least_squares
 
-    result = least_squares(residual, x0, jac=jacobian, method="lm", max_nfev=2000)
+    try:
+        result = least_squares(residual, x0, jac=jacobian, method="lm", max_nfev=2000)
+    except ValueError as exc:  # e.g. residuals that overflow at the starting point
+        raise FitError(f"fit cannot start: {exc}") from None
     if not result.success:
         raise FitError(f"fit did not converge: {result.message}")
     return result
@@ -732,6 +735,8 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
     w = 1.0 / np.array([s for _, _, s in pts])
     if theta.max() - theta.min() < math.pi / 2 - 1e-9:
         raise ValueError("fringe points must span at least half a period (pi/2)")
+    # checks eta here: _run_lm reads a ValueError from the fit as a fit that cannot start
+    a0, _, a2, _ = pair_amplitudes(eta_fixed, 0.0, theta_i_fixed)
 
     def shape_and_slope(th):
         # the fringe shape 2*a0**2 and its theta_s slope, since a2 = d(a0)/d(theta_s)
@@ -754,7 +759,6 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
 
     # extrema of the fitted curve over theta_s: shape ranges over [0, 2M]
     # with M = a0**2 + a2**2, the same at every theta_s
-    a0, _, a2, _ = pair_amplitudes(eta_fixed, 0.0, theta_i_fixed)
     swing = 2.0 * (a0 * a0 + a2 * a2) * amp
     c_max = bg + max(swing, 0.0)
     c_min = bg + min(swing, 0.0)

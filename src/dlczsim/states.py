@@ -42,18 +42,21 @@ VALIDATION_TOL = 1e-12
 
 @dataclass(eq=False)
 class TwoQubitState:
-    """Density matrix on the photon-helicity x spin-wave-mode qubit pair."""
+    """Density matrix on the photon-helicity x spin-wave-mode qubit pair.
+
+    Rows and columns follow STATE_BASIS.
+    """
 
     rho: np.ndarray
-    basis: tuple = STATE_BASIS
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=complex)
         if self.rho.shape != (4, 4):
             raise ValueError(f"rho must be 4x4, got {self.rho.shape}")
 
-    def validate(self, tol: float = VALIDATION_TOL) -> None:
-        """Raise if rho is not Hermitian, trace-one and PSD within tol."""
+    def validate(self) -> None:
+        """Raise if rho is not Hermitian, trace-one and PSD within VALIDATION_TOL."""
+        tol = VALIDATION_TOL
         if np.max(np.abs(self.rho - self.rho.conj().T)) > tol:
             raise ValueError("rho is not Hermitian")
         if abs(np.trace(self.rho).real - 1.0) > tol or abs(np.trace(self.rho).imag) > tol:
@@ -65,7 +68,6 @@ class TwoQubitState:
     def __eq__(self, other):
         return (
             isinstance(other, TwoQubitState)
-            and self.basis == other.basis
             and np.array_equal(self.rho, other.rho)
         )
 
@@ -85,7 +87,7 @@ def add_white_noise(state: TwoQubitState, visibility: float) -> TwoQubitState:
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
     rho = visibility * state.rho + (1.0 - visibility) * np.eye(4) / 4.0
-    return TwoQubitState(rho, state.basis)
+    return TwoQubitState(rho)
 
 
 def concurrence(state: TwoQubitState) -> float:
@@ -130,10 +132,11 @@ class EnsembleModel:
 
     @classmethod
     def with_random_positions(
-        cls, n_atoms, f_a, f_b, delta_k=(1.0, 0.5, 0.0), seed=0, extent=10.0
+        cls, n_atoms, f_a, f_b, delta_k=(1.0, 0.5, 0.0), seed=0
     ) -> "EnsembleModel":
+        """Atoms drawn uniformly from the cube [-10, 10]^3."""
         rng = np.random.default_rng(seed)
-        pos = rng.uniform(-extent, extent, size=(n_atoms, 3))
+        pos = rng.uniform(-10.0, 10.0, size=(n_atoms, 3))
         return cls(n_atoms, HalfInt.of(f_a), HalfInt.of(f_b), pos, np.asarray(delta_k, float))
 
     def ground_multiplicity(self) -> int:
@@ -160,6 +163,12 @@ def _check_sublevels(model: EnsembleModel, alpha: int, m: HalfInt) -> tuple:
 
 def _mode_weights(table: BranchingTable, model: EnsembleModel, alpha: int):
     """Normalized branching weights w_m = X_m(alpha)/sqrt(sum X^2)."""
+    scheme = table.scheme
+    if (scheme.f_a, scheme.f_b) != (model.f_a, model.f_b):
+        raise ValueError(
+            f"branching table is for (F_a, F_b) = ({scheme.f_a}, {scheme.f_b}), "
+            f"the ensemble has ({model.f_a}, {model.f_b})"
+        )
     norm_sq = table.sum_squares(alpha)
     if norm_sq == 0:
         raise ValueError(f"no allowed transition for helicity {alpha}")
@@ -175,45 +184,26 @@ def _mode_weights(table: BranchingTable, model: EnsembleModel, alpha: int):
 def mode_vacuum_overlap(
     model: EnsembleModel, table: BranchingTable, alpha: int, alpha2: int
 ) -> complex:
-    """<s_alpha s_alpha2^dag> in the vacuum, by per-atom factorized trace.
+    """<s_alpha s_alpha2^dag> in the vacuum, in closed form.
 
-    The N-atom trace of a two-atom operator string against a product state
-    factorizes into single-atom traces, so this evaluates the same quantity
-    as the explicit construction at a cost independent of 2^N, which keeps
-    large-N checks exact.  Cross terms between different atoms pick up the
-    off-diagonal single-atom traces (identically zero in the unpolarized
-    mixture) times the position-phase structure factor.
+    With s_alpha^dag = g sum_m w_m(alpha) sum_mu c_mu |b, m+1+alpha><a, m|_mu,
+    g^2 = (2f_a+1)/N and |c_mu| = 1, a term survives only if both factors
+    move the same atom between the same a and b sublevels: terms on two
+    different atoms pick up off-diagonal single-atom traces, which vanish
+    in the unpolarized mixture, so the positions drop out.  Equal sublevels
+    need alpha = alpha2, and each of the N atoms then gives
+    p = tr(rho_1 |a><a|) = 1/(2f_a+1), so the overlap is
+    delta_{alpha alpha2} g^2 N p sum_m w_m(alpha) w_m(alpha2).
     """
     w1 = _mode_weights(table, model, alpha)
     w2 = _mode_weights(table, model, alpha2)
-    mult = model.ground_multiplicity()
-    dim = mult + model.f_b.twice + 1
-
-    def a_slot(tm):
-        return (tm + model.f_a.twice) // 2
-
-    def b_slot(tb):
-        return mult + (tb + model.f_b.twice) // 2
-
-    rho1 = np.zeros((dim, dim))
-    rho1[np.arange(mult), np.arange(mult)] = 1.0 / mult
-
-    phases = model.phases()
-    structure = abs(np.sum(phases.conj())) ** 2 - model.n_atoms
-
-    total = 0.0 + 0.0j
-    g_sq = mult / model.n_atoms
-    for tm, wa in w1.items():
-        lower = np.zeros((dim, dim))  # s-side single-atom factor |a,m><b|
-        lower[a_slot(tm), b_slot(tm + 2 + 2 * alpha)] = 1.0
-        for tm2, wb in w2.items():
-            raise_ = np.zeros((dim, dim))  # s^dag-side factor |b'><a,m'|
-            raise_[b_slot(tm2 + 2 + 2 * alpha2), a_slot(tm2)] = 1.0
-            same_atom = np.trace(rho1 @ lower @ raise_)
-            cross_atoms = np.trace(rho1 @ lower) * np.trace(rho1 @ raise_)
-            total += g_sq * wa * wb * (
-                model.n_atoms * same_atom + structure * cross_atoms
-            )
+    total = 0.0
+    if alpha == alpha2:
+        g_sq = model.ground_multiplicity() / model.n_atoms
+        n_p = model.n_atoms * (1.0 / model.ground_multiplicity())
+        # this factor order and the _mode_weights term order fix the rounding
+        for tm, w in w1.items():
+            total += g_sq * w * w2[tm] * n_p
     return complex(total)
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -394,6 +395,15 @@ class TestFitCommands:
         assert code == 3
         assert "error:" in err
 
+    def test_fit_that_cannot_start_exits_three(self, capsys, tmp_path):
+        # counts near the float maximum overflow the residuals at the starting point
+        data = tmp_path / "fringe.csv"
+        data.write_text("theta_s_deg,counts,sigma\n0,1.5e308,1\n45,0,1\n90,1.5e308,1\n135,0,1\n")
+        code, out, err = run_cli(capsys, "fit-fringe", "--data", str(data), "--theta-i", "0")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: fit cannot start: ") and "not finite" in err
+        assert err.count("\n") == 1
+
     def test_wrong_csv_header_exits_two(self, capsys, tmp_path):
         data = tmp_path / "wrong.csv"
         data.write_text("time,value\n1,2\n")
@@ -519,6 +529,13 @@ class TestCheckOps:
         assert code == 1
         assert out == ""
         assert err == "error: --seed must be >= 0, got -1\n"
+
+    def test_rows_up_to_a_thousand_atoms_are_pinned(self, capsys):
+        # every digit of every row at the default seed; scaling_exponent is left
+        # out because np.polyfit's LAPACK rounding may differ between hosts
+        payload = run_json(capsys, "check-ops", "--n-min", "1", "--n-max", "1000")
+        digest = hashlib.sha256(json.dumps(payload["operators"]).encode()).hexdigest()
+        assert digest == "0f6f1a06f155d8e4e9317f8eb808529da5ddd3779a6a46874d047fa24259f384"
 
     def test_beyond_twelve_atoms_succeeds(self, capsys):
         payload = run_json(capsys, "check-ops", "--n-min", "12", "--n-max", "13")

@@ -206,6 +206,38 @@ class TestNormalizedMode:
                 value = mode_vacuum_overlap(model, table, a1, a2)
                 np.testing.assert_allclose(value, 1.0 if a1 == a2 else 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [-1, +1])
+    def test_table_that_indexes_past_the_ensemble_is_refused(self, table, alpha):
+        # unchecked, the (3, 2, 3) table on F_a = F_b = 1 atoms indexed past the
+        # single-atom space for alpha = +1 and gave 0.675 for alpha = -1
+        model = EnsembleModel.with_random_positions(5, f_a=1, f_b=1)
+        with pytest.raises(
+            ValueError, match=r"^branching table is for \(F_a, F_b\) = \(3, 2\), the ensemble has \(1, 1\)$"
+        ):
+            mode_vacuum_overlap(model, table, alpha, alpha)
+
+    @pytest.mark.parametrize("f_a, f_b", [(2, 2), (3, 3)])
+    def test_table_of_another_scheme_gives_no_number(self, table, f_a, f_b):
+        # unchecked, F_a = F_b = 2 gave 0.643 for alpha = +1 where 1 is expected;
+        # a table whose F_b alone differs is refused as well
+        model = EnsembleModel.with_random_positions(5, f_a=f_a, f_b=f_b)
+        for a1 in (-1, +1):
+            for a2 in (-1, +1):
+                with pytest.raises(ValueError, match=rf"the ensemble has \({f_a}, {f_b}\)$"):
+                    mode_vacuum_overlap(model, table, a1, a2)
+
+    @pytest.mark.parametrize("n_atoms", [1, 4, 13])
+    def test_positions_drop_out_of_the_overlap(self, table, n_atoms):
+        at_origin = EnsembleModel(
+            n_atoms, HalfInt.of(3), HalfInt.of(2), np.zeros((n_atoms, 3)), np.zeros(3)
+        )
+        for seed in range(5):
+            model = make_model(n_atoms, seed=seed)
+            for a1 in (-1, +1):
+                for a2 in (-1, +1):
+                    value = mode_vacuum_overlap(model, table, a1, a2)
+                    assert value == mode_vacuum_overlap(at_origin, table, a1, a2)
+
 
 class TestCommutator:
     @pytest.mark.parametrize("n_atoms", [2, 4, 6, 8])

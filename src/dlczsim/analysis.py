@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -691,18 +692,120 @@ def chsh_from_log(log: EventLog, angles_deg=CANONICAL_ANGLES_DEG) -> CHSHResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_lm(residual, jacobian, x0):
-    # scipy.optimize costs a process about a third of a second to load, so
-    # only the fits pay for it
-    from scipy.optimize import least_squares
+_TINY = np.finfo(float).tiny  # MINPACK's dwarf: the smallest positive normal double
 
-    try:
-        result = least_squares(residual, x0, jac=jacobian, method="lm", max_nfev=2000)
-    except ValueError as exc:  # e.g. residuals that overflow at the starting point
-        raise FitError(f"fit cannot start: {exc}") from None
-    if not result.success:
-        raise FitError(f"fit did not converge: {result.message}")
-    return result
+
+class _LeastSquares(NamedTuple):
+    x: np.ndarray  # the fitted parameters
+    fun: np.ndarray  # the residuals at x
+    jac: np.ndarray  # the Jacobian at x
+
+
+def _lm_coefficients(s, c, delta, par):
+    """MINPACK's ``lmpar`` on the SVD of the scaled Jacobian, in its right singular basis.
+
+    ``s`` are the singular values and ``c`` the residuals on the left singular
+    vectors.  Returns the step's coefficients and the damping ``par``: the
+    Gauss-Newton step (par = 0) if its length is within 1.1 * delta, else the
+    damped step whose length is within 10 % of delta, found by at most ten
+    safeguarded Newton steps on 1/length - 1/delta (Moré 1978, section 5).
+    """
+
+    def step(par):
+        den = s * s + par
+        return np.divide(s * c, den, out=np.zeros_like(s), where=den > 0), den
+
+    def correction(k, den, fp):  # the Newton step on 1/length - 1/delta
+        return fp / delta * (k @ k) / np.sum(k * k / den)
+
+    k, den = step(0.0)
+    length = math.hypot(*k)
+    fp = length - delta
+    if fp <= 0.1 * delta:
+        return k, 0.0
+    parl = correction(k, den, fp) if s[-1] > 0 else 0.0
+    gnorm = math.hypot(*(s * c))
+    paru = gnorm / delta or _TINY / min(delta, 0.1)
+    par = min(max(par, parl), paru) or gnorm / length
+    for tries in range(1, 11):
+        par = par or max(_TINY, 0.001 * paru)
+        k, den = step(par)
+        previous, fp = fp, math.hypot(*k) - delta
+        if abs(fp) <= 0.1 * delta or (parl == 0 and fp <= previous < 0) or tries == 10:
+            return k, par
+        if fp > 0:
+            parl = max(parl, par)
+        else:
+            paru = min(paru, par)
+        par = max(parl, par + correction(k, den, fp))
+
+
+def _run_lm(residual, jacobian, x0, max_nfev=2000, tol=1e-8):
+    """Least squares by MINPACK's ``lmder``, the Levenberg-Marquardt of Moré (LNM 630, 1978).
+
+    Marquardt's scaling divides each Jacobian column by the running maximum
+    of its norm, and the trust radius starts at 100 times the scaled length
+    of ``x0``.  The fit stops, at ``tol`` each, when the actual and predicted
+    relative reductions of the sum of squares are both that small (ftol),
+    when the trust radius is that small relative to the scaled parameters
+    (xtol), or when the residuals are that close to orthogonal to every
+    Jacobian column (gtol).  Non-finite residuals of a trial step only
+    reject the step.
+    """
+    x = np.array(x0, dtype=float)
+    with np.errstate(all="ignore"):
+        f = residual(x)
+        fnorm, nfev, par, diag, started = math.hypot(*f), 1, 0.0, None, False
+        if not math.isfinite(fnorm):  # a residual, or only their norm, overflows
+            raise FitError("fit cannot start: residuals are not finite at the starting point")
+        while True:
+            jac = jacobian(x)
+            if not np.all(np.isfinite(jac)):
+                raise FitError("fit did not converge: the Jacobian is not finite")
+            colnorm = np.sqrt(np.sum(jac * jac, axis=0))
+            if diag is None:
+                diag = np.where(colnorm > 0, colnorm, 1.0)
+                xnorm = math.hypot(*(diag * x))
+                delta = 100.0 * xnorm or 100.0
+            diag = np.maximum(diag, colnorm)
+            live = colnorm > 0
+            cosines = np.abs(jac.T @ f)[live] / colnorm[live] / fnorm if fnorm else []
+            if np.max(cosines, initial=0.0) <= tol:
+                break
+            u, s, vt = np.linalg.svd(jac / diag, full_matrices=False)
+            c = u.T @ f
+            while True:
+                k, par = _lm_coefficients(s, c, delta, par)
+                z = -(vt.T @ k)  # the step in scaled parameters
+                p, pnorm = z / diag, math.hypot(*z)
+                if not started:
+                    delta = min(delta, pnorm)
+                trial = x + p
+                f_trial = residual(trial)
+                nfev += 1
+                fnorm_trial = math.hypot(*f_trial)
+                actred = 1.0 - (fnorm_trial / fnorm) ** 2 if 0.1 * fnorm_trial < fnorm else -1.0
+                t1, t2 = math.hypot(*(jac @ p)) / fnorm, math.sqrt(par) * pnorm / fnorm
+                prered, dirder = t1 * t1 + 2.0 * t2 * t2, -(t1 * t1 + t2 * t2)
+                ratio = actred / prered if prered != 0 else 0.0
+                if ratio <= 0.25:
+                    shrink = 0.5 if actred >= 0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                    if 0.1 * fnorm_trial >= fnorm or shrink < 0.1:
+                        shrink = 0.1
+                    delta, par = shrink * min(delta, pnorm / 0.1), par / shrink
+                elif par == 0 or ratio >= 0.75:
+                    delta, par = pnorm / 0.5, 0.5 * par
+                if ratio >= 1e-4:
+                    x, f, fnorm, started = trial, f_trial, fnorm_trial, True
+                    xnorm = math.hypot(*(diag * x))
+                ftol = abs(actred) <= tol and prered <= tol and 0.5 * ratio <= 1
+                if ftol or delta <= tol * xnorm:
+                    return _LeastSquares(x, f, jacobian(x))
+                if nfev >= max_nfev:
+                    raise FitError(f"fit did not converge in {max_nfev} residual evaluations")
+                if ratio >= 1e-4:
+                    break
+        return _LeastSquares(x, f, jac)
 
 
 def _covariance(jac: np.ndarray) -> np.ndarray:
@@ -735,7 +838,7 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
     w = 1.0 / np.array([s for _, _, s in pts])
     if theta.max() - theta.min() < math.pi / 2 - 1e-9:
         raise ValueError("fringe points must span at least half a period (pi/2)")
-    # checks eta here: _run_lm reads a ValueError from the fit as a fit that cannot start
+    # checks eta before the fit starts
     a0, _, a2, _ = pair_amplitudes(eta_fixed, 0.0, theta_i_fixed)
 
     def shape_and_slope(th):

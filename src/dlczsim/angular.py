@@ -133,26 +133,25 @@ def _jm(j, m) -> tuple[int, int]:
     return tj, tm
 
 
-@lru_cache(maxsize=None)
-def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
-    """Signed square of a Clebsch-Gordan coefficient as (sign, Fraction).
+def _racah(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> tuple[int, int, int]:
+    """Signed square of a Clebsch-Gordan coefficient as (sign, numerator, denominator).
 
-    Everything up to the final square root is exact.  Couplings that violate
-    a selection rule come back as (0, Fraction(0)).
+    All three are exact integers; the fraction is not reduced.  Couplings
+    that violate a selection rule come back as (0, 0, 1).
     """
     if tM != tm1 + tm2:
-        return 0, Fraction(0)
+        return 0, 0, 1
     if not _triangle_ok(tj1, tj2, tJ):
-        return 0, Fraction(0)
+        return 0, 0, 1
     if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
-        return 0, Fraction(0)
+        return 0, 0, 1
 
     f = math.factorial
     a, b, c = (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
     d, e = (tJ - tj2 + tm1) // 2, (tJ - tj1 - tm2) // 2
-    # Racah's closed form, (tJ+1) * delta * weight * sum^2, kept in integers
-    # up to one Fraction at the end; every factorial argument below is a
-    # non-negative integer once the parity and triangle checks above have passed.
+    # Racah's closed form, (tJ+1) * delta * weight * sum^2, kept in integers;
+    # every factorial argument below is a non-negative integer once the
+    # parity and triangle checks above have passed.
     delta_num = f(a) * f((tj1 - tj2 + tJ) // 2) * f((-tj1 + tj2 + tJ) // 2)
     delta_den = f((tj1 + tj2 + tJ) // 2 + 1)
     weight = (
@@ -175,12 +174,31 @@ def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
         numerator += -term if k % 2 else term
 
     if numerator == 0:
-        return 0, Fraction(0)
-    # the only normalization: one gcd over the whole product
-    square = Fraction(
-        (tJ + 1) * delta_num * weight * numerator * numerator, delta_den * common * common
+        return 0, 0, 1
+    return (
+        1 if numerator > 0 else -1,
+        (tJ + 1) * delta_num * weight * numerator * numerator,
+        delta_den * common * common,
     )
-    return (1 if numerator > 0 else -1), square
+
+
+@lru_cache(maxsize=None)
+def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
+    """Signed square of a Clebsch-Gordan coefficient as (sign, Fraction), for exact sums."""
+    sign, num, den = _racah(tj1, tm1, tj2, tm2, tJ, tM)
+    # the only normalization: one gcd over the whole product
+    return sign, Fraction(num, den)
+
+
+@lru_cache(maxsize=None)
+def _cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
+    """A Clebsch-Gordan coefficient as a float, from its exact square.
+
+    Integer true division rounds correctly, so ``num / den`` equals
+    ``float(Fraction(num, den))`` bit for bit, without the gcd.
+    """
+    sign, num, den = _racah(tj1, tm1, tj2, tm2, tJ, tM)
+    return sign * math.sqrt(num / den) if sign else 0.0
 
 
 def cg(j1, m1, j2, m2, J, M) -> float:
@@ -202,10 +220,7 @@ def cg(j1, m1, j2, m2, J, M) -> float:
         _check_jm(tJ, tM)
     if tM != tm1 + tm2:
         return 0.0  # most of any sweep; kept out of the cache
-    sign, square = _cg_signed_square(tj1, tm1, tj2, tm2, tJ, tM)
-    if sign == 0:
-        return 0.0
-    return sign * math.sqrt(float(square))
+    return _cg_value(tj1, tm1, tj2, tm2, tJ, tM)
 
 
 # largest F a LevelScheme accepts; the exact branching table of a scheme

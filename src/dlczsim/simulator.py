@@ -119,9 +119,9 @@ class ExperimentConfig:
     ``memory_tau_ns`` while the retrieval efficiency decays with
     ``retrieval_tau_ns`` (equal by default).  Every field is coerced to a
     builtin float, and construction checks, whichever way a config is
-    built, that each is finite and in range, that the read gate ends within
-    the cycle and that each gate holds a timing cell; a read gate that ends
-    past the dark period only warns.
+    built, that each is finite and in range, that both gates end within a
+    cycle of at most 2**63 - 1 ns and that each gate holds a timing cell; a
+    read gate that ends past the dark period only warns.
     """
 
     eta: float = DEFAULT_ETA
@@ -180,15 +180,23 @@ class ExperimentConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # every gate ends within the cycle (checked below), so no timestamp passes int64
+        if self.cycle_ns > _INT64_MAX:
+            raise ValueError(f"cycle_ns must be at most 2**63 - 1 ns, got {self.cycle_ns}")
         res = self.tia_resolution_ns
         if res < 1 or res != int(res):
             raise ValueError(f"tia_resolution_ns must be a positive integer, got {res}")
-        _, (c2, w2) = gate_windows(self)
+        (c1, w1), (c2, w2) = gate_windows(self)
         read_gate_end = c2 + w2 / 2
         if read_gate_end > self.cycle_ns:
             raise ValueError(
                 f"read gate ends at {read_gate_end} ns, beyond the {self.cycle_ns} ns cycle;"
                 " increase cycle_ns (and dark_ns) for long storage times"
+            )
+        if c1 + w1 / 2 > self.cycle_ns:
+            raise ValueError(
+                f"write_len_ns of {self.write_len_ns} ns ends the write (D1) gate at"
+                f" {c1 + w1 / 2} ns, beyond the {self.cycle_ns} ns cycle"
             )
         for name, (center, width) in zip(("gate_d1_ns", "gate_d2_ns"), gate_windows(self)):
             if _gate_cells(center, width, int(res))[1] == 0:

@@ -21,7 +21,7 @@ from dlczsim.angular import (
     mixing_cos_sq,
     projections,
 )
-from dlczsim.angular import _cg_signed_square, _check_jm, _doubled, _jm
+from dlczsim.angular import _cg_signed_square, _cg_value, _check_jm, _doubled, _jm
 
 # ---------------------------------------------------------------------------
 # Oracle: couple two spins by explicit matrix algebra (build J^2 on the
@@ -390,6 +390,17 @@ class TestRacahSum:
                             continue
                         key = (tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
                         assert _cg_signed_square(*key) == _fraction_signed_square(*key), key
+
+    @pytest.mark.parametrize("tj1", range(0, 11))
+    def test_float_value_equals_the_rounded_fraction(self, tj1):
+        for tj2 in range(0, 11):
+            for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 2, 2):
+                for tm1 in range(-tj1, tj1 + 2, 2):
+                    for tm2 in range(-tj2, tj2 + 2, 2):
+                        key = (tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
+                        sign, square = _cg_signed_square(*key)
+                        expected = sign * math.sqrt(float(square)) if sign else 0.0
+                        assert _cg_value(*key).hex() == expected.hex(), key
 
     def test_projection_mismatch_stays_out_of_the_cache(self):
         _cg_signed_square.cache_clear()

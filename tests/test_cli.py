@@ -64,6 +64,20 @@ class TestEntryPoints:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
 
+    def test_fits_leave_scipy_unloaded(self):
+        """The fits are numpy only: after both have run, no scipy module is loaded."""
+        probe = (
+            "import math, sys\n"
+            "from dlczsim.analysis import DecayPoint, fit_exponential, fit_fringe\n"
+            "decay = [DecayPoint(t, 1 + 4.5 * math.exp(-t / 3700), 0.01) for t in (200, 1000, 2000, 4000, 7000)]\n"
+            "fringe = [(math.radians(d), 10 + 90 * math.cos(math.radians(d)) ** 2, 1.0) for d in range(0, 360, 15)]\n"
+            "fit_exponential(decay), fit_fringe(fringe, math.pi / 4, 0.0)\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_no_arguments_is_a_usage_error(self):
         result = subprocess.run(
             [sys.executable, "-m", "dlczsim"], capture_output=True, text=True
@@ -207,6 +221,36 @@ class TestSimulateAndAnalyze:
         run_json(capsys, "simulate", "--config", str(cfg), "--settings", settings_file,
                  "--n", "1000", "--seed", "2", "--out", str(out))
         assert parse_event_log(out).config.excitation_prob == 0.4
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "write_len_ns = 3000\ndelta_t_ns = 0\nread_len_ns = 10\n",
+                ":1: write_len_ns of 3000.0 ns ends the write (D1) gate at 1640.0 ns",
+            ),
+            (
+                "tia_resolution_ns = 5e18\ndelta_t_ns = 5e18\nread_len_ns = 1e-9\n"
+                "cycle_ns = 2e19\ndark_ns = 2e19\n",
+                ":4: cycle_ns must be at most 2**63 - 1 ns, got 2e+19",
+            ),
+            (
+                "tia_resolution_ns = 1e300\ncycle_ns = 1e305\ndark_ns = 1e305\n",
+                ":2: cycle_ns must be at most 2**63 - 1 ns, got 1e+305",
+            ),
+        ],
+        ids=["write_gate_past_cycle", "wrapped_timestamps", "overflowing_timestamps"],
+    )
+    def test_config_no_log_reader_takes_is_refused(self, capsys, tmp_path, settings_file, text, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("excitation_prob = 1\nretrieval_eff = 1\ndet_eff_s = 1\ndet_eff_i = 1\n")
+        cfg.write_text(text + cfg.read_text())
+        out = tmp_path / "run.log"
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg), "--settings", settings_file,
+                                    "--n", "5", "--seed", "1", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {cfg}{message}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_analyze_chsh_matches_library(self, capsys, tmp_path, chsh_settings_file):
         cfg = tmp_path / "bright.cfg"
@@ -403,6 +447,19 @@ class TestFitCommands:
         assert (code, out) == (3, "")
         assert err.startswith("error: fit cannot start: ") and "not finite" in err
         assert err.count("\n") == 1
+
+    def test_fit_that_cannot_start_prints_one_line(self, tmp_path):
+        # in a process of its own: numpy's warnings would print to the real stderr
+        data = tmp_path / "overflow.csv"
+        data.write_text("theta_s_deg,counts,sigma\n0,1.5e308,1\n45,0,1\n90,1.5e308,1\n135,0,1\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "dlczsim", "fit-fringe", "--data", str(data), "--theta-i", "0"],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("error: fit cannot start: ")
+        assert result.stderr.count("\n") == 1
 
     def test_wrong_csv_header_exits_two(self, capsys, tmp_path):
         data = tmp_path / "wrong.csv"

@@ -475,6 +475,39 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="cycle"):
             ExperimentConfig(delta_t_ns=2000.0)  # read gate past 1500 ns
 
+    def test_write_gate_beyond_cycle_rejected(self):
+        """A 3 us write pulse put D1 clicks at 1510 ns of a 1500 ns cycle, a log no reader took."""
+        message = "write_len_ns of 3000.0 ns ends the write (D1) gate at 1640.0 ns, beyond the 1500.0 ns cycle"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            clean_config(write_len_ns=3000.0, read_len_ns=10.0)
+
+    def test_write_gate_beyond_cycle_names_its_config_line(self):
+        with pytest.raises(ValueError, match=r"^cfg\.txt:2: write_len_ns of 3000\.0 ns"):
+            parse_config_text("read_len_ns = 10\nwrite_len_ns = 3000\ndelta_t_ns = 0\n", source="cfg.txt")
+
+    def test_write_gate_at_the_cycle_end_builds(self):
+        cfg = clean_config(write_len_ns=2720.0, read_len_ns=10.0)  # the D1 gate ends at 1500 ns
+        assert gate_windows(cfg)[0] == (1430.0, 140.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # every D2 time wrapped past int64 to -8446744073709551616: N_i = 0
+            dict(tia_resolution_ns=5e18, delta_t_ns=5e18, read_len_ns=1e-9, cycle_ns=2e19, dark_ns=2e19),
+            # t_ns * resolution raised OverflowError
+            dict(tia_resolution_ns=1e300, cycle_ns=1e305, dark_ns=1e305),
+            dict(cycle_ns=2.0**63, dark_ns=640.0),
+        ],
+        ids=["wrapped_timestamps", "overflowing_timestamps", "cycle_at_2_63"],
+    )
+    def test_cycle_past_int64_rejected(self, overrides):
+        with pytest.raises(ValueError, match=r"^cycle_ns must be at most 2\*\*63 - 1 ns, got "):
+            clean_config(**overrides)
+
+    def test_largest_cycle_below_2_63_builds(self):
+        cycle = math.nextafter(2.0**63, 0.0)
+        assert clean_config(cycle_ns=cycle).cycle_ns == cycle
+
     @pytest.mark.parametrize(
         "build",
         [

@@ -693,6 +693,8 @@ def chsh_from_log(log: EventLog, angles_deg=CANONICAL_ANGLES_DEG) -> CHSHResult:
 
 
 _TINY = np.finfo(float).tiny  # MINPACK's dwarf: the smallest positive normal double
+_TOL = 1e-8  # ftol, xtol and gtol, as scipy's least_squares defaults them
+_MAX_NFEV = 2000
 
 
 class _LeastSquares(NamedTuple):
@@ -740,12 +742,12 @@ def _lm_coefficients(s, c, delta, par):
         par = max(parl, par + correction(k, den, fp))
 
 
-def _run_lm(residual, jacobian, x0, max_nfev=2000, tol=1e-8):
+def _run_lm(residual, jacobian, x0):
     """Least squares by MINPACK's ``lmder``, the Levenberg-Marquardt of Moré (LNM 630, 1978).
 
     Marquardt's scaling divides each Jacobian column by the running maximum
     of its norm, and the trust radius starts at 100 times the scaled length
-    of ``x0``.  The fit stops, at ``tol`` each, when the actual and predicted
+    of ``x0``.  The fit stops, at ``_TOL`` each, when the actual and predicted
     relative reductions of the sum of squares are both that small (ftol),
     when the trust radius is that small relative to the scaled parameters
     (xtol), or when the residuals are that close to orthogonal to every
@@ -770,7 +772,7 @@ def _run_lm(residual, jacobian, x0, max_nfev=2000, tol=1e-8):
             diag = np.maximum(diag, colnorm)
             live = colnorm > 0
             cosines = np.abs(jac.T @ f)[live] / colnorm[live] / fnorm if fnorm else []
-            if np.max(cosines, initial=0.0) <= tol:
+            if np.max(cosines, initial=0.0) <= _TOL:
                 break
             u, s, vt = np.linalg.svd(jac / diag, full_matrices=False)
             c = u.T @ f
@@ -798,11 +800,11 @@ def _run_lm(residual, jacobian, x0, max_nfev=2000, tol=1e-8):
                 if ratio >= 1e-4:
                     x, f, fnorm, started = trial, f_trial, fnorm_trial, True
                     xnorm = math.hypot(*(diag * x))
-                ftol = abs(actred) <= tol and prered <= tol and 0.5 * ratio <= 1
-                if ftol or delta <= tol * xnorm:
+                ftol = abs(actred) <= _TOL and prered <= _TOL and 0.5 * ratio <= 1
+                if ftol or delta <= _TOL * xnorm:
                     return _LeastSquares(x, f, jacobian(x))
-                if nfev >= max_nfev:
-                    raise FitError(f"fit did not converge in {max_nfev} residual evaluations")
+                if nfev >= _MAX_NFEV:
+                    raise FitError(f"fit did not converge in {_MAX_NFEV} residual evaluations")
                 if ratio >= 1e-4:
                     break
         return _LeastSquares(x, f, jac)

@@ -18,11 +18,12 @@ two, and requires the bytes, the parsed log and the first error of one piece.
 """
 
 import contextlib
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dlczsim import analysis, simulator
@@ -802,3 +803,59 @@ class TestPieces:
             found = outcome(analysis.parse_event_log_text, body_text(lines))
         at = FIRST_BODY_LINE + 2
         assert found == (f"t.log:{at}: unknown channel 'D3'", at)
+
+
+@st.composite
+def accepted_configs(draw):
+    """Configs across the constructor's whole range: durations are log-uniform shares of the cycle.
+
+    The cycle runs past 2**63 ns and the write pulse past the cycle, so both
+    refusals the constructor makes are drawn too; those draws are skipped.
+    Each gate is at least one timing cell wide, so it holds a cell.
+    """
+
+    def share():
+        return 10.0 ** -draw(st.floats(0.5, 12.0))
+
+    cycle = 2.0 ** draw(st.floats(0.0, 66.0))
+    res = float(max(1, int(cycle * share())))
+    efficiency = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    fields = dict(
+        excitation_prob=draw(efficiency),
+        retrieval_eff=draw(efficiency),
+        det_eff_s=draw(efficiency),
+        det_eff_i=draw(efficiency),
+        bg_prob_s=draw(efficiency),
+        bg_prob_i=draw(efficiency),
+        base_visibility=draw(efficiency),
+        delta_t_ns=cycle * share() if draw(st.booleans()) else 0.0,
+        cycle_ns=cycle,
+        dark_ns=cycle * share(),
+        write_len_ns=3.0 * cycle * share(),
+        read_len_ns=cycle * share(),
+        gate_d1_ns=max(res, cycle * share()),
+        gate_d2_ns=max(res, cycle * share()),
+        tia_resolution_ns=res,
+    )
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError:
+        assume(False)
+
+
+class TestEveryAcceptedConfig:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_simulates_to_a_log_the_parser_reads_back(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # read gates past the dark period
+            config = data.draw(accepted_configs())
+            settings_ = [MeasurementSetting(0.0, 0.0), MeasurementSetting(22.5, -45.0)]
+            try:
+                log = run_trials(config, settings_, 6, data.draw(st.integers(0, 2**64 - 1)))
+            except ValueError as exc:  # a refusal with its reason, never a wrong log
+                assert "overflow the int64 sort key" in str(exc)
+                assume(False)
+            back = parse(format_event_log(log))
+        assert back == log
+        assert analysis.gate_and_count(back) == analysis.gate_and_count(log)

@@ -3,7 +3,9 @@
 ``fit_exponential`` and ``fit_fringe`` hand their residual and Jacobian
 closures to ``analysis._run_lm``.  These tests feed the same closures to
 ``scipy.optimize.least_squares(method="lm")`` (MINPACK's ``lmder``), so
-scipy is needed here and by the bench, never by the package.
+scipy is needed here and by the bench, never by the package.  The oracle
+runs with ``x_scale="jac"``, MINPACK's own column scaling, which is
+scipy's default from 1.16 on and which ``_run_lm`` uses too.
 """
 
 import math
@@ -32,7 +34,9 @@ def _fit_with_oracle(fit, args, well_posed=lambda theirs: True):
     seen = []
 
     def run_both(residual, jacobian, x0):
-        theirs = least_squares(residual, x0, jac=jacobian, method="lm", max_nfev=2000)
+        theirs = least_squares(
+            residual, x0, jac=jacobian, method="lm", x_scale="jac", max_nfev=2000
+        )
         assume(theirs.success and well_posed(theirs))
         ours = solve(residual, jacobian, x0)
         seen.append((ours, theirs))
@@ -131,7 +135,7 @@ class TestAgainstMinpack:
             return np.column_stack((np.ones_like(t), decay, p[1] * decay * t / p[2] ** 2)) / 0.02
 
         x0 = np.array([y.min(), y.max() - y.min(), 3400.0])
-        theirs = least_squares(residual, x0, jac=jacobian, method="lm")
+        theirs = least_squares(residual, x0, jac=jacobian, method="lm", x_scale="jac")
         calls.clear()
         analysis._run_lm(residual, jacobian, x0)
         assert len(calls) == theirs.nfev

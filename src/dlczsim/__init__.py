@@ -4,10 +4,11 @@ The package covers the full chain of a write/read photon-pair experiment:
 
 - :mod:`dlczsim.angular` computes exact angular-momentum branching ratios
   and the mixing angle eta of the entangled state they produce.
-- :mod:`dlczsim.states` holds the two-qubit density matrix model and the
-  finite-N collective-operator checks behind it.
-- :mod:`dlczsim.predictor` turns a state into measurable numbers:
-  coincidence fringes, correlation coefficients E and the CHSH sum S.
+- :mod:`dlczsim.states` holds the finite-N checks of the collective
+  spin-wave mode that stores the excitation.
+- :mod:`dlczsim.predictor` turns the stored pair into measurable numbers:
+  coincidence fringes, correlation coefficients E, the CHSH sum S and the
+  concurrence.
 - :mod:`dlczsim.simulator` is a seeded Monte Carlo that emits time-tagged
   detector click logs for configurable efficiencies and backgrounds.
 - :mod:`dlczsim.analysis` parses logs, gates and counts clicks, and fits
@@ -54,13 +55,13 @@ from .predictor import (
     chsh_s,
     chsh_setting_table,
     coincidence_rate,
+    concurrence,
     correlation_e,
     predict_ideal_e,
     predict_ideal_s,
 )
 from .simulator import (
     DEFAULT_ETA,
-    DetectionEvent,
     EventLog,
     ExperimentConfig,
     decoherence_visibility,
@@ -71,11 +72,7 @@ from .simulator import (
 )
 from .states import (
     EnsembleModel,
-    TwoQubitState,
-    add_white_noise,
-    concurrence,
     excited_commutator_deviation,
-    ideal_state,
     mode_vacuum_overlap,
 )
 
@@ -91,13 +88,9 @@ __all__ = [
     "cg",
     "mixing_angle",
     "mixing_cos_sq",
-    # quantum states
+    # collective spin-wave mode
     "EnsembleModel",
-    "TwoQubitState",
-    "add_white_noise",
-    "concurrence",
     "excited_commutator_deviation",
-    "ideal_state",
     "mode_vacuum_overlap",
     # predictions
     "CANONICAL_ANGLES_DEG",
@@ -108,12 +101,12 @@ __all__ = [
     "chsh_s",
     "chsh_setting_table",
     "coincidence_rate",
+    "concurrence",
     "correlation_e",
     "predict_ideal_e",
     "predict_ideal_s",
     # simulation
     "DEFAULT_ETA",
-    "DetectionEvent",
     "EventLog",
     "ExperimentConfig",
     "decoherence_visibility",

@@ -762,9 +762,11 @@ def _run_lm(residual, jacobian, x0):
             raise FitError("fit cannot start: residuals are not finite at the starting point")
         while True:
             jac = jacobian(x)
-            if not np.all(np.isfinite(jac)):
-                raise FitError("fit did not converge: the Jacobian is not finite")
             colnorm = np.sqrt(np.sum(jac * jac, axis=0))
+            # a non-finite entry makes its column's norm non-finite, and so does
+            # a sum of squares that overflows: either leaves no scale to step by
+            if not np.all(np.isfinite(colnorm)):
+                raise FitError("fit did not converge: the Jacobian is not finite")
             if diag is None:
                 diag = np.where(colnorm > 0, colnorm, 1.0)
                 xnorm = math.hypot(*(diag * x))
@@ -884,7 +886,8 @@ def fit_exponential(points) -> ExponentialFit:
     """Fit g(delta_t) = floor + amplitude * exp(-delta_t/tau) to decay data.
 
     Returns the decay constant with its covariance-based uncertainty; the
-    floor captures the accidental-dominated long-time limit.
+    floor captures the accidental-dominated long-time limit.  A fit whose
+    tau variance is not positive or not below tau^2 raises FitError.
     """
     pts = list(points)
     if len(pts) < 3:
@@ -907,11 +910,18 @@ def fit_exponential(points) -> ExponentialFit:
     span = t.max() - t.min()
     x0 = np.array([y.min(), y.max() - y.min(), span / 2.0 if span > 0 else 1.0])
     result = _run_lm(residual, jacobian, x0)
-    floor, amp, tau = result.x
+    floor, amp, tau = result.x.tolist()  # builtin floats: tau * tau overflows to inf silently
     if tau <= 0:
         raise FitError(f"fitted decay constant is not positive: tau = {tau:.4g} ns")
     cov = _covariance(result.jac)
-    sigma_tau = math.sqrt(max(cov[2, 2], 0.0))
+    # a variance that is not positive, or an error bar as large as tau itself,
+    # means the data do not determine tau
+    if not 0.0 < cov[2, 2] < tau * tau:
+        raise FitError(
+            f"decay constant is not determined by the data: tau = {tau:.4g} ns,"
+            f" variance {cov[2, 2]:.4g} ns^2"
+        )
+    sigma_tau = math.sqrt(cov[2, 2])
     return ExponentialFit(
         tau_ns=float(tau),
         amplitude=float(amp),

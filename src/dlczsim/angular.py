@@ -50,9 +50,6 @@ class HalfInt:
     def value(self) -> float:
         return self.twice / 2
 
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __add__(self, other) -> "HalfInt":
         return HalfInt(self.twice + HalfInt.of(other).twice)
 
@@ -287,10 +284,6 @@ class BranchingTable:
     def amplitude(self, m, alpha: int) -> float:
         """X_m(alpha); 0.0 for any (m, alpha) outside the table."""
         return self.entries.get((HalfInt.of(m).twice, alpha), 0.0)
-
-    def square(self, m, alpha: int) -> Fraction:
-        sign, sq = self.signed_squares.get((HalfInt.of(m).twice, alpha), (0, Fraction(0)))
-        return sq
 
     def sum_squares(self, alpha: int | None = None) -> Fraction:
         """Exact sum of X_m^2 over m, for one helicity or for both."""

@@ -20,6 +20,7 @@ __all__ = [
     "MeasurementSetting",
     "FringeModel",
     "pair_amplitudes",
+    "concurrence",
     "CountQuartet",
     "CHSHResult",
     "coincidence_rate",
@@ -47,6 +48,20 @@ def pair_amplitudes(eta, theta_s, theta_i) -> np.ndarray:
     cs, ss, ci, si = np.cos(theta_s), np.sin(theta_s), np.cos(theta_i), np.sin(theta_i)
     return np.array([c * cs * ci + s * ss * si, s * ss * ci - c * cs * si,
                      s * cs * si - c * ss * ci, c * ss * si + s * cs * ci])
+
+
+def concurrence(eta: float, visibility: float) -> float:
+    """Concurrence of the stored pair, cos(eta)|r, S-> + sin(eta)|l, S+> under white noise.
+
+    The pair's density matrix is V|psi><psi| + (1 - V) I/4 at visibility V.
+    Wootters' formula (PRL 80, 2245 (1998)) on this state reduces to
+    2 max(0, |rho_03| - sqrt(rho_11 rho_22)) = max(0, V sin(2 eta) - (1 - V)/2).
+    """
+    if not 0.0 <= eta <= math.pi / 2:
+        raise ValueError(f"eta must lie in [0, pi/2], got {eta}")
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+    return max(0.0, visibility * math.sin(2.0 * eta) - (1.0 - visibility) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .predictor import MeasurementSetting, pair_amplitudes
 __all__ = [
     "DEFAULT_ETA",
     "ExperimentConfig",
-    "DetectionEvent",
     "EventLog",
     "CHANNEL_NAMES",
     "EVENT_DTYPE",
@@ -228,20 +227,6 @@ class ExperimentConfig:
         return cls(**{k: ascii_float(v) if isinstance(v, str) else v for k, v in mapping.items()})
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
-    """A single detector click."""
-
-    trial: int
-    channel: str
-    t_ns: int
-    setting_id: int
-
-    def __post_init__(self):
-        if self.channel not in CHANNEL_NAMES:
-            raise ValueError(f"channel must be one of {CHANNEL_NAMES}")
-
-
 def _setting_ids(trial: np.ndarray, n_trials_per_setting: int) -> np.ndarray:
     """``trial // n_trials_per_setting``, exact for every int64 trial and every n >= 0.
 
@@ -329,13 +314,6 @@ class EventLog:
         events["setting_id"] = _setting_ids(self.trial, self.n_trials_per_setting)
         events.flags.writeable = False
         return events
-
-    def event(self, index: int) -> DetectionEvent:
-        trial = self.trial[index]
-        setting = int(_setting_ids(trial, self.n_trials_per_setting))
-        return DetectionEvent(
-            int(trial), CHANNEL_NAMES[self.channel[index]], int(self.t_ns[index]), setting
-        )
 
     def __eq__(self, other):
         header = (self.config, self.settings, self.seed, self.n_trials_per_setting)

@@ -1,12 +1,9 @@
-"""Photon/spin-wave two-qubit states and collective excitation operators.
+"""Collective excitation operators of the stored spin wave.
 
-The entangled resource produced by a write pulse is modeled two ways:
-
-* as an abstract two-qubit density matrix on {photon helicity} x {spin-wave
-  mode}, with a white-noise channel and concurrence for quantifying it, and
-* as collective raising/lowering operators on N atoms, used to check the
-  bosonic character (vacuum norms and commutators) of the stored
-  excitation at finite atom number.
+A write pulse stores its excitation in a collective mode of N atoms.  The
+checks here test the bosonic character of that mode (vacuum norms and
+commutators) at finite atom number; the photon/spin-wave pair it forms is
+modeled in :mod:`dlczsim.predictor`.
 
 The unpolarized initial mixture is a product of identical single-atom
 states with no off-diagonal part, so every vacuum expectation of a
@@ -25,81 +22,10 @@ import numpy as np
 from .angular import BranchingTable, HalfInt
 
 __all__ = [
-    "STATE_BASIS",
-    "TwoQubitState",
     "EnsembleModel",
-    "ideal_state",
-    "add_white_noise",
-    "concurrence",
     "mode_vacuum_overlap",
     "excited_commutator_deviation",
 ]
-
-STATE_BASIS = ("r|S-", "r|S+", "l|S-", "l|S+")
-
-VALIDATION_TOL = 1e-12
-
-
-@dataclass(eq=False)
-class TwoQubitState:
-    """Density matrix on the photon-helicity x spin-wave-mode qubit pair.
-
-    Rows and columns follow STATE_BASIS.
-    """
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        if self.rho.shape != (4, 4):
-            raise ValueError(f"rho must be 4x4, got {self.rho.shape}")
-
-    def validate(self) -> None:
-        """Raise if rho is not Hermitian, trace-one and PSD within VALIDATION_TOL."""
-        tol = VALIDATION_TOL
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > tol:
-            raise ValueError("rho is not Hermitian")
-        if abs(np.trace(self.rho).real - 1.0) > tol or abs(np.trace(self.rho).imag) > tol:
-            raise ValueError(f"rho has trace {np.trace(self.rho)}, expected 1")
-        lowest = np.linalg.eigvalsh(self.rho)[0]
-        if lowest < -tol:
-            raise ValueError(f"rho has negative eigenvalue {lowest}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwoQubitState)
-            and np.array_equal(self.rho, other.rho)
-        )
-
-
-def ideal_state(eta: float) -> TwoQubitState:
-    """Pure entangled state cos(eta)|r, S-> + sin(eta)|l, S+>."""
-    if not 0.0 <= eta <= math.pi / 2:
-        raise ValueError(f"eta must lie in [0, pi/2], got {eta}")
-    psi = np.array([math.cos(eta), 0.0, 0.0, math.sin(eta)], dtype=complex)
-    rho = np.outer(psi, psi.conj())
-    rho /= np.trace(rho).real
-    return TwoQubitState(rho)
-
-
-def add_white_noise(state: TwoQubitState, visibility: float) -> TwoQubitState:
-    """Mix the state with the maximally mixed one: V*rho + (1-V)*I/4."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    rho = visibility * state.rho + (1.0 - visibility) * np.eye(4) / 4.0
-    return TwoQubitState(rho)
-
-
-def concurrence(state: TwoQubitState) -> float:
-    """Wootters concurrence of a two-qubit density matrix."""
-    sy = np.array([[0, -1j], [1j, 0]])
-    flip = np.kron(sy, sy)
-    rho = state.rho
-    rho_tilde = flip @ rho.conj() @ flip
-    lams = np.linalg.eigvals(rho @ rho_tilde)
-    lams = np.sqrt(np.clip(lams.real, 0.0, None))
-    lams.sort()
-    return float(max(0.0, lams[-1] - lams[-2] - lams[-3] - lams[-4]))
 
 
 @dataclass(eq=False)
@@ -141,10 +67,6 @@ class EnsembleModel:
 
     def ground_multiplicity(self) -> int:
         return self.f_a.twice + 1
-
-    def phases(self) -> np.ndarray:
-        """exp(-i delta_k . r_mu) for every atom."""
-        return np.exp(-1j * self.positions @ self.delta_k)
 
 
 def _check_sublevels(model: EnsembleModel, alpha: int, m: HalfInt) -> tuple:

@@ -75,7 +75,7 @@ def build_collective_operator(
     a_idx, b_idx = basis.index(a_lvl), basis.index(b_lvl)
 
     g = math.sqrt(model.ground_multiplicity() / n)
-    coeffs = g * model.phases()
+    coeffs = g * np.exp(-1j * model.positions @ model.delta_k)  # the phase of each atom
     idx = np.arange(total, dtype=np.int64)
     rows, cols, vals = [], [], []
     for mu in range(n):

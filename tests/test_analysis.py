@@ -27,7 +27,6 @@ from dlczsim.analysis import (
 )
 from dlczsim.predictor import MeasurementSetting, chsh_setting_table, correlation_e
 from dlczsim.simulator import (
-    DetectionEvent,
     EventLog,
     ExperimentConfig,
     gate_windows,
@@ -265,7 +264,7 @@ class TestParserTotality:
     def test_valid_minimal_log(self):
         log = parse_event_log_text(VALID_HEADER + "0 D1 66 0\n")
         assert len(log) == 1
-        assert log.event(0) == DetectionEvent(0, "D1", 66, 0)
+        assert (log.trial[0], log.channel[0], log.t_ns[0]) == (0, 0, 66)
         assert log.config.excitation_prob == 0.1
 
     @pytest.mark.parametrize(
@@ -336,7 +335,7 @@ class TestParserTotality:
         """With 2**63 trials per setting, trial 2**63 - 1 is setting 0's; gating once said setting 1."""
         text = f"# version=1\n# seed=1\n# trials_per_setting={2**63}\n# setting 0 0 0\n{2**63 - 1} D1 140 0\n"
         log = parse_event_log_text(text)
-        assert log.event(0) == DetectionEvent(2**63 - 1, "D1", 140, 0)
+        assert (log.trial[0], log.channel[0], log.t_ns[0]) == (2**63 - 1, 0, 140)
         assert counts_of(gate_and_count(log)) == {0: (1, 0, 0)}
 
     def test_gate_without_a_timing_cell_is_reported_at_its_header_line(self):
@@ -741,6 +740,20 @@ class TestFitExponential:
         duplicated = [points[0], points[0], points[0], points[0]]
         with pytest.raises(ValueError, match="distinct"):
             fit_exponential(duplicated)
+
+    @pytest.mark.parametrize(
+        "g_si, sigma",
+        [
+            # noise-dominated: tau runs off to about 7e10 ns and its variance comes out negative
+            ((1.0974, 0.9133, 1.0885, 1.0203, 1.4353), 0.1),
+            # the decay is over before the first delay: tau about 53 ns, sigma_tau about 1.5e7 ns
+            ([1.0 + 9.0 * math.exp(-t / 20.0) + 0.01 * (-1) ** i for i, t in enumerate(TIMES)], 0.01),
+        ],
+    )
+    def test_undetermined_decay_constant_is_refused(self, g_si, sigma):
+        points = [DecayPoint(t, g, sigma) for t, g in zip(self.TIMES, g_si)]
+        with pytest.raises(FitError, match=r"^decay constant is not determined by the data: tau = "):
+            fit_exponential(points)
 
     def test_decay_point_validation(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import pytest
 
 from dlczsim.analysis import chsh_from_log, fit_fringe, parse_event_log
 from dlczsim.angular import LevelScheme, mixing_angle
-from dlczsim.cli import main
+from dlczsim.cli import PREDICT_FRINGE_MAX_ROWS, main
 from dlczsim.simulator import DEFAULT_ETA
 
 
@@ -93,6 +93,22 @@ class TestEntryPoints:
     def test_bad_format_choice(self, capsys):
         code, _, _ = run_cli(capsys, "predict-chsh", "--format", "yaml")
         assert code == 1
+
+    def test_reader_that_closes_the_pipe(self):
+        """A reader gone after one line: exit 1, no traceback, no 'Exception ignored'."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dlczsim", "predict-fringe", "--points", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)  # stderr is far below a pipe's buffer, so it cannot block
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert code == 1
+        assert first.startswith(b"# fringe at eta=")
+        assert err == b""
 
 
 class TestEta:
@@ -179,6 +195,20 @@ class TestPredictions:
         assert out == ""
         assert flag in err and "at least one sample" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, product",
+        [
+            (("--points", "100000000"), "100000000 x 1 = 100000000"),
+            (("--points", "1000", "--periods", "201"), "1000 x 201 = 201000"),
+        ],
+    )
+    def test_too_many_rows_are_refused(self, capsys, argv, product):
+        code, out, err = run_cli(capsys, "predict-fringe", *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: --points x --periods must be <= {PREDICT_FRINGE_MAX_ROWS} rows, got {product}\n"
+        )
 
 
 class TestSimulateAndAnalyze:
@@ -438,6 +468,30 @@ class TestFitCommands:
         code, _, err = run_cli(capsys, "fit-decay", "--data", str(data))
         assert code == 3
         assert "error:" in err
+
+    def test_undetermined_decay_exits_three(self, capsys, tmp_path):
+        # noise-dominated: tau runs off to about 7e10 ns along a flat valley
+        data = tmp_path / "runaway.csv"
+        data.write_text(
+            "delta_t_ns,g_si,sigma\n200,1.0974,0.1\n1000,0.9133,0.1\n2000,1.0885,0.1\n"
+            "4000,1.0203,0.1\n7000,1.4353,0.1\n"
+        )
+        code, out, err = run_cli(capsys, "fit-decay", "--data", str(data))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: decay constant is not determined by the data: tau = ")
+        assert err.count("\n") == 1
+
+    def test_jacobian_column_norm_overflow_exits_three_at_once(self, tmp_path):
+        # at theta_i = 67.5 deg the residuals start finite, but the phase column's norm overflows
+        data = tmp_path / "overflow.csv"
+        data.write_text("theta_s_deg,counts,sigma\n0,1.5e308,1\n45,0,1\n90,1.5e308,1\n135,0,1\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "dlczsim", "fit-fringe", "--data", str(data), "--theta-i", "67.5"],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == "error: fit did not converge: the Jacobian is not finite\n"
 
     def test_fit_that_cannot_start_exits_three(self, capsys, tmp_path):
         # counts near the float maximum overflow the residuals at the starting point

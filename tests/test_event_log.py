@@ -519,12 +519,12 @@ class TestFieldsBeyondInt64:
 
     def test_long_spelling_of_a_small_value_is_read_exactly(self):
         log = parse(VALID_HEADER + "0000000000000000000000003 D1 000000000000000000000066 00000000000000000000\n")
-        assert log.event(0).trial == 3 and log.event(0).t_ns == 66 and log.event(0).setting_id == 0
+        assert (log.trial[0], log.channel[0], log.t_ns[0]) == (3, 0, 66)
 
     def test_largest_int64_trial(self):
         n_per = INT64_MAX
         text = f"# version=1\n# seed=1\n# trials_per_setting={n_per}\n# setting 0 0 0\n{INT64_MAX - 1} D2 330 0\n"
-        assert parse(text).event(0).trial == INT64_MAX - 1
+        assert parse(text).trial[0] == INT64_MAX - 1
 
 
 class TestHeaderAngles:

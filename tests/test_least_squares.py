@@ -173,6 +173,18 @@ class TestSolver:
         with pytest.raises(FitError, match=r"^fit did not converge: the Jacobian is not finite$"):
             analysis._run_lm(lambda p: p - 1.0, lambda p: np.full((1, 1), math.inf), np.zeros(1))
 
+    def test_jacobian_column_norm_that_overflows_stops_at_once(self):
+        # every entry is finite, but the norm of the column is not
+        calls = []
+
+        def residual(p):
+            calls.append(p)
+            return p - 1.0
+
+        with pytest.raises(FitError, match=r"^fit did not converge: the Jacobian is not finite$"):
+            analysis._run_lm(residual, lambda p: np.full((2, 1), 1.5e308), np.zeros(1))
+        assert len(calls) == 1
+
     def test_running_out_of_evaluations(self, monkeypatch):
         # 1/x has no minimum at a finite x: the fit runs off until it gives up
         monkeypatch.setattr(analysis, "_MAX_NFEV", 20)
@@ -187,15 +199,16 @@ class TestSolver:
         assert len(calls) == 20
 
     def test_trial_steps_that_overflow_raise_no_numpy_warning(self):
-        # a trial step here takes tau so small that exp overflows; the step is rejected
+        # a trial step here takes tau to about -5 ns, where exp overflows; the step is
+        # rejected and the fit still determines tau
         t = [200.0, 1000.0, 2000.0, 4000.0, 7000.0]
         points = [
-            DecayPoint(d, 1.0 + 9.0 * math.exp(-d / 20.0) + 0.01 * (-1) ** i, 0.01)
+            DecayPoint(d, 1.0 + 3.0 * math.exp(-d / 400.0) + 0.01 * (-1) ** i, 0.01)
             for i, d in enumerate(t)
         ]
         with np.errstate(all="raise"):
             fit = fit_exponential(points)
-        assert 0 < fit.tau_ns < 200.0
+        assert 370.0 < fit.tau_ns < 410.0 and 0 < fit.sigma_tau_ns < 20.0
 
 
 def test_fits_run_where_scipy_cannot_be_imported():

@@ -14,11 +14,13 @@ from dlczsim.predictor import (
     chsh_s,
     chsh_setting_table,
     coincidence_rate,
+    concurrence,
     correlation_e,
     pair_amplitudes,
     predict_ideal_e,
     predict_ideal_s,
 )
+from pair_oracle import noisy_pair, wootters_concurrence
 
 ETA_ALKALI = 0.81 * math.pi / 4
 
@@ -308,3 +310,37 @@ class TestPairAmplitudes:
         assert pair_amplitudes(ETA_ALKALI, 0.1, 0.2).shape == (4,)
         assert pair_amplitudes(ETA_ALKALI, ts[:, 0], 0.2).shape == (4, 3)
 
+
+class TestConcurrence:
+    """The closed form against Wootters' formula on the pair's density matrix."""
+
+    def test_closed_form_matches_the_density_matrix(self):
+        rng = np.random.default_rng(17)
+        draws = zip(rng.uniform(0.0, math.pi / 2, 2500).tolist(), rng.uniform(0.0, 1.0, 2500).tolist())
+        for eta, v in [(0.0, 1.0), (math.pi / 2, 0.0), (math.pi / 4, 1 / 3), *draws]:
+            expected = wootters_concurrence(noisy_pair(eta, v))
+            assert abs(concurrence(eta, v) - expected) <= 1e-12, (eta, v)
+
+    def test_pure_state_concurrence_is_sin_two_eta(self):
+        for eta in np.linspace(0.0, math.pi / 2, 50):
+            np.testing.assert_allclose(concurrence(eta, 1.0), math.sin(2 * eta), atol=1e-12)
+
+    def test_partially_mixed_bell_state(self):
+        # isotropic two-qubit state: C = max(0, (3V - 1)/2)
+        for v in (0.0, 0.2, 1 / 3, 0.6, 0.9, 1.0):
+            expected = max(0.0, (3 * v - 1) / 2)
+            np.testing.assert_allclose(concurrence(math.pi / 4, v), expected, atol=1e-12)
+
+    def test_noise_never_increases_concurrence(self):
+        values = [concurrence(ETA_ALKALI, v) for v in (1.0, 0.8, 0.6, 0.4)]
+        assert values == sorted(values, reverse=True)
+
+    def test_eta_out_of_range(self):
+        for eta in (-0.1, math.pi / 2 + 0.1, math.nan):
+            with pytest.raises(ValueError, match=r"^eta must lie in \[0, pi/2\], got "):
+                concurrence(eta, 1.0)
+
+    def test_visibility_out_of_range(self):
+        for v in (-0.1, 1.2, math.nan):
+            with pytest.raises(ValueError, match=r"^visibility must lie in \[0, 1\], got "):
+                concurrence(math.pi / 4, v)

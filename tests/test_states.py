@@ -1,4 +1,4 @@
-"""Tests for two-qubit states and explicit collective operators."""
+"""Tests for the collective-mode checks against explicit collective operators."""
 
 import math
 from fractions import Fraction
@@ -18,11 +18,7 @@ from collective_oracle import (
 from dlczsim.angular import HalfInt, LevelScheme, branching_table
 from dlczsim.states import (
     EnsembleModel,
-    TwoQubitState,
-    add_white_noise,
-    concurrence,
     excited_commutator_deviation,
-    ideal_state,
     mode_vacuum_overlap,
 )
 
@@ -33,72 +29,6 @@ def make_model(n_atoms, seed=1):
     return EnsembleModel.with_random_positions(
         n_atoms, f_a=3, f_b=2, delta_k=(0.3, -1.1, 0.7), seed=seed
     )
-
-
-class TestTwoQubitState:
-    def test_ideal_state_is_valid_density_matrix(self):
-        for eta in np.linspace(0.0, math.pi / 2, 21):
-            state = ideal_state(eta)
-            state.validate()  # Hermitian, unit trace, PSD
-            np.testing.assert_allclose(np.trace(state.rho).real, 1.0, atol=1e-15)
-
-    def test_ideal_state_amplitudes(self):
-        eta = 0.3
-        rho = ideal_state(eta).rho
-        np.testing.assert_allclose(rho[0, 0].real, math.cos(eta) ** 2, rtol=1e-14)
-        np.testing.assert_allclose(rho[3, 3].real, math.sin(eta) ** 2, rtol=1e-14)
-        np.testing.assert_allclose(rho[0, 3].real, math.cos(eta) * math.sin(eta), rtol=1e-14)
-        assert rho[1, 1] == 0 and rho[2, 2] == 0
-
-    def test_eta_out_of_range(self):
-        with pytest.raises(ValueError):
-            ideal_state(-0.1)
-        with pytest.raises(ValueError):
-            ideal_state(math.pi / 2 + 0.1)
-
-    def test_white_noise_keeps_state_valid(self):
-        state = ideal_state(0.5)
-        for v in (0.0, 0.3, 0.9, 1.0):
-            noisy = add_white_noise(state, v)
-            noisy.validate()
-        with pytest.raises(ValueError):
-            add_white_noise(state, 1.2)
-
-    def test_white_noise_limits(self):
-        state = ideal_state(0.7)
-        np.testing.assert_allclose(add_white_noise(state, 1.0).rho, state.rho)
-        np.testing.assert_allclose(add_white_noise(state, 0.0).rho, np.eye(4) / 4)
-
-    def test_validate_rejects_bad_matrices(self):
-        bad = TwoQubitState(np.eye(4))  # trace 4
-        with pytest.raises(ValueError):
-            bad.validate()
-        non_hermitian = np.eye(4) / 4 + 0j
-        non_hermitian[0, 1] = 0.1
-        with pytest.raises(ValueError):
-            TwoQubitState(non_hermitian).validate()
-
-
-class TestConcurrence:
-    def test_pure_state_concurrence_is_sin_two_eta(self):
-        for eta in np.linspace(0.0, math.pi / 2, 50):
-            np.testing.assert_allclose(
-                concurrence(ideal_state(eta)), math.sin(2 * eta), atol=1e-12
-            )
-
-    def test_partially_mixed_bell_state(self):
-        # isotropic two-qubit state: C = max(0, (3V - 1)/2)
-        bell = ideal_state(math.pi / 4)
-        for v in (0.0, 0.2, 1 / 3, 0.6, 0.9, 1.0):
-            expected = max(0.0, (3 * v - 1) / 2)
-            np.testing.assert_allclose(
-                concurrence(add_white_noise(bell, v)), expected, atol=1e-12
-            )
-
-    def test_noise_never_increases_concurrence(self):
-        state = ideal_state(0.81 * math.pi / 4)
-        values = [concurrence(add_white_noise(state, v)) for v in (1.0, 0.8, 0.6, 0.4)]
-        assert values == sorted(values, reverse=True)
 
 
 class TestCollectiveOperator:

@@ -14,8 +14,8 @@ The package covers the full chain of a write/read photon-pair experiment:
 - :mod:`dlczsim.analysis` parses logs, gates and counts clicks, and fits
   fringes and decay curves the way the measured data are treated.
 - :mod:`dlczsim.cli` wires the above into the ``dlczsim`` command.
-- :mod:`dlczsim.grammar` is the number grammar and the UTF-8 file reading
-  every text input shares.
+- :mod:`dlczsim.grammar` is the number grammar, the UTF-8 file reading and
+  the ``ParseError`` every text input shares.
 """
 
 from .analysis import (
@@ -24,7 +24,6 @@ from .analysis import (
     ExponentialFit,
     FitError,
     FringeFit,
-    ParseError,
     SettingCounts,
     chsh_from_log,
     compute_g_si,
@@ -46,6 +45,7 @@ from .angular import (
     mixing_angle,
     mixing_cos_sq,
 )
+from .grammar import ParseError
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     CHSHResult,

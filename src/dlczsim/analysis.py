@@ -5,18 +5,21 @@ gated, the first click per channel in each trial wins, same-trial pairs
 become coincidences, and the resulting count tables feed the correlation
 coefficients, the CHSH sum, the normalized cross-correlation g_si, fringe
 visibility fits, and the storage-time decay fit.
+
+A log header repeats the run's config and settings and reads them as config
+and settings files do: a fault gives their ``ParseError`` message, at its line.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .grammar import ascii_float, ascii_int, read_text
+from .grammar import ParseError, ascii_float, ascii_int, read_text
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     CHSHResult,
@@ -31,10 +34,10 @@ from .predictor import (
 from .simulator import (
     CHANNEL_NAMES,
     EventLog,
-    ExperimentConfig,
     _INT64_MAX,
     _even_cuts,
     _map_on_workers,
+    _read_config,
     _setting_ids,
     gate_windows,
 )
@@ -63,19 +66,6 @@ LOG_FORMAT_VERSION = 1
 
 # polarizers are mod-180-degrees devices; tolerance for matching settings
 _ANGLE_TOL_DEG = 1e-6
-
-
-class ParseError(Exception):
-    """A malformed input file, with the offending location when known."""
-
-    def __init__(self, message: str, source: str | None = "<log>", line: int | None = None):
-        self.source = source
-        self.line = line
-        if source is None:
-            super().__init__(message)
-        else:
-            where = source if line is None else f"{source}:{line}"
-            super().__init__(f"{where}: {message}")
 
 
 class FitError(Exception):
@@ -292,11 +282,13 @@ def _parse_header_line(line: str, lineno: int, source: str, header: dict, settin
             ts, ti = ascii_float(parts[2]), ascii_float(parts[3])
         except ValueError:
             raise ParseError(f"bad setting line {body!r}", source, lineno) from None
-        if not (math.isfinite(ts) and math.isfinite(ti)):
-            raise ParseError(f"setting angles must be finite, got {body!r}", source, lineno)
+        try:
+            setting = MeasurementSetting(ts, ti)
+        except ValueError as exc:
+            raise ParseError(str(exc), source, lineno) from None
         if sid in settings:
             raise ParseError(f"duplicate setting id {sid}", source, lineno)
-        settings[sid] = MeasurementSetting(ts, ti)
+        settings[sid] = setting
         return
     if "=" not in body:
         raise ParseError(f"header line is not 'key=value': {line!r}", source, lineno)
@@ -501,21 +493,7 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
 
     seed = _header_int("seed", 0)
     n_per = _header_int("trials_per_setting", 0)
-    config_fields = {f.name for f in fields(ExperimentConfig)}
-    config_lines = {}
-    for key, (value, at) in header.items():
-        if key not in config_fields:
-            raise ParseError(f"unknown config key {key!r}", source, at)
-        try:
-            config_lines[key] = ascii_float(value)
-        except ValueError:
-            raise ParseError(f"{key} must be a decimal number, got {value!r}", source, at) from None
-    try:
-        config = ExperimentConfig.from_mapping(config_lines)
-    except ValueError as exc:
-        # the config's messages start with the offending field when there is one
-        key = str(exc).split(" ", 1)[0]
-        raise ParseError(str(exc), source, header[key][1] if key in header else None) from None
+    config = _read_config(header, source)
 
     # -- ranges: trial within the run and its setting block, t_ns on the grid --
     res = int(config.tia_resolution_ns)
@@ -560,13 +538,8 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
 
 
 def parse_event_log(path) -> EventLog:
-    try:
-        # newline="" hands "\r" to the parser, which accepts it only before "\n"
-        text = read_text(path, newline="")
-    except OSError as exc:
-        raise ParseError(str(exc), str(path)) from None
-    except ValueError as exc:
-        raise ParseError(str(exc), source=None) from None
+    # newline="" hands "\r" to the parser, which accepts it only before "\n"
+    text = read_text(path, newline="")
     return parse_event_log_text(text, source=str(path))
 
 
@@ -766,7 +739,9 @@ def _run_lm(residual, jacobian, x0):
             # a non-finite entry makes its column's norm non-finite, and so does
             # a sum of squares that overflows: either leaves no scale to step by
             if not np.all(np.isfinite(colnorm)):
-                raise FitError("fit did not converge: the Jacobian is not finite")
+                if not np.all(np.isfinite(jac)):
+                    raise FitError("fit did not converge: the Jacobian is not finite")
+                raise FitError("fit did not converge: a Jacobian column's norm overflows")
             if diag is None:
                 diag = np.where(colnorm > 0, colnorm, 1.0)
                 xnorm = math.hypot(*(diag * x))

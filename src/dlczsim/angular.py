@@ -180,14 +180,6 @@ def _racah(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> tuple[in
 
 
 @lru_cache(maxsize=None)
-def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
-    """Signed square of a Clebsch-Gordan coefficient as (sign, Fraction), for exact sums."""
-    sign, num, den = _racah(tj1, tm1, tj2, tm2, tJ, tM)
-    # the only normalization: one gcd over the whole product
-    return sign, Fraction(num, den)
-
-
-@lru_cache(maxsize=None)
 def _cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
     """A Clebsch-Gordan coefficient as a float, from its exact square.
 
@@ -299,11 +291,11 @@ def branching_table(scheme: LevelScheme) -> BranchingTable:
     entries = {}
     squares = {}
     for m in projections(scheme.f_a):
-        up_sign, up_sq = _cg_signed_square(
+        up_sign, up_num, up_den = _racah(
             scheme.f_a.twice, m.twice, 2, 2, scheme.f_c.twice, m.twice + 2
         )
         for alpha in (-1, +1):
-            down_sign, down_sq = _cg_signed_square(
+            down_sign, down_num, down_den = _racah(
                 scheme.f_c.twice,
                 m.twice + 2,
                 2,
@@ -312,7 +304,8 @@ def branching_table(scheme: LevelScheme) -> BranchingTable:
                 m.twice + 2 + 2 * alpha,
             )
             sign = up_sign * down_sign
-            square = up_sq * down_sq
+            # the only normalization: one gcd over the whole product
+            square = Fraction(up_num * down_num, up_den * down_den)
             value = sign * math.sqrt(float(square)) if sign else 0.0
             entries[(m.twice, alpha)] = value
             squares[(m.twice, alpha)] = (sign, square)

@@ -29,13 +29,13 @@ from .angular import (
     mixing_angle,
     mixing_cos_sq,
 )
-from .grammar import ascii_float, read_text
+from .grammar import ParseError, ascii_float, read_text
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     MeasurementSetting,
     FringeModel,
     _chsh_pairs,
-    coincidence_rate,
+    _fringe_rates,
     predict_ideal_e,
     predict_ideal_s,
 )
@@ -53,12 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    @staticmethod
-    def exit_with(message) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 class _Report:
@@ -91,14 +87,6 @@ class _Report:
         return "\n".join(self.text)
 
 
-def _load(reader, path):
-    """Read a config or settings file; an unreadable or invalid one exits 2."""
-    try:
-        return reader(path)
-    except (OSError, ValueError) as exc:
-        raise analysis.ParseError(str(exc), source=None) from None
-
-
 def _settings_table(table: analysis.CoincidenceTable) -> dict:
     """The per-setting counts of a gated log, as the ``settings`` table of a report."""
     rows = []
@@ -114,16 +102,13 @@ def _settings_table(table: analysis.CoincidenceTable) -> dict:
 
 def _read_csv_points(path, expected_columns):
     """Read a CSV data file with an exact one-line header."""
-    try:
-        text = read_text(path, newline="")
-    except (OSError, ValueError) as exc:
-        raise analysis.ParseError(str(exc), source=None) from None
+    text = read_text(path, newline="")
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
-        raise analysis.ParseError("empty data file", str(path))
+        raise ParseError("empty data file", str(path))
     header = [c.strip() for c in rows[0]]
     if header != list(expected_columns):
-        raise analysis.ParseError(
+        raise ParseError(
             f"expected header {','.join(expected_columns)!r}, got {','.join(header)!r}",
             str(path),
             1,
@@ -133,20 +118,20 @@ def _read_csv_points(path, expected_columns):
         if not row:
             continue
         if len(row) != len(expected_columns):
-            raise analysis.ParseError(
+            raise ParseError(
                 f"expected {len(expected_columns)} columns, got {len(row)}", str(path), lineno
             )
         try:
             point = tuple(ascii_float(x.strip()) for x in row)
         except ValueError:
-            raise analysis.ParseError(
+            raise ParseError(
                 f"non-numeric value in row {row}", str(path), lineno
             ) from None
         if not all(map(math.isfinite, point)):
-            raise analysis.ParseError(f"non-finite value in row {row}", str(path), lineno)
+            raise ParseError(f"non-finite value in row {row}", str(path), lineno)
         points.append(point)
     if not points:
-        raise analysis.ParseError("no data rows", str(path))
+        raise ParseError("no data rows", str(path))
     return points
 
 
@@ -198,12 +183,10 @@ def _cmd_predict_fringe(args) -> _Report:
             f"--points x --periods must be <= {PREDICT_FRINGE_MAX_ROWS} rows,"
             f" got {args.points} x {args.periods} = {n}"
         )
-    step = 180.0 / args.points
-    rows = []
-    for k in range(n):
-        theta_s = k * step
-        rate = coincidence_rate(model, MeasurementSetting(theta_s, args.theta_i))
-        rows.append((theta_s, rate))
+    theta_i = MeasurementSetting(0.0, args.theta_i).theta_i_rad  # refuses inf and nan
+    theta_s = np.arange(n) * (180.0 / args.points)
+    rates = _fringe_rates(model, np.radians(theta_s), theta_i)
+    rows = list(zip(theta_s.tolist(), rates.tolist()))
     text = [f"# fringe at eta={args.eta:.6f} rad, theta_i={args.theta_i} deg"]
     text += [f"{ts:8.3f}  {r:.6f}" for ts, r in rows]
     return _Report(
@@ -241,8 +224,16 @@ def _cmd_predict_chsh(args) -> _Report:
 def _cmd_simulate(args) -> _Report:
     config = simulator.ExperimentConfig()
     if args.config:
-        config = _load(simulator.load_config, args.config)
-    settings = _load(simulator.load_settings, args.settings)
+        config = simulator.load_config(args.config)
+    settings = simulator.load_settings(args.settings)
+    # P_s + P_i summed over the settings: the events expected per unit of --n,
+    # short only by a trial's pair and background clicks on one channel
+    per_n = sum(sum(simulator.trial_click_probabilities(config, s)[:2]) for s in settings)
+    if per_n > 0 and args.n > SIMULATE_MAX_EVENTS / per_n:
+        limit = math.floor(SIMULATE_MAX_EVENTS / per_n)
+        raise ValueError(
+            f"--n must be <= {limit} to expect at most {SIMULATE_MAX_EVENTS} events, got {args.n}"
+        )
     log = simulator.run_trials(config, settings, args.n, args.seed)
     try:
         analysis.write_event_log(log, args.out)
@@ -368,10 +359,14 @@ def _cmd_fit_decay(args) -> _Report:
 # half a second; the bound only keeps a mistyped --n-max from running away
 CHECK_OPS_MAX_ATOMS = 1000
 
-# as a whole process, predict-fringe takes 0.6-0.8 s for 20 000 rows and
-# about 3 s for the 200 000 of this bound; the bound only keeps a mistyped
+# as a whole process, predict-fringe takes about 0.4 s for 20 000 rows and
+# 0.8-0.9 s for the 200 000 of this bound; the bound only keeps a mistyped
 # --points or --periods from running away
 PREDICT_FRINGE_MAX_ROWS = 200_000
+
+# simulate peaks at about 150 B per event (850 MB for 4.9 million), so this
+# bound keeps a run near 1.5 GB; an --n expected to pass it is refused unrun
+SIMULATE_MAX_EVENTS = 10_000_000
 
 
 def _cmd_check_ops(args) -> _Report:
@@ -508,7 +503,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         report = args.func(args)
-    except analysis.ParseError as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except analysis.FitError as exc:

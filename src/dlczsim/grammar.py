@@ -1,4 +1,4 @@
-"""The number grammar and the file reading shared by every text input.
+"""The number grammar, the file reading and the error shared by every text input.
 
 Config files, settings files, fit CSVs and event-log headers all read
 numbers through these two functions, so each accepts exactly the spellings
@@ -7,19 +7,32 @@ what ``repr()`` writes for a float or an int.  Python's ``int()`` and
 ``float()`` also take ``+``, ``_`` digit separators, surrounding
 whitespace, non-ASCII digits and ``Infinity``; these do not.  ``as_float``
 turns a numeric field into the builtin float whose ``repr()`` they read.
-``read_text`` reads each input file as UTF-8 and names the file and the
-byte when it is not.
+``read_text`` reads each input file as UTF-8, and every input that cannot be
+read or is malformed raises ``ParseError``, naming the file and any line.
 """
 
 from __future__ import annotations
 
 import re
 
-__all__ = ["ascii_int", "ascii_float", "as_float", "read_text"]
+__all__ = ["ParseError", "ascii_int", "ascii_float", "as_float", "read_text"]
 
 _INT_FIELD = re.compile("-?[0-9]+")
 # a number as repr() spells a float or an int, nan and inf included
 _DECIMAL_FIELD = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|-?inf|nan")
+
+
+class ParseError(ValueError):
+    """A malformed or unreadable input file, with the offending location when known."""
+
+    def __init__(self, message: str, source: str | None = "<log>", line: int | None = None):
+        self.source = source
+        self.line = line
+        if source is None:
+            super().__init__(message)
+        else:
+            where = source if line is None else f"{source}:{line}"
+            super().__init__(f"{where}: {message}")
 
 
 def ascii_int(field: str) -> int:
@@ -48,12 +61,15 @@ def as_float(name: str, value) -> float:
 
 
 def read_text(path, newline=None) -> str:
-    """The UTF-8 text of a file; other bytes raise ``ValueError`` naming the file and the byte.
+    """The UTF-8 text of a file, or a ``ParseError`` naming the file.
 
-    ``newline`` is ``open``'s.  ``OSError`` passes through for the caller to report.
+    ``newline`` is ``open``'s.  The error of a file that cannot be opened is
+    the ``OSError``'s message; that of one that is not UTF-8 names a byte.
     """
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: byte {exc.start} ({exc.reason})") from None
+        raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})", str(path)) from None
+    except OSError as exc:
+        raise ParseError(str(exc), source=None) from None

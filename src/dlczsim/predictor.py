@@ -159,8 +159,13 @@ def coincidence_rate(model: FringeModel, setting: MeasurementSetting) -> float:
     maximum (polarizers aligned) equals ``amplitude``, where the expression
     reduces to amplitude * cos^2(theta_s - theta_i).
     """
-    a = pair_amplitudes(model.eta, setting.theta_s_rad, setting.theta_i_rad)[0]
-    return float(model.amplitude * 2.0 * a * a + model.background)
+    return float(_fringe_rates(model, setting.theta_s_rad, setting.theta_i_rad))
+
+
+def _fringe_rates(model: FringeModel, theta_s, theta_i):
+    """``coincidence_rate`` at polarizer angles in radians, which broadcast."""
+    a = pair_amplitudes(model.eta, theta_s, theta_i)[0]
+    return model.amplitude * 2.0 * a * a + model.background
 
 
 def correlation_e(quartet: CountQuartet) -> tuple[float, float]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .angular import LevelScheme, mixing_angle
-from .grammar import as_float, ascii_float, read_text
+from .grammar import ParseError, as_float, ascii_float, read_text
 from .predictor import MeasurementSetting, pair_amplitudes
 
 __all__ = [
@@ -636,33 +636,48 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
 # ---------------------------------------------------------------------------
 
 
+def _read_config(entries: dict, source: str, fault: ParseError | None = None) -> ExperimentConfig:
+    """The config of ``{key: (text, line)}`` entries, or the ``ParseError`` of its first fault.
+
+    Each entry in turn must name a field and spell a decimal number; then
+    ``fault``, found past the entries, is raised; then the config's refusal.
+    """
+    known = {f.name for f in fields(ExperimentConfig)}
+    values = {}
+    for key, (text, line) in entries.items():
+        if key not in known:
+            raise ParseError(f"unknown config key {key!r}", source, line)
+        try:
+            values[key] = ascii_float(text)
+        except ValueError:
+            raise ParseError(f"{key} must be a decimal number, got {text!r}", source, line) from None
+    if fault is not None:
+        raise fault
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
+        # a single-field message starts with its field, which names the line
+        key = str(exc).split(" ", 1)[0]
+        raise ParseError(str(exc), source, entries[key][1] if key in entries else None) from None
+
+
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse ``key = value`` lines into a config; unlisted keys keep defaults."""
-    mapping = {}
-    lines = {}
+    entries, fault = {}, None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            fault = ParseError(f"expected 'key = value', got {raw!r}", source, lineno)
+            break
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in mapping:
-            raise ValueError(f"{source}:{lineno}: duplicate key {key!r}")
-        try:
-            mapping[key] = ascii_float(value)
-        except ValueError:
-            raise ValueError(f"{source}:{lineno}: {value!r} is not a number") from None
-        lines[key] = lineno
-    try:
-        config = ExperimentConfig.from_mapping(mapping)
-    except ValueError as exc:
-        # a single-field message starts with its field, which names the line
-        key = str(exc).split(" ", 1)[0]
-        where = f"{source}:{lines[key]}" if key in lines else source
-        raise ValueError(f"{where}: {exc}") from None
-    return config
+        if key in entries:
+            fault = ParseError(f"duplicate key {key!r}", source, lineno)
+            break
+        entries[key] = (value, lineno)
+    return _read_config(entries, source, fault)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -678,18 +693,17 @@ def parse_settings_text(text: str, source: str = "<settings>"):
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(
-                f"{source}:{lineno}: expected 'theta_s_deg theta_i_deg', got {raw!r}"
-            )
+            raise ParseError(f"expected 'theta_s_deg theta_i_deg', got {raw!r}", source, lineno)
         try:
             angles = ascii_float(parts[0]), ascii_float(parts[1])
         except ValueError:
-            raise ValueError(f"{source}:{lineno}: angles must be numbers") from None
-        if not all(map(math.isfinite, angles)):
-            raise ValueError(f"{source}:{lineno}: angles must be finite, got {raw!r}")
-        settings.append(MeasurementSetting(*angles))
+            raise ParseError("angles must be numbers", source, lineno) from None
+        try:
+            settings.append(MeasurementSetting(*angles))
+        except ValueError as exc:
+            raise ParseError(str(exc), source, lineno) from None
     if not settings:
-        raise ValueError(f"{source}: no settings found")
+        raise ParseError("no settings found", source)
     return settings
 
 

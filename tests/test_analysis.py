@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dlczsim
+from dlczsim import grammar
 from dlczsim.analysis import (
     CoincidenceTable,
     DecayPoint,
@@ -259,6 +261,10 @@ VALID_HEADER = (
 
 
 class TestParserTotality:
+    def test_one_parse_error_class_and_it_is_a_value_error(self):
+        assert grammar.ParseError is ParseError is dlczsim.ParseError
+        assert issubclass(ParseError, ValueError)
+
     """Every malformed input must raise ParseError pointing at the line."""
 
     def test_valid_minimal_log(self):

@@ -21,7 +21,7 @@ from dlczsim.angular import (
     mixing_cos_sq,
     projections,
 )
-from dlczsim.angular import _cg_signed_square, _cg_value, _check_jm, _doubled, _jm
+from dlczsim.angular import _cg_value, _check_jm, _doubled, _jm, _racah
 
 # ---------------------------------------------------------------------------
 # Oracle: couple two spins by explicit matrix algebra (build J^2 on the
@@ -389,7 +389,8 @@ class TestRacahSum:
                         if abs(tm1 + tm2) > tJ:
                             continue
                         key = (tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
-                        assert _cg_signed_square(*key) == _fraction_signed_square(*key), key
+                        sign, num, den = _racah(*key)
+                        assert (sign, Fraction(num, den)) == _fraction_signed_square(*key), key
 
     @pytest.mark.parametrize("tj1", range(0, 11))
     def test_float_value_equals_the_rounded_fraction(self, tj1):
@@ -398,15 +399,18 @@ class TestRacahSum:
                 for tm1 in range(-tj1, tj1 + 2, 2):
                     for tm2 in range(-tj2, tj2 + 2, 2):
                         key = (tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
-                        sign, square = _cg_signed_square(*key)
-                        expected = sign * math.sqrt(float(square)) if sign else 0.0
+                        sign, num, den = _racah(*key)
+                        expected = sign * math.sqrt(float(Fraction(num, den))) if sign else 0.0
                         assert _cg_value(*key).hex() == expected.hex(), key
 
     def test_projection_mismatch_stays_out_of_the_cache(self):
-        _cg_signed_square.cache_clear()
+        _cg_value.cache_clear()
         assert cg(1, 1, 1, 0, 2, 0) == 0.0
         assert cg(1.5, 0.5, 0.5, 0.5, 1, 0) == 0.0
-        assert _cg_signed_square.cache_info().currsize == 0
+        assert _cg_value.cache_info().currsize == 0
+        # a matching projection is cached, so the count above can see an entry
+        assert cg(1, 0, 1, 0, 2, 0) != 0.0
+        assert _cg_value.cache_info().currsize == 1
 
     def test_sweep_and_eta_bytes_are_pinned(self):
         """The j <= 4 unitaries, built from floats as a user would, and eta."""

@@ -11,9 +11,11 @@ import sys
 import numpy as np
 import pytest
 
+from dlczsim import simulator
 from dlczsim.analysis import chsh_from_log, fit_fringe, parse_event_log
 from dlczsim.angular import LevelScheme, mixing_angle
-from dlczsim.cli import PREDICT_FRINGE_MAX_ROWS, main
+from dlczsim.cli import PREDICT_FRINGE_MAX_ROWS, SIMULATE_MAX_EVENTS, main
+from dlczsim.predictor import FringeModel, MeasurementSetting, coincidence_rate
 from dlczsim.simulator import DEFAULT_ETA
 
 
@@ -174,6 +176,31 @@ class TestPredictions:
         assert all(r["rate"] >= 0 for r in rows)
         # the fringe has a 180-degree period
         np.testing.assert_allclose(rows[0]["rate"], rows[4]["rate"], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "points, periods, theta_i, eta",
+        [
+            (64, 1, 67.5, DEFAULT_ETA),
+            (997, 7, -12.3, 0.0),
+            (360, 3, 45.0, math.pi / 4),
+            (1000, 5, 1e6, math.pi / 2),
+            (7, 1, 0.0, 0.3),
+        ],
+    )
+    def test_fringe_rows_equal_the_per_row_rates(self, capsys, points, periods, theta_i, eta):
+        # the rows come from one broadcast; each must be the single-setting rate, bit for bit
+        payload = run_json(
+            capsys, "predict-fringe", "--points", str(points), "--periods", str(periods),
+            "--theta-i", str(theta_i), "--eta", repr(eta), "--amplitude", "2.5",
+            "--background", "0.125",
+        )
+        model = FringeModel(eta=eta, amplitude=2.5, background=0.125)
+        step = 180.0 / points
+        assert len(payload["points"]) == points * periods
+        for k, row in enumerate(payload["points"]):
+            theta_s = k * step
+            assert row["theta_s_deg"] == theta_s
+            assert row["rate"] == coincidence_rate(model, MeasurementSetting(theta_s, theta_i))
 
     def test_zero_points_rejected(self, capsys):
         code, _, err = run_cli(capsys, "predict-fringe", "--points", "0")
@@ -342,6 +369,55 @@ class TestSimulateAndAnalyze:
         assert err == f"error: {path}: {reason}\n"
         assert "Traceback" not in err
 
+    def test_config_key_misspelt_exits_two_at_its_line(self, capsys, tmp_path, settings_file):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("excitation_prob = 0.2\nretrival_eff = 0.5\n")
+        out = tmp_path / "run.log"
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg), "--settings",
+                                    settings_file, "--n", "10", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {cfg}:2: unknown config key 'retrival_eff'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze-gsi", "--log"],
+            ["analyze-chsh", "--log"],
+            ["fit-decay", "--data"],
+            ["simulate", "--settings", "SETTINGS", "--n", "10", "--out", "OUT", "--config"],
+            ["simulate", "--n", "10", "--out", "OUT", "--settings"],
+        ],
+        ids=["analyze_gsi_log", "analyze_chsh_log", "fit_decay_data", "simulate_config",
+             "simulate_settings"],
+    )
+    def test_missing_input_names_its_path_once(self, capsys, tmp_path, settings_file, argv):
+        gone = tmp_path / "missing.txt"
+        fill = {"SETTINGS": settings_file, "OUT": str(tmp_path / "run.log")}
+        code, out, err = run_cli(capsys, *[fill.get(a, a) for a in argv], str(gone))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{gone}'\n"
+        assert err.count(str(gone)) == 1
+        assert not (tmp_path / "run.log").exists()
+
+    def test_runaway_n_is_refused_before_the_run(self, capsys, tmp_path, settings_file, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_trials started")
+
+        monkeypatch.setattr(simulator, "run_trials", never)
+        out = tmp_path / "run.log"
+        code, stdout, err = run_cli(capsys, "simulate", "--settings", settings_file,
+                                    "--n", "100000000000", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        # the defaults at the two settings expect about 0.0054 events per unit of --n
+        per_n = sum(sum(simulator.trial_click_probabilities(simulator.ExperimentConfig(), s)[:2])
+                    for s in simulator.load_settings(settings_file))
+        assert err == (
+            f"error: --n must be <= {math.floor(SIMULATE_MAX_EVENTS / per_n)} to expect at most"
+            f" {SIMULATE_MAX_EVENTS} events, got 100000000000\n"
+        )
+        assert not out.exists()
+
     def test_missing_log_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze-gsi", "--log", str(tmp_path / "gone.log"))
         assert code == 2
@@ -491,7 +567,7 @@ class TestFitCommands:
             text=True,
         )
         assert (result.returncode, result.stdout) == (3, "")
-        assert result.stderr == "error: fit did not converge: the Jacobian is not finite\n"
+        assert result.stderr == "error: fit did not converge: a Jacobian column's norm overflows\n"
 
     def test_fit_that_cannot_start_exits_three(self, capsys, tmp_path):
         # counts near the float maximum overflow the residuals at the starting point

@@ -581,6 +581,41 @@ class TestHeaderGrammar:
         assert err.value.line is None
 
 
+class TestOneReaderForFilesAndHeaders:
+    """A config or setting fault reads the same in its own file and in a log header."""
+
+    STEM = "# version=1\n# seed=1\n# trials_per_setting=1\n"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("retrival_eff", "0.5"),
+            ("excitation_prob", "1_0"),
+            ("excitation_prob", "2.5"),
+            ("cycle_ns", "inf"),
+            ("tia_resolution_ns", "1.5"),
+        ],
+    )
+    def test_config_entry(self, key, value):
+        with pytest.raises(ParseError) as from_file:
+            simulator.parse_config_text(f"{key} = {value}\n", source="t.cfg")
+        with pytest.raises(ParseError) as from_log:
+            parse(f"{self.STEM}# setting 0 0 0\n# {key}={value}\n")
+        assert (from_file.value.line, from_log.value.line) == (1, 5)
+        message = str(from_file.value).removeprefix("t.cfg:1: ")
+        assert str(from_log.value) == f"t.log:5: {message}"
+
+    @pytest.mark.parametrize("angles", ["inf 0", "0 -inf", "nan nan"])
+    def test_setting_angles(self, angles):
+        with pytest.raises(ParseError) as from_file:
+            simulator.parse_settings_text(f"{angles}\n", source="s.txt")
+        with pytest.raises(ParseError) as from_log:
+            parse(f"{self.STEM}# setting 0 {angles}\n")
+        message = str(from_file.value).removeprefix("s.txt:1: ")
+        assert message.startswith("theta_") and "must be finite" in message
+        assert (str(from_log.value), from_log.value.line) == (f"t.log:4: {message}", 4)
+
+
 class TestHeaderSettingLineSpacing:
     """Setting lines split on single spaces, as the body does."""
 

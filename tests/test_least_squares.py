@@ -173,6 +173,21 @@ class TestSolver:
         with pytest.raises(FitError, match=r"^fit did not converge: the Jacobian is not finite$"):
             analysis._run_lm(lambda p: p - 1.0, lambda p: np.full((1, 1), math.inf), np.zeros(1))
 
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ([math.nan, 1.0], "the Jacobian is not finite"),
+            ([-math.inf, 1.0], "the Jacobian is not finite"),
+            ([1.5e308, -1.5e308], "a Jacobian column's norm overflows"),
+        ],
+        ids=["nan", "-inf", "finite"],
+    )
+    def test_jacobian_fault_beside_an_overflowing_column(self, column, message):
+        # column 1 holds finite entries whose norm overflows; column 0 decides the message
+        jac = np.column_stack((column, [1.5e308, 1.5e308]))
+        with pytest.raises(FitError, match=f"^fit did not converge: {message}$"):
+            analysis._run_lm(lambda p: p - 1.0, lambda p: jac, np.zeros(2))
+
     def test_jacobian_column_norm_that_overflows_stops_at_once(self):
         # every entry is finite, but the norm of the column is not
         calls = []
@@ -181,7 +196,7 @@ class TestSolver:
             calls.append(p)
             return p - 1.0
 
-        with pytest.raises(FitError, match=r"^fit did not converge: the Jacobian is not finite$"):
+        with pytest.raises(FitError, match=r"^fit did not converge: a Jacobian column's norm overflows$"):
             analysis._run_lm(residual, lambda p: np.full((2, 1), 1.5e308), np.zeros(1))
         assert len(calls) == 1
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlczsim import simulator
+from dlczsim.grammar import ParseError
 from dlczsim.predictor import MeasurementSetting, chsh_setting_table
 from dlczsim.simulator import (
     DEFAULT_ETA,
@@ -590,7 +591,8 @@ class TestNumberGrammar:
         "value", ["1_0e-1", "+0_0", "+0.1", "0x1p-3", "Infinity", "NaN", "1e", ".", "\u0660.1"]
     )
     def test_config_spellings_rejected_at_their_line(self, value):
-        with pytest.raises(ValueError, match=re.escape(f"cfg.txt:2: {value!r} is not a number")):
+        message = f"cfg.txt:2: excitation_prob must be a decimal number, got {value!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
             parse_config_text(f"delta_t_ns = 300\nexcitation_prob = {value}\n", source="cfg.txt")
 
     @pytest.mark.parametrize("value", ["0.1", "1e-1", ".1", "1", "0", "1.0E-1", "5e+1"])
@@ -938,7 +940,7 @@ class TestConfigAndSettingsFiles:
         "text,fragment",
         [
             ("excitation_prob 0.1", "key = value"),
-            ("excitation_prob = frog", "not a number"),
+            ("excitation_prob = frog", "cfg.txt:1: excitation_prob must be a decimal number"),
             ("excitation_prob = 0.1\nexcitation_prob = 0.2", "duplicate"),
             ("no_such_field = 1", "unknown config key"),
             ("excitation_prob = 1.7", "must lie in"),
@@ -947,6 +949,23 @@ class TestConfigAndSettingsFiles:
     def test_parse_config_errors_carry_location(self, text, fragment):
         with pytest.raises(ValueError, match=fragment):
             parse_config_text(text, source="cfg.txt")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("no_such = 1\nexcitation_prob 0.1\n", 1, "unknown config key 'no_such'"),
+            ("delta_t_ns = 1e\nno_such = 1\n", 1, "delta_t_ns must be a decimal number, got '1e'"),
+            ("excitation_prob = 2\ndelta_t_ns = x\n", 2, "delta_t_ns must be a decimal number, got 'x'"),
+            ("cycle_ns = 100\ndelta_t_ns = 0\ndelta_t_ns = 1\n", 3, "duplicate key 'delta_t_ns'"),
+            ("excitation_prob = 2\n\nfrog\n", 3, "expected 'key = value', got 'frog'"),
+        ],
+        ids=["unknown_key", "number", "number_before_range", "duplicate", "syntax_before_range"],
+    )
+    def test_first_offending_line_comes_before_any_refusal_of_the_config(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_config_text(text, source="cfg.txt")
+        assert (err.value.source, err.value.line) == ("cfg.txt", line)
+        assert str(err.value) == f"cfg.txt:{line}: {message}"
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -964,9 +983,17 @@ class TestConfigAndSettingsFiles:
         with pytest.raises(ValueError):
             parse_settings_text(text)
 
-    @pytest.mark.parametrize("text", ["nan 0", "0 inf", "0 0\n-inf 45"])
-    def test_parse_settings_rejects_non_finite_angles(self, text):
-        with pytest.raises(ValueError, match=r"s\.txt:\d+: angles must be finite"):
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("nan 0", "s.txt:1: theta_s_deg must be finite, got nan"),
+            ("0 inf", "s.txt:1: theta_i_deg must be finite, got inf"),
+            ("0 0\n-inf 45", "s.txt:2: theta_s_deg must be finite, got -inf"),
+        ],
+        ids=["nan 0", "0 inf", "0 0\n-inf 45"],
+    )
+    def test_parse_settings_rejects_non_finite_angles(self, text, message):
+        with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
             parse_settings_text(text, source="s.txt")
 
     def test_parse_config_rejects_infinite_resolution(self):
@@ -991,7 +1018,7 @@ class TestConfigAndSettingsFiles:
         "text,message",
         [
             ("cycle_ns = 100\n", "cfg.txt: read gate ends at"),
-            ("delta_t_ns = 0\nno_such_field = 1\n", "cfg.txt: unknown config keys: ['no_such_field']"),
+            ("delta_t_ns = 0\nno_such_field = 1\n", "cfg.txt:2: unknown config key 'no_such_field'"),
         ],
     )
     def test_parse_config_cross_field_errors_name_the_source(self, text, message):

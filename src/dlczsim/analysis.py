@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,8 +36,7 @@ from .simulator import (
     CHANNEL_NAMES,
     EventLog,
     _INT64_MAX,
-    _even_cuts,
-    _map_on_workers,
+    _map_in_waves,
     _read_config,
     _setting_ids,
     gate_windows,
@@ -161,17 +161,15 @@ class ExponentialFit:
 # by single spaces; the integers are ASCII digits with an optional "-".
 
 
-# rows below which a piece of a log body is not worth a thread of its own;
-# no output depends on it
+# rows in one piece of a log body: the writer formats and the parser reads
+# the body a piece at a time, _WORKERS pieces at once, so that memory beyond
+# the log's columns and text is bounded by a few pieces; no output depends on it
 _PIECE_ROWS = 1 << 15
 
 # the bytes of the shortest body line, "0 D1 0 0\n": the parser, which
-# counts no rows before it reads them, cuts the body into pieces of at least
-# _PIECE_ROWS * _SHORTEST_LINE bytes
+# counts no rows before it reads them, cuts the body into pieces of
+# _PIECE_ROWS * _SHORTEST_LINE bytes, each extended to the end of its last line
 _SHORTEST_LINE = 9
-
-# 1, 10, ..., 10**19: every uint64 magnitude lies below 10**20
-_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
 
 
 def _decimal(column: np.ndarray):
@@ -183,7 +181,13 @@ def _decimal(column: np.ndarray):
     neg = column < 0
     mag = column.astype(np.uint64)
     mag[neg] = (-(column[neg] + 1)).astype(np.uint64) + 1
-    digits = np.maximum(np.searchsorted(_POWERS_OF_TEN, mag, side="right"), 1)
+    # one more digit for each power of ten up to the largest magnitude; a
+    # width is at most 20, so it fits a byte
+    digits = np.ones(len(mag), dtype=np.uint8)
+    power, top = 10, int(mag.max(initial=0))
+    while power <= top:
+        digits += mag >= np.uint64(power)
+        power *= 10
     return neg, mag, digits + neg
 
 
@@ -191,11 +195,16 @@ def _scatter_decimal(buf: np.ndarray, end: np.ndarray, neg, mag, width) -> None:
     """Write each value into the bytes [end - width, end) of ``buf``: "-", then its digits."""
     buf[(end - width)[neg]] = ord("-")
     last, digits = end - 1, width - neg
-    # least significant digit first; only the rows with digits left are written
+    ten = np.uint64(10)
+    # least significant digit first; only the rows with digits left are written.
+    # A floor division by a scalar and a multiply-subtract: numpy's divmod and
+    # % of a uint64 column are an order of magnitude slower
     for _ in range(int(digits.max(initial=0))):
-        mag, digit = np.divmod(mag, np.uint64(10))
-        buf[last] = digit.astype(np.uint8) + np.uint8(ord("0"))
-        last, digits = last - 1, digits - 1
+        quotient = mag // ten
+        buf[last] = (mag - quotient * ten).astype(np.uint8) + np.uint8(ord("0"))
+        mag = quotient
+        last -= 1
+        digits -= 1
         left = digits > 0
         if not left.all():
             last, mag, digits = last[left], mag[left], digits[left]
@@ -214,9 +223,10 @@ def _format_rows(log: EventLog, lo: int, hi: int) -> np.ndarray:
         _decimal(column)
         for column in (trial_col, log.t_ns[lo:hi], _setting_ids(trial_col, log.n_trials_per_setting))
     )
-    line_end = np.cumsum(trial[2] + t_ns[2] + sid[2] + 6)
+    line_end = np.cumsum(trial[2] + t_ns[2] + sid[2] + 6, dtype=np.int64)
     buf = np.empty(int(line_end[-1]) if len(line_end) else 0, dtype=np.uint8)
-    sid_end = line_end - 1  # the newline
+    line_end -= 1
+    sid_end = line_end  # the newline
     t_end = sid_end - sid[2] - 1  # the space before the setting id
     trial_end = t_end - t_ns[2] - 4  # the space before the channel
     buf[trial_end] = buf[trial_end + 3] = buf[t_end] = ord(" ")
@@ -228,13 +238,8 @@ def _format_rows(log: EventLog, lo: int, hi: int) -> np.ndarray:
     return buf
 
 
-def _event_log_text(log: EventLog) -> tuple[str, list]:
-    """(header, body pieces) of the version-1 text of a log.
-
-    The body is cut at row boundaries into up to ``_WORKERS`` pieces of at
-    least ``_PIECE_ROWS`` rows, formatted on as many threads; the pieces'
-    bytes, in order, are the body, so no byte depends on the cut.
-    """
+def _header_text(log: EventLog) -> str:
+    """The header lines of the version-1 text of a log."""
     lines = [f"# version={LOG_FORMAT_VERSION}"]
     for key, value in log.config.as_mapping().items():
         lines.append(f"# {key}={value!r}")
@@ -242,23 +247,31 @@ def _event_log_text(log: EventLog) -> tuple[str, list]:
     for sid, setting in enumerate(log.settings):
         lines.append(f"# setting {sid} {setting.theta_s_deg!r} {setting.theta_i_deg!r}")
     lines.append(f"# seed={log.seed}")
+    return "\n".join(lines) + "\n"
 
-    cuts = _even_cuts(len(log), _PIECE_ROWS)
-    body = _map_on_workers(functools.partial(_format_rows, log), cuts[:-1], cuts[1:])
-    return "\n".join(lines) + "\n", body
+
+def _body_pieces(log: EventLog):
+    """The body's bytes, in order, in pieces of ``_PIECE_ROWS`` rows, formatted a wave at a time.
+
+    The pieces' bytes, joined, are the body, so no byte depends on the cut
+    or on the number of threads.
+    """
+    lows = range(0, len(log), _PIECE_ROWS)
+    highs = [min(lo + _PIECE_ROWS, len(log)) for lo in lows]
+    return _map_in_waves(functools.partial(_format_rows, log), lows, highs)
 
 
 def format_event_log(log: EventLog) -> str:
     """The version-1 text of a log, its body written a column at a time, in pieces."""
-    header, body = _event_log_text(log)
-    return header + b"".join(body).decode("ascii")
+    return _header_text(log) + b"".join(_body_pieces(log)).decode("ascii")
 
 
 def write_event_log(log: EventLog, path) -> None:
-    header, body = _event_log_text(log)
+    """Write the version-1 text of a log: each wave of pieces is written before the next is formatted."""
     with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        fh.writelines(body)
+        fh.write(_header_text(log).encode("utf-8"))
+        for piece in _body_pieces(log):
+            fh.write(piece)
 
 
 # every integer of up to 18 decimal digits fits in an int64
@@ -326,7 +339,7 @@ def _event_fields(raw: str, lineno: int, source: str) -> tuple[int, int, int, in
 
 
 def _int_column(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Parse the byte ranges [start, end) of ``buf`` as decimal integers.
+    """Parse the byte ranges [start, end) of ``buf`` as decimal integers, elementwise.
 
     Returns the values, a mask of fields that are not ``-?[0-9]+`` and a
     mask of fields with more than _MAX_DIGITS digits, whose values here are
@@ -336,26 +349,40 @@ def _int_column(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
     length = end - start - neg
     bad = length < 1
     too_long = length > _MAX_DIGITS
-    value = np.zeros(len(start), dtype=np.int64)
+    value = np.zeros(start.shape, dtype=np.int64)
+    last = end - 1
     for k in range(min(int(length.max(initial=0)), _MAX_DIGITS)):
-        # k-th digit from the right; rows with fewer digits read a masked byte
-        inside = length > k
-        digit = buf.take(end - 1 - k, mode="clip") - np.uint8(ord("0"))
-        bad |= inside & (digit > 9)
-        value += (digit * inside).astype(np.int64) * 10**k
-    return np.where(neg, -value, value), bad, too_long
+        # the k-th digit from the right; fields with fewer digits read a masked byte
+        digit = buf.take(last, mode="clip")
+        digit -= np.uint8(ord("0"))
+        digit *= length > k
+        bad |= digit > 9
+        value += digit * np.int64(10**k)
+        last -= 1
+    np.negative(value, out=value, where=neg)
+    return value, bad, too_long
 
 
-def _parse_rows(buf: np.ndarray, lo: int, hi: int):
-    """The body pass over the bytes [lo, hi) of ``buf``, whole lines each ending in "\n".
+def _parse_rows(data: np.ndarray, start: int, lo: int, hi: int, row0: int, out, known, ranges):
+    """Read the body lines in the bytes [lo, hi) of ``data`` into rows ``row0`` on of ``out``.
 
-    Returns whether every line holds exactly three spaces, then the columns
-    of the lines before the first that does not: the offsets in ``buf`` of
-    their newlines, trial, channel, t_ns and setting id, a mask of rows that
-    break the field syntax and a mask of rows with a field too long to read
-    here (see ``_int_column``).
+    ``lo`` starts a line and ``hi`` ends one (or the text); ``start`` is
+    ``lo`` or, past the first piece, the start of the line before it, which
+    is read again only for the order compare of row ``row0``.  ``out`` holds
+    the final trial, channel and t_ns columns; ``known`` the sorted setting
+    ids of the header; ``ranges`` (setting size, trial bound, resolution, latest
+    time) or None.
+
+    Returns the line at which the piece stops, as (row, offset in ``data``),
+    or None when every line holds exactly three spaces; then, among the rows
+    before the stop, those that may break the structure and those that may
+    break the ranges, each as (row, offset).  A suspect row is re-read by the
+    exact per-line rules; a row with a field too long to read here (see
+    ``_int_column``) is always suspect.
     """
-    buf = buf[lo:hi]
+    buf = data[start:hi]
+    if buf[-1] != ord("\n"):
+        buf = np.append(buf, np.uint8(ord("\n")))
     sep = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
     is_nl = buf[sep] == ord("\n")
     # rows before the first line without exactly three spaces: each owns
@@ -369,25 +396,96 @@ def _parse_rows(buf: np.ndarray, lo: int, hi: int):
     line_start[1:] = newline[:-1] + 1
     sid_end = newline - (buf[newline - 1] == ord("\r"))
 
-    trial, bad, too_long = _int_column(buf, line_start, ends[:, 0])
-    t_ns, bad_t, long_t = _int_column(buf, ends[:, 1] + 1, ends[:, 2])
-    sid, bad_sid, long_sid = _int_column(buf, ends[:, 2] + 1, sid_end)
+    # the trial, t_ns and setting id fields, read as one array of three rows
+    field_start = np.stack([line_start, ends[:, 1] + 1, ends[:, 2] + 1])
+    field_end = np.stack([ends[:, 0], ends[:, 2], sid_end])
+    (trial, t_ns, sid), bad, too_long = _int_column(buf, field_start, field_end)
+    del field_start, field_end
+    bad, too_long = bad.any(axis=0), too_long.any(axis=0)
     channel = buf[ends[:, 0] + 2] - np.uint8(ord("1"))
-    bad |= bad_t | bad_sid | (ends[:, 1] - ends[:, 0] != 3) | (buf[ends[:, 0] + 1] != ord("D"))
+    bad |= (ends[:, 1] - ends[:, 0] != 3) | (buf[ends[:, 0] + 1] != ord("D"))
     bad |= channel > 1
-    too_long |= long_t | long_sid
-    return 4 * n_rows == len(sep), newline + lo, trial, channel, t_ns, sid, bad, too_long
+
+    # the structure: field syntax, a negative trial, an unknown setting id, and
+    # the order against the row before, whose long field gave no value here;
+    # the ids of a header that reads are 0..n-1, a run that two compares test
+    if len(known) and int(known[-1]) - int(known[0]) == len(known) - 1:
+        unknown = (sid < known[0]) | (sid > known[-1])
+    else:
+        unknown = ~np.isin(sid, known)
+    suspect = bad | too_long | (trial < 0) | unknown
+    suspect[1:] |= too_long[:-1]
+    suspect[1:] |= (trial[1:] < trial[:-1]) | ((trial[1:] == trial[:-1]) & (t_ns[1:] < t_ns[:-1]))
+    # the ranges: clamped bounds only ever flag extra rows, which the exact check clears
+    outside = np.zeros_like(suspect)
+    if ranges is not None:
+        n_per, trial_bound, res, t_max = ranges
+        outside |= too_long | (trial >= trial_bound) | (sid != _setting_ids(trial, n_per))
+        # t_ns % res, as a floor division by a scalar and a multiply-subtract
+        outside |= (t_ns - t_ns // res * res != 0) if res <= _INT64_MAX else (t_ns != 0)
+        outside |= (t_ns < 0) | (t_ns > t_max)
+
+    # the line before the piece is the piece before's; when it lacks three
+    # spaces, that piece stops there and this one is never looked at
+    first = int(start < lo)
+    own = slice(first, max(n_rows, first))
+    n_own = own.stop - first
+    for column, values in zip(out, (trial, channel, t_ns)):
+        column[row0 : row0 + n_own] = values[own]
+    line_start += start
+
+    def rows_and_offsets(mask) -> list:
+        at = np.flatnonzero(mask[own])
+        return list(zip((at + row0).tolist(), line_start[own][at].tolist()))
+
+    stop = None
+    if 4 * n_rows != len(sep):
+        stop = row0 + n_own, start + (int(newline[-1]) + 1 if n_rows else 0)
+    return stop, rows_and_offsets(suspect), rows_and_offsets(outside)
+
+
+def _header_values(header: dict, settings: dict, source: str):
+    """(seed, trials_per_setting, config) of a log's header lines, or the ParseError of its first fault.
+
+    ``header`` maps each key to its (value, line); the config takes the keys
+    left after ``seed`` and ``trials_per_setting`` are popped.
+    """
+    for required in ("seed", "trials_per_setting"):
+        if required not in header:
+            raise ParseError(f"missing required header key {required!r}", source)
+    if not settings:
+        raise ParseError("no settings declared in header", source)
+    if sorted(settings) != list(range(len(settings))):
+        raise ParseError(
+            f"setting ids must be 0..{len(settings) - 1}, got {sorted(settings)}", source
+        )
+
+    def _header_int(key: str, minimum: int) -> int:
+        value, at = header.pop(key)
+        try:
+            out = ascii_int(value)
+        except ValueError:
+            raise ParseError(f"{key} must be an integer, got {value!r}", source, at) from None
+        if out < minimum:
+            raise ParseError(f"{key} must be >= {minimum}, got {out}", source, at)
+        return out
+
+    seed = _header_int("seed", 0)
+    n_per = _header_int("trials_per_setting", 0)
+    return seed, n_per, _read_config(header, source)
 
 
 def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     """Parse the version-1 text format, validating structure and ordering.
 
     The header is read line by line; the body is parsed a column at a time
-    over its bytes.  Vectorized checks flag every row that may be bad, and
-    the flagged rows are then re-read one at a time, in order, by the exact
-    per-line rules, so the first offending line is reported with its own
-    message.  Structural errors (field syntax, order, unknown setting ids)
-    come first, then header errors, then range errors.
+    over its bytes, in pieces of whole lines, a wave of ``_WORKERS`` pieces
+    at a time, straight into the log's columns.  Vectorized checks flag
+    every row that may be bad, and the flagged rows are then re-read one at
+    a time, in order, by the exact per-line rules, so the first offending
+    line is reported with its own message.  Structural errors (field
+    syntax, order, unknown setting ids) come first, then header errors,
+    then range errors.
     """
     # -- header: line by line until the first event line ----------------------
     end = text.find("\n")
@@ -421,87 +519,92 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
         _parse_header_line(line, lineno, source, header, settings)
         pos = end + 1
 
+    # the range checks of the body pass need the header's numbers; a faulty
+    # header is reported after the body's structure, when it is read again
+    # below, and any warning of its config is given then
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, n_per, config = _header_values(dict(header), settings, source)
+    except ParseError:
+        ranges = None
+    else:
+        ranges = (
+            n_per,
+            min(len(settings) * n_per, _INT64_MAX),
+            int(config.tia_resolution_ns),
+            min(math.floor(config.cycle_ns), _INT64_MAX),
+        )
+
     # -- body: one row per line, columns parsed from the bytes ----------------
     # non-ASCII characters become "?", so byte offsets equal str offsets
-    data = text[pos:].encode("ascii", "replace")
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # pieces of whole lines: each inner cut moves to just after a newline
-    inner = _even_cuts(len(buf), _PIECE_ROWS * _SHORTEST_LINE)[1:-1]
-    cuts = [0] + [data.find(b"\n", c - 1) + 1 for c in inner] + [len(buf)]
-    pieces = _map_on_workers(functools.partial(_parse_rows, buf), cuts[:-1], cuts[1:])
-    # the first piece that stops at a line without exactly three spaces is
-    # the last one read
-    n_read = next((k + 1 for k, piece in enumerate(pieces) if not piece[0]), len(pieces))
-    whole = pieces[n_read - 1][0]
-    newline, trial, channel, t_ns, sid, bad, too_long = (
-        np.concatenate(column) for column in zip(*(piece[1:] for piece in pieces[:n_read]))
+    data = text.encode("ascii", "replace")
+    # pieces of whole lines, each ending at the first newline at least a
+    # piece's bytes past its start
+    cuts = [pos]
+    while cuts[-1] < len(data):
+        nl = data.find(b"\n", cuts[-1] + _PIECE_ROWS * _SHORTEST_LINE - 1)
+        cuts.append(len(data) if nl < 0 else nl + 1)
+    # each piece's first row: numpy counts a piece's newlines four times as
+    # fast as bytes.count
+    chars = np.frombuffer(data, dtype=np.uint8)
+    rows = [0]
+    for lo, hi in zip(cuts, cuts[1:]):
+        rows.append(rows[-1] + int(np.count_nonzero(chars[lo:hi] == ord("\n"))))
+    n_rows = rows[-1] + (len(data) > pos and not data.endswith(b"\n"))
+    trial = np.empty(n_rows, dtype=np.int64)
+    channel = np.empty(n_rows, dtype=np.uint8)
+    t_ns = np.empty(n_rows, dtype=np.int64)
+    known = np.array(sorted(s for s in settings if -_INT64_MAX - 1 <= s <= _INT64_MAX), dtype=np.int64)
+    # each piece past the first reads the line before it again, for the order compare
+    starts = [pos] + [max(data.rfind(b"\n", pos, lo - 1) + 1, pos) for lo in cuts[1:-1]]
+    body = functools.partial(
+        _parse_rows,
+        chars,
+        out=(trial, channel, t_ns),
+        known=known,
+        ranges=ranges,
     )
-    del pieces
 
-    def raw_line(row: int) -> str:
-        lo = pos if row == 0 else pos + int(newline[row - 1]) + 1
-        hi = text.find("\n", lo)
-        return text[lo : len(text) if hi < 0 else hi].removesuffix("\r")
+    def raw_line(offset: int) -> str:
+        hi = text.find("\n", offset)
+        return text[offset : len(text) if hi < 0 else hi].removesuffix("\r")
 
-    def exact(row: int) -> tuple[int, int, int, int]:
-        return _event_fields(raw_line(row), lineno + row, source)
-
-    def check_structure(row: int) -> None:
-        trial_k, _, t_k, sid_k = exact(row)
+    def check_structure(row: int, offset: int) -> None:
+        trial_k, _, t_k, sid_k = _event_fields(raw_line(offset), lineno + row, source)
         if trial_k < 0:
             raise ParseError(f"negative trial index {trial_k}", source, lineno + row)
         if row > 0:
-            trial_p, _, t_p, _ = exact(row - 1)
+            before = max(text.rfind("\n", pos, offset - 1) + 1, pos)
+            trial_p, _, t_p, _ = _event_fields(raw_line(before), lineno + row - 1, source)
             if (trial_k, t_k) < (trial_p, t_p):
                 raise ParseError("events not sorted by (trial, t_ns)", source, lineno + row)
         if sid_k not in settings:
             raise ParseError(f"event references unknown setting id {sid_k}", source, lineno + row)
 
-    known = np.array([s for s in settings if -_INT64_MAX - 1 <= s <= _INT64_MAX], dtype=np.int64)
-    suspect = bad | too_long | (trial < 0) | ~np.isin(sid, known)
-    suspect[1:] |= too_long[:-1]  # the order check of the next row read a long field
-    suspect[1:] |= (trial[1:] < trial[:-1]) | ((trial[1:] == trial[:-1]) & (t_ns[1:] < t_ns[:-1]))
-    for row in np.flatnonzero(suspect).tolist():
-        check_structure(row)
-    if not whole:
-        # the line after the rows read lacks exactly three spaces, so it fails
-        # the per-line rules
-        check_structure(len(trial))
+    # each wave's suspects are checked before the next wave is read, so the
+    # first structural error ends the parse
+    range_suspects = []
+    for stop, structure, outside in _map_in_waves(body, starts, cuts[:-1], cuts[1:], rows[:-1]):
+        for row, offset in structure:
+            check_structure(row, offset)
+        if stop is not None:
+            # the line lacks exactly three spaces, so it fails the per-line rules
+            check_structure(*stop)
+        range_suspects += outside
+    # the exact re-reads use the text; its bytes go before the log is built
+    del data, chars, body
 
     # -- header consistency ----------------------------------------------------
-    for required in ("seed", "trials_per_setting"):
-        if required not in header:
-            raise ParseError(f"missing required header key {required!r}", source)
-    if not settings:
-        raise ParseError("no settings declared in header", source)
-    if sorted(settings) != list(range(len(settings))):
-        raise ParseError(
-            f"setting ids must be 0..{len(settings) - 1}, got {sorted(settings)}", source
-        )
-
-    def _header_int(key: str, minimum: int) -> int:
-        value, at = header.pop(key)
-        try:
-            out = ascii_int(value)
-        except ValueError:
-            raise ParseError(f"{key} must be an integer, got {value!r}", source, at) from None
-        if out < minimum:
-            raise ParseError(f"{key} must be >= {minimum}, got {out}", source, at)
-        return out
-
-    seed = _header_int("seed", 0)
-    n_per = _header_int("trials_per_setting", 0)
-    config = _read_config(header, source)
+    seed, n_per, config = _header_values(header, settings, source)
 
     # -- ranges: trial within the run and its setting block, t_ns on the grid --
     res = int(config.tia_resolution_ns)
     n_trials = len(settings) * n_per
 
-    def check_range(row: int) -> None:
-        trial_k, _, t_k, sid_k = exact(row)
+    def check_range(row: int, offset: int) -> None:
         at = lineno + row
+        trial_k, _, t_k, sid_k = _event_fields(raw_line(offset), at, source)
         if trial_k >= n_trials:
             raise ParseError(
                 f"trial {trial_k} beyond the {n_trials} trials of {len(settings)} settings"
@@ -523,18 +626,15 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
             if value > _INT64_MAX:
                 raise ParseError(f"{name} {value} does not fit in a signed 64-bit integer", source, at)
         # a row flagged for a long field takes its exact values
-        trial[row], t_ns[row], sid[row] = trial_k, t_k, sid_k
+        trial[row], t_ns[row] = trial_k, t_k
 
-    # clamped bounds only ever flag extra rows, which the exact check clears
-    suspect = too_long | (trial >= min(n_trials, _INT64_MAX))
-    suspect |= sid != _setting_ids(trial, n_per)
-    suspect |= (t_ns % res != 0) if res <= _INT64_MAX else (t_ns != 0)
-    suspect |= (t_ns < 0) | (t_ns > min(math.floor(config.cycle_ns), _INT64_MAX))
-    for row in np.flatnonzero(suspect).tolist():
-        check_range(row)
+    for row, offset in range_suspects:
+        check_range(row, offset)
 
     ordered = tuple(settings[k] for k in range(len(settings)))
-    return EventLog(config, ordered, seed, n_per, trial=trial, channel=channel, t_ns=t_ns)
+    return EventLog(
+        config, ordered, seed, n_per, trial=trial, channel=channel, t_ns=t_ns, _adopt=True
+    )
 
 
 def parse_event_log(path) -> EventLog:

@@ -19,13 +19,14 @@ sums; only click trials read more words, for their timestamps.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -92,13 +93,22 @@ def _map_on_workers(fn, *args) -> list:
     return list(map(fn, *args))
 
 
-def _even_cuts(n: int, least: int) -> list:
-    """Bounds that cut ``[0, n)`` into up to ``_WORKERS`` even pieces of at least ``least``.
+def _map_in_waves(fn, *args):
+    """``map(fn, *args)`` as a generator, ``_WORKERS`` items at a time on one pool.
 
-    Too short a range for two such pieces stays whole.
+    Each wave's results are yielded, in item order, before the next wave is
+    started, so at most one wave's results are held at once unless the caller
+    keeps them; no output depends on the number of threads.
     """
-    pieces = max(1, min(_WORKERS, n // least))
-    return [n * k // pieces for k in range(pieces + 1)]
+    items = list(zip(*args))
+    if _WORKERS < 2 or len(items) < 2:
+        yield from itertools.starmap(fn, items)
+        return
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        for k in range(0, len(items), _WORKERS):
+            wave = list(pool.map(fn, *zip(*items[k : k + _WORKERS])))
+            while wave:
+                yield wave.pop(0)
 
 
 # click class c of one trial: bit 0 a D1 pair click, bit 1 a D1 background
@@ -245,6 +255,10 @@ class EventLog:
     Construction checks the header as its reader does and, before any cast, that
     the columns are 1-D integers of one length, every channel 0 (D1) or 1 (D2)
     and every trial in the run.  It keeps copies stably sorted by (trial, t_ns).
+
+    ``run_trials`` and the parser hand over fresh columns that nothing else
+    holds with the private ``_adopt=True``: the same checks run, and the
+    columns of the right dtype are kept, read-only, without a copy.
     """
 
     config: ExperimentConfig
@@ -257,8 +271,9 @@ class EventLog:
     # ground-truth per-setting tallies {setting_id: (n_s, n_i, n_si)};
     # filled by the simulator, never serialized, ignored by equality
     true_counts: dict | None = field(default=None, repr=False)
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         object.__setattr__(self, "settings", tuple(self.settings))
         if not self.settings:
             raise ValueError("settings must name at least one polarizer setting")
@@ -294,7 +309,8 @@ class EventLog:
                 f"trial {trial[np.argmax(trial >= n_trials)]} beyond the {n_trials} trials of"
                 f" {len(self.settings)} settings x {self.n_trials_per_setting} trials_per_setting"
             )
-        trial, channel, t_ns = (np.array(col, dtype=_COLUMNS[name]) for name, col in cols.items())
+        keep = np.asarray if _adopt else np.array
+        trial, channel, t_ns = (keep(col, dtype=_COLUMNS[name]) for name, col in cols.items())
         if np.any((trial[1:] < trial[:-1]) | ((trial[1:] == trial[:-1]) & (t_ns[1:] < t_ns[:-1]))):
             order = np.lexsort((t_ns, trial))
             trial, channel, t_ns = trial[order], channel[order], t_ns[order]
@@ -578,8 +594,8 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
     earliest gate start and ``span`` cells per trial, holds the whole event.
     Each unit sorts its keys; the units are in trial order, so their sorted
     keys, joined, are the sorted keys of the run.  The log's columns come
-    from them: trial and cell from ``divmod`` by the span, channel from the
-    low bit.
+    from them: trial and cell from the quotient and remainder by the span,
+    channel from the low bit; the log takes them over without a copy.
     """
     settings = tuple(settings)
     if not 0 <= seed < 2**64:
@@ -615,8 +631,12 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
     key = np.concatenate([np.zeros(0, dtype=np.int64)] + [keys for keys, _ in units])
     del units
     channel = (key & 1).astype(np.uint8)
-    trial, t_ns = np.divmod(key >> 1, span)
-    del key
+    key >>= 1
+    # a floor division by a scalar and a multiply-subtract: numpy's divmod
+    # of an int64 column is an order of magnitude slower
+    trial = key // span
+    key -= trial * span
+    t_ns = key
     t_ns += first_cell
     t_ns *= res
     return EventLog(
@@ -628,6 +648,7 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
         channel=channel,
         t_ns=t_ns,
         true_counts=true_counts,
+        _adopt=True,
     )
 
 

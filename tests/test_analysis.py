@@ -243,6 +243,32 @@ class TestEventLogConstruction:
         cols["trial"][0], cols["channel"][1] = -1, 7
         assert built == log
 
+    def test_adopted_columns_are_kept_read_only(self):
+        """Columns handed over, as run_trials and the parser do, are the log's own, made read-only."""
+        cols = dict(trial=np.array([0, 1]), channel=np.array([0, 1], dtype=np.uint8), t_ns=np.array([66, 330]))
+        log = make_log([(0, 0, 66), (1, 1, 330)])
+        adopted = EventLog(log.config, log.settings, log.seed, log.n_trials_per_setting, **cols, _adopt=True)
+        assert adopted == log
+        for name, column in cols.items():
+            assert getattr(adopted, name) is column
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+    def test_adopted_columns_are_checked(self):
+        log = make_log([(0, 0, 66)])
+        cols = columns([(0, 0, 66), (-1, 1, 330)])
+        with pytest.raises(ValueError, match="negative trial index -1"):
+            EventLog(log.config, log.settings, log.seed, log.n_trials_per_setting, **cols, _adopt=True)
+
+    def test_simulated_and_parsed_logs_are_read_only(self):
+        bright = ExperimentConfig(excitation_prob=0.5, retrieval_eff=1, det_eff_s=1, det_eff_i=1)
+        simulated = run_trials(bright, [MeasurementSetting(0, 0)], 100, seed=1)
+        for built in (simulated, parse_event_log_text(format_event_log(simulated))):
+            assert len(built) > 0
+            for column in (built.trial, built.channel, built.t_ns):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 1
+
     def test_unsorted_input_comes_out_sorted_with_ties_in_input_order(self):
         rows = [(2, 1, 330), (0, 1, 300), (2, 0, 140), (1, 1, 200), (1, 0, 200), (0, 0, 100), (1, 1, 200)]
         log = make_log(rows)

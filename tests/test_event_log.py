@@ -18,6 +18,7 @@ two, and requires the bytes, the parsed log and the first error of one piece.
 """
 
 import contextlib
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -675,8 +676,9 @@ class TestScalarRoundTrip:
 # the body written and read in pieces
 # ---------------------------------------------------------------------------
 
-# (minimum piece rows, workers): one worker keeps one piece; two cut every
-# body of two rows (or 18 bytes) and more, or of six rows (or 54 bytes) and more
+# (piece rows, workers): a piece holds that many rows in the writer and that
+# many shortest lines' bytes in the parser; a small log is cut into pieces of
+# one line or of a few, which two workers read two at a time
 PIECES = [(rows, workers) for rows in (1, 3) for workers in (1, 2)]
 
 
@@ -688,16 +690,38 @@ def cut_pieces(rows, workers):
 
 @contextlib.contextmanager
 def piece_starts():
-    """The body offsets at which the parser's pieces start, for each parse in the block."""
-    starts = []
+    """The body offsets at which the parser's pieces start, for the one parse in the block.
+
+    Only the pieces read are recorded: a structural error ends the parse
+    after the wave that holds it.
+    """
+    starts, found = [], []
     parse_rows = analysis._parse_rows
 
-    def recorded(buf, lo, hi):
-        starts.append(lo)
-        return parse_rows(buf, lo, hi)
+    def recorded(data, start, lo, *args, **kwargs):
+        found.append(lo)  # the body's first piece starts at the lowest offset
+        return parse_rows(data, start, lo, *args, **kwargs)
 
     with mock.patch.object(analysis, "_parse_rows", recorded):
         yield starts
+    starts.extend(lo - min(found) for lo in sorted(found))
+
+
+def expected_starts(body: str, rows: int) -> list:
+    """The parser's cut of a body: a piece ends with the first line that takes it to rows * 9 bytes."""
+    starts = [0]
+    for end in (k + 1 for k, char in enumerate(body) if char == "\n"):
+        if end - starts[-1] >= rows * analysis._SHORTEST_LINE and end < len(body):
+            starts.append(end)
+    return starts
+
+
+def log_body(text: str) -> str:
+    """The body of a log's text: the lines after the last header line."""
+    end = 0
+    while text.startswith("#", end):
+        end = text.index("\n", end) + 1
+    return text[end:]
 
 
 def one_row_log():
@@ -757,18 +781,21 @@ def body_text(lines, newline="\n", final=True):
 class TestPieces:
     """Cut into pieces on either number of workers, the log keeps every byte and every error."""
 
-    @pytest.mark.parametrize("rows,workers", PIECES)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("share", [1, 8])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_simulated_runs(self, case, rows, workers, tmp_path):
+    def test_simulated_runs(self, case, share, workers, tmp_path):
+        """Pieces of all rows, or of an eighth of them: one piece or one wave, or several waves."""
         config, settings_ = ORACLE_CASES[case]
         log = run_trials(config, settings_, 20_000, seed=77)
+        rows = max(1, len(log) // share)
         with cut_pieces(rows, workers):
             text = format_event_log(log)
             analysis.write_event_log(log, tmp_path / "run.log")
             with piece_starts() as starts:
                 assert parse(text) == log
         assert text.encode() == (tmp_path / "run.log").read_bytes() == oracle_format_event_log(log).encode()
-        assert len(starts) == workers
+        assert starts == expected_starts(log_body(text), rows)
 
     @pytest.mark.parametrize("rows,workers", PIECES)
     @pytest.mark.parametrize("n_rows", [0, 1])
@@ -794,14 +821,15 @@ class TestPieces:
     @pytest.mark.parametrize("ending", ["lf", "crlf", "no_final_newline"])
     @pytest.mark.parametrize("kind", BAD_LINES)
     def test_same_first_error_as_one_piece(self, kind, ending):
-        """Each line in turn is bad; at least once it is a second piece's first line, and once inside it."""
+        """Each line in turn is bad: at least once it starts a piece, once it is inside one, and
+        once it is in piece 3 or beyond, a later wave than the first."""
         newline, final = ("\r\n", True) if ending == "crlf" else ("\n", ending == "lf")
         placed = set()
         for i in range(len(TWELVE_LINES)):
             lines = list(TWELVE_LINES)
             lines[i] = BAD_LINES[kind]
             text = body_text(lines, newline, final)
-            with cut_pieces(1, 1):
+            with cut_pieces(len(text), 1):
                 expected = outcome(analysis.parse_event_log_text, text)
             # an empty last line without its newline leaves the text ending in one
             assert isinstance(expected, tuple) or (kind, i, final) == ("blank", 11, False)
@@ -811,9 +839,14 @@ class TestPieces:
                     assert outcome(analysis.parse_event_log_text, text) == expected
                 if not starts:
                     continue  # a blank or "#" first line is read with the header
-                assert len(starts) == 2
-                placed.add("first" if offset == starts[1] else "inside" if offset > starts[1] else "before")
-        assert {"first", "inside"} <= placed
+                # the pieces read are a whole number of waves of the cut, or all of it
+                cut = expected_starts(text[len(TWELVE_HEADER) + len(newline) :], rows)
+                assert starts == cut[: len(starts)] and (len(starts) % 2 == 0 or starts == cut)
+                if offset >= cut[1]:
+                    placed.add("first" if offset in cut else "inside")
+                if len(cut) > 2 and offset >= cut[2]:
+                    placed.add("later_wave")
+        assert {"first", "inside", "later_wave"} <= placed
 
     @pytest.mark.parametrize("later", sorted(set(BAD_LINES) - {"two_spaces"}))
     def test_an_early_stop_in_piece_one_is_reported_first(self, later):
@@ -822,9 +855,11 @@ class TestPieces:
         lines[2] = BAD_LINES["two_spaces"]
         lines[10] = BAD_LINES[later]
         text = body_text(lines)
-        with cut_pieces(1, 2), piece_starts() as starts:
+        with cut_pieces(6, 2), piece_starts() as starts:
             found = outcome(analysis.parse_event_log_text, text)
-        assert len(starts) == 2 and sum(len(line) + 1 for line in lines[:2]) < starts[1]
+        # the first wave, both pieces, is read, and no later one
+        assert starts == expected_starts(log_body(text), 6)[:2]
+        assert sum(len(line) + 1 for line in lines[:2]) < starts[1]
         assert starts[1] <= sum(len(line) + 1 for line in lines[:10])
         at = FIRST_BODY_LINE + 2
         message = f"event line needs '<trial> <channel> <t_ns> <setting_id>', got {lines[2]!r}"
@@ -834,10 +869,109 @@ class TestPieces:
         lines = list(TWELVE_LINES)
         lines[2] = BAD_LINES["bad_channel"]
         lines[10] = BAD_LINES["two_spaces"]
-        with cut_pieces(1, 2):
+        with cut_pieces(6, 2):
             found = outcome(analysis.parse_event_log_text, body_text(lines))
         at = FIRST_BODY_LINE + 2
         assert found == (f"t.log:{at}: unknown channel 'D3'", at)
+
+
+class TestLaterWaves:
+    """Pieces of three rows, two at a time: lines 6 and on are read in piece 3 or beyond."""
+
+    @staticmethod
+    def read(lines):
+        text = body_text(lines)
+        cut = expected_starts(log_body(text), 3)
+        with cut_pieces(3, 2), piece_starts() as starts:
+            found = outcome(analysis.parse_event_log_text, text)
+        with cut_pieces(len(text), 1):
+            assert outcome(analysis.parse_event_log_text, text) == found
+        return found, cut, starts
+
+    @staticmethod
+    def offset(lines, i):
+        return sum(len(line) + 1 for line in lines[:i])
+
+    @pytest.mark.parametrize("kind", ["bad_channel", "unknown_setting", "beyond_int64", "off_grid"])
+    def test_a_bad_line(self, kind):
+        lines = list(TWELVE_LINES)
+        lines[7] = BAD_LINES[kind]
+        found, cut, _ = self.read(lines)
+        assert self.offset(lines, 7) > cut[2]
+        at = FIRST_BODY_LINE + 7
+        assert found[1] == at and found[0].startswith(f"t.log:{at}: ")
+
+    def test_an_out_of_order_pair_across_a_piece_boundary(self):
+        lines = list(TWELVE_LINES)
+        lines[6] = "8 D1 68 0"  # before line 5, "8 D1 70 0"
+        found, cut, _ = self.read(lines)
+        assert self.offset(lines, 6) == cut[2]
+        at = FIRST_BODY_LINE + 6
+        assert found == (f"t.log:{at}: events not sorted by (trial, t_ns)", at)
+
+    def test_an_early_stop(self):
+        """The stop in piece 3 is reported before errors past it; no wave after its own is read."""
+        lines = list(TWELVE_LINES)
+        lines[7] = BAD_LINES["two_spaces"]
+        lines[8] = BAD_LINES["bad_channel"]
+        lines[11] = BAD_LINES["off_grid"]
+        found, cut, starts = self.read(lines)
+        assert cut[2] < self.offset(lines, 7) < cut[3] < self.offset(lines, 11)
+        assert starts == cut[:4]
+        at = FIRST_BODY_LINE + 7
+        message = f"event line needs '<trial> <channel> <t_ns> <setting_id>', got {lines[7]!r}"
+        assert found == (f"t.log:{at}: {message}", at)
+
+
+def spread_log(n_rows):
+    """A valid log of n_rows clicks over two settings, trials spread over ten times as many."""
+    rng = np.random.default_rng(n_rows)
+    return EventLog(
+        config=CONFIG,
+        settings=[MeasurementSetting(0, 0), MeasurementSetting(45, 0)],
+        seed=1,
+        n_trials_per_setting=5 * n_rows,
+        trial=np.sort(rng.integers(0, 10 * n_rows, n_rows)),
+        channel=rng.integers(0, 2, n_rows).astype(np.uint8),
+        t_ns=np.full(n_rows, 330),
+    )
+
+
+def traced_peak(fn, *args):
+    """The peak bytes that tracemalloc sees allocated while fn runs, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Memory beyond the log's columns and text is a few pieces, whatever the log's length.
+
+    One worker, so that no two pieces' peaks can meet by chance: the bound is
+    deterministic.
+    """
+
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_WORKERS", 1)
+
+    def test_the_writer_peak_does_not_grow_with_the_log(self, tmp_path):
+        small, large = (traced_peak(analysis.write_event_log, spread_log(n), tmp_path / f"{n}.log") for n in (1 << 16, 1 << 19))
+        # the longer log's lines are a digit longer, so its pieces are a little larger
+        assert large <= 1.05 * small
+        assert large < (tmp_path / f"{1 << 19}.log").stat().st_size / 2
+
+    def test_the_parser_holds_the_text_bytes_the_columns_and_a_piece(self):
+        n_rows = 1 << 19
+        text = format_event_log(spread_log(n_rows))
+        # the text's ASCII bytes, 17 B per row for the trial, channel and t_ns
+        # columns, and one piece of _PIECE_ROWS shortest lines' bytes: about
+        # 125 B for each such line while these lines are read
+        bound = len(text) + 17 * n_rows + 160 * analysis._PIECE_ROWS
+        assert traced_peak(analysis.parse_event_log_text, text) < bound
 
 
 @st.composite

@@ -192,20 +192,29 @@ class TestWorkers:
         idents = simulator._map_on_workers(lambda _: threading.get_ident(), range(n_items))
         assert (threading.get_ident() not in idents) == threaded
 
-    @pytest.mark.parametrize(
-        "n,least,workers,cuts",
-        [
-            (0, 1, 2, [0, 0]),
-            (1, 1, 2, [0, 1]),
-            (2, 1, 2, [0, 1, 2]),
-            (5, 3, 2, [0, 5]),
-            (7, 3, 2, [0, 3, 7]),
-            (7, 3, 1, [0, 7]),
-        ],
-    )
-    def test_even_cuts(self, n, least, workers, cuts, monkeypatch):
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 5])
+    def test_waves_come_in_item_order(self, n_items, workers, monkeypatch):
         monkeypatch.setattr(simulator, "_WORKERS", workers)
-        assert simulator._even_cuts(n, least) == cuts
+        lows = range(0, 10 * n_items, 10)
+        waves = simulator._map_in_waves(lambda lo, hi: (lo, hi), lows, [lo + 3 for lo in lows])
+        assert list(waves) == [(lo, lo + 3) for lo in lows]
+
+    def test_a_wave_starts_when_the_last_result_is_taken(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_WORKERS", 2)
+        started = []
+
+        def item(k):
+            started.append(k)
+            return k
+
+        waves = simulator._map_in_waves(item, range(5))
+        seen = []
+        for taken in range(5):
+            seen.append(next(waves))
+            # the results of taken items' waves, and no item of a later wave, have been made
+            assert sorted(started) == list(range(min(5, 2 * (taken // 2 + 1))))
+        assert seen == list(range(5))
 
 
 class TestStreamPinning:

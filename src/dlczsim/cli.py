@@ -364,8 +364,8 @@ CHECK_OPS_MAX_ATOMS = 1000
 # --points or --periods from running away
 PREDICT_FRINGE_MAX_ROWS = 200_000
 
-# simulate peaks at about 50 B per event above a small run (182 MB for 3.0
-# million events, 116 MB for 1.5 million), and analyze-gsi of its log as
+# simulate peaks at about 50 B per event above a small run (167 MB for 3.0
+# million events, 117 MB for 1.5 million), and analyze-gsi of its log as
 # much, so this bound keeps a run near 0.5 GB; an --n expected to pass it is
 # refused unrun
 SIMULATE_MAX_EVENTS = 10_000_000

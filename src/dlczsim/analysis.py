@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +34,7 @@ from .predictor import (
 from .simulator import (
     CHANNEL_NAMES,
     EventLog,
+    ExperimentConfig,
     _INT64_MAX,
     _map_in_waves,
     _read_config,
@@ -407,13 +407,8 @@ def _parse_rows(data: np.ndarray, start: int, lo: int, hi: int, row0: int, out, 
     bad |= channel > 1
 
     # the structure: field syntax, a negative trial, an unknown setting id, and
-    # the order against the row before, whose long field gave no value here;
-    # the ids of a header that reads are 0..n-1, a run that two compares test
-    if len(known) and int(known[-1]) - int(known[0]) == len(known) - 1:
-        unknown = (sid < known[0]) | (sid > known[-1])
-    else:
-        unknown = ~np.isin(sid, known)
-    suspect = bad | too_long | (trial < 0) | unknown
+    # the order against the row before, whose long field gave no value here
+    suspect = bad | too_long | (trial < 0) | ~np.isin(sid, known)
     suspect[1:] |= too_long[:-1]
     suspect[1:] |= (trial[1:] < trial[:-1]) | ((trial[1:] == trial[:-1]) & (t_ns[1:] < t_ns[:-1]))
     # the ranges: clamped bounds only ever flag extra rows, which the exact check clears
@@ -475,6 +470,34 @@ def _header_values(header: dict, settings: dict, source: str):
     return seed, n_per, _read_config(header, source)
 
 
+def _range_bounds(header: dict, settings: dict):
+    """(setting size, trial bound, resolution, latest time) of a log's header lines, or None.
+
+    Read from the raw ``{key: (text, line)}`` entries, with the config's
+    defaults for absent keys, and None when a number does not read or could
+    not bound a mask.  Every header that ``_header_values`` accepts reads.
+    """
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+
+    def number(key: str, read):
+        return read(header[key][0]) if key in header else defaults[key]
+
+    try:
+        n_per = number("trials_per_setting", ascii_int)
+        res = number("tia_resolution_ns", ascii_float)
+        cycle = number("cycle_ns", ascii_float)
+    except (KeyError, ValueError):
+        return None
+    if not (math.isfinite(res) and res >= 1 and math.isfinite(cycle)):
+        return None
+    return (
+        n_per,
+        min(len(settings) * n_per, _INT64_MAX),
+        int(res),
+        min(math.floor(cycle), _INT64_MAX),
+    )
+
+
 def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     """Parse the version-1 text format, validating structure and ordering.
 
@@ -519,22 +542,10 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
         _parse_header_line(line, lineno, source, header, settings)
         pos = end + 1
 
-    # the range checks of the body pass need the header's numbers; a faulty
-    # header is reported after the body's structure, when it is read again
-    # below, and any warning of its config is given then
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, n_per, config = _header_values(dict(header), settings, source)
-    except ParseError:
-        ranges = None
-    else:
-        ranges = (
-            n_per,
-            min(len(settings) * n_per, _INT64_MAX),
-            int(config.tia_resolution_ns),
-            min(math.floor(config.cycle_ns), _INT64_MAX),
-        )
+    # the range checks of the body pass take the header's numbers as they
+    # read; a faulty header is reported after the body's structure, so a
+    # number read from it here never decides the outcome
+    ranges = _range_bounds(header, settings)
 
     # -- body: one row per line, columns parsed from the bytes ----------------
     # non-ASCII characters become "?", so byte offsets equal str offsets

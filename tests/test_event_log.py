@@ -576,6 +576,22 @@ class TestHeaderGrammar:
         assert log.config.cycle_ns == 1500.0 and log.config.dark_ns == 640.0
         assert log.settings[0].theta_i_deg == -22.5
 
+    @pytest.mark.parametrize(
+        "kw,event,fragment",
+        [
+            ({"extra": "# tia_resolution_ns=5\n"}, "0 D1 66 0", "not a multiple of the 5 ns resolution"),
+            ({"extra": "# cycle_ns=1000\n"}, "0 D1 1100 0", "outside the 1000.0 ns cycle"),
+            ({"n": "1"}, "1 D1 66 0", "trial 1 beyond the 1 trials"),
+        ],
+    )
+    def test_ranges_follow_the_header_numbers(self, kw, event, fragment):
+        """A row in range for the default config but not for this header's is refused at its line."""
+        text = self.header(**kw) + "0 D1 60 0\n" + event + "\n"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert fragment in str(err.value)
+        assert err.value.line == text.count("\n")
+
     def test_error_spanning_fields_has_no_line(self):
         with pytest.raises(ParseError, match="read gate ends") as err:
             parse(self.header(extra="# delta_t_ns=5000\n"))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grammar import ParseError, ascii_float, ascii_int, read_text
+from .grammar import ParseError, ascii_float, ascii_int, decode_text, read_bytes
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     CHSHResult,
@@ -510,10 +510,26 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     syntax, order, unknown setting ids) come first, then header errors,
     then range errors.
     """
+    return _parse_log(text, source)
+
+
+def _line(text, lo: int, hi: int) -> str:
+    """``text[lo:hi]`` as a str: ``text`` is a log's str, or its bytes when they are ASCII."""
+    line = text[lo:hi]
+    return line if isinstance(line, str) else line.decode("ascii")
+
+
+def _parse_log(text, source: str) -> EventLog:
+    """``parse_event_log_text`` of a log's str, or of its bytes when they are ASCII.
+
+    Only the header and the lines re-read for an error are decoded from
+    bytes, so a log read as bytes is held once.
+    """
+    eol = "\n" if isinstance(text, str) else b"\n"
     # -- header: line by line until the first event line ----------------------
-    end = text.find("\n")
+    end = text.find(eol)
     end = len(text) if end < 0 else end
-    first = text[:end].removesuffix("\r")
+    first = _line(text, 0, end).removesuffix("\r")
     _check_line_breaks(first, 1, source)
     if not first.startswith("#"):
         raise ParseError("missing header", source, 1)
@@ -530,9 +546,9 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     pos = end + 1
     while pos < len(text):
         lineno += 1
-        end = text.find("\n", pos)
+        end = text.find(eol, pos)
         end = len(text) if end < 0 else end
-        raw = text[pos:end].removesuffix("\r")
+        raw = _line(text, pos, end).removesuffix("\r")
         _check_line_breaks(raw, lineno, source)
         line = raw.strip()
         if not line:
@@ -548,8 +564,8 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     ranges = _range_bounds(header, settings)
 
     # -- body: one row per line, columns parsed from the bytes ----------------
-    # non-ASCII characters become "?", so byte offsets equal str offsets
-    data = text.encode("ascii", "replace")
+    # non-ASCII characters of a str become "?", so byte offsets equal str offsets
+    data = text.encode("ascii", "replace") if isinstance(text, str) else text
     # pieces of whole lines, each ending at the first newline at least a
     # piece's bytes past its start
     cuts = [pos]
@@ -578,15 +594,15 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     )
 
     def raw_line(offset: int) -> str:
-        hi = text.find("\n", offset)
-        return text[offset : len(text) if hi < 0 else hi].removesuffix("\r")
+        hi = text.find(eol, offset)
+        return _line(text, offset, len(text) if hi < 0 else hi).removesuffix("\r")
 
     def check_structure(row: int, offset: int) -> None:
         trial_k, _, t_k, sid_k = _event_fields(raw_line(offset), lineno + row, source)
         if trial_k < 0:
             raise ParseError(f"negative trial index {trial_k}", source, lineno + row)
         if row > 0:
-            before = max(text.rfind("\n", pos, offset - 1) + 1, pos)
+            before = max(text.rfind(eol, pos, offset - 1) + 1, pos)
             trial_p, _, t_p, _ = _event_fields(raw_line(before), lineno + row - 1, source)
             if (trial_k, t_k) < (trial_p, t_p):
                 raise ParseError("events not sorted by (trial, t_ns)", source, lineno + row)
@@ -603,7 +619,7 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
             # the line lacks exactly three spaces, so it fails the per-line rules
             check_structure(*stop)
         range_suspects += outside
-    # the exact re-reads use the text; its bytes go before the log is built
+    # the exact re-reads use the text; a str's bytes go before the log is built
     del data, chars, body
 
     # -- header consistency ----------------------------------------------------
@@ -649,8 +665,14 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
 
 
 def parse_event_log(path) -> EventLog:
-    # newline="" hands "\r" to the parser, which accepts it only before "\n"
-    text = read_text(path, newline="")
+    """Parse a version-1 log file, held once: as its bytes when they are ASCII."""
+    data = read_bytes(path)
+    if data.isascii():
+        return _parse_log(data, str(path))
+    # any other file is parsed as its text, with that path's messages; the
+    # text keeps "\r", which the parser accepts only before "\n"
+    text = decode_text(data, path)
+    del data
     return parse_event_log_text(text, source=str(path))
 
 

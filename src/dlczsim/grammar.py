@@ -7,15 +7,16 @@ what ``repr()`` writes for a float or an int.  Python's ``int()`` and
 ``float()`` also take ``+``, ``_`` digit separators, surrounding
 whitespace, non-ASCII digits and ``Infinity``; these do not.  ``as_float``
 turns a numeric field into the builtin float whose ``repr()`` they read.
-``read_text`` reads each input file as UTF-8, and every input that cannot be
-read or is malformed raises ``ParseError``, naming the file and any line.
+``read_text`` reads each input file as UTF-8 (``read_bytes`` and
+``decode_text`` do it in two steps), and every input that cannot be read or
+is malformed raises ``ParseError``, naming the file and any line.
 """
 
 from __future__ import annotations
 
 import re
 
-__all__ = ["ParseError", "ascii_int", "ascii_float", "as_float", "read_text"]
+__all__ = ["ParseError", "ascii_int", "ascii_float", "as_float", "read_text", "read_bytes", "decode_text"]
 
 _INT_FIELD = re.compile("-?[0-9]+")
 # a number as repr() spells a float or an int, nan and inf included
@@ -70,6 +71,27 @@ def read_text(path, newline=None) -> str:
         with open(path, encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})", str(path)) from None
+        raise _not_utf8(exc, path) from None
     except OSError as exc:
         raise ParseError(str(exc), source=None) from None
+
+
+def read_bytes(path) -> bytes:
+    """The bytes of a file, or the ``ParseError`` that ``read_text`` gives when it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(str(exc), source=None) from None
+
+
+def decode_text(data: bytes, path) -> str:
+    """A file's bytes as ``read_text(path, newline="")`` reads them, with the same error."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc, path) from None
+
+
+def _not_utf8(exc: UnicodeDecodeError, path) -> ParseError:
+    return ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})", str(path))

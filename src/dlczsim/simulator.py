@@ -24,6 +24,7 @@ import math
 import numbers
 import os
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field, fields
@@ -70,12 +71,14 @@ _COLUMNS = {"trial": np.int64, "channel": np.uint8, "t_ns": np.int64}
 _BLOCK_BITS = 16
 
 # trials drawn as one unit: a whole number of blocks, cut at its global
-# multiples; it bounds a unit's memory, and no output depends on it
+# multiples; the grain at which units are handed to the workers. A unit is
+# drawn a block at a time, so a block bounds the draw's memory; no output
+# depends on either
 _UNIT_TRIALS = 1 << 18
 
-# threads drawing units, or writing or reading pieces of a text log, at once:
-# at most two, and no more than the CPUs this process may run on; no output
-# depends on it
+# threads drawing units, or writing or reading pieces of a text log, at once,
+# the calling thread one of them: at most two, and no more than the CPUs this
+# process may run on; no output depends on it
 _WORKERS = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -84,29 +87,62 @@ _WORKERS = min(
 def _map_on_workers(fn, *args) -> list:
     """``list(map(fn, *args))``, on ``_WORKERS`` threads when there are two items or more.
 
-    The results come back in the order of the items, so no output depends on
-    the number of threads.
+    The caller is one of the threads, and each thread takes the next item
+    when it finishes one, so the load balances on a busy host.  The results
+    come back in the order of the items, so no output depends on the number
+    of threads; when items raise, every thread is joined and the exception of
+    the first failing item is raised.
     """
-    if _WORKERS > 1 and len(args[0]) > 1:
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            return list(pool.map(fn, *args))
-    return list(map(fn, *args))
+    items = list(zip(*args))
+    if _WORKERS < 2 or len(items) < 2:
+        return list(itertools.starmap(fn, items))
+    results = [None] * len(items)
+    failed = {}
+    taken = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        # after a failure no item is taken: every item before it is taken already
+        while not failed:
+            with lock:
+                k = next(taken, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(*items[k])
+            except BaseException as exc:
+                failed[k] = exc
+
+    with ThreadPoolExecutor(_WORKERS - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(_WORKERS - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _map_in_waves(fn, *args):
-    """``map(fn, *args)`` as a generator, ``_WORKERS`` items at a time on one pool.
+    """``map(fn, *args)`` as a generator, ``_WORKERS`` items at a time.
 
-    Each wave's results are yielded, in item order, before the next wave is
-    started, so at most one wave's results are held at once unless the caller
-    keeps them; no output depends on the number of threads.
+    The caller runs the first item of each wave and a pool of ``_WORKERS - 1``
+    threads the others.  Each wave's results are yielded, in item order,
+    before the next wave is started, so at most one wave's results are held
+    at once unless the caller keeps them; no output depends on the number of
+    threads.  When items of a wave raise, the pool's threads are joined and
+    the exception of the first failing item is raised.
     """
     items = list(zip(*args))
     if _WORKERS < 2 or len(items) < 2:
         yield from itertools.starmap(fn, items)
         return
-    with ThreadPoolExecutor(_WORKERS) as pool:
+    # leaving the block, by a raise too, joins the pool's threads
+    with ThreadPoolExecutor(_WORKERS - 1) as pool:
         for k in range(0, len(items), _WORKERS):
-            wave = list(pool.map(fn, *zip(*items[k : k + _WORKERS])))
+            first, *rest = items[k : k + _WORKERS]
+            futures = [pool.submit(fn, *item) for item in rest]
+            wave = [fn(*first)] + [future.result() for future in futures]
             while wave:
                 yield wave.pop(0)
 
@@ -116,6 +152,8 @@ def _map_in_waves(fn, *args):
 _D1_CLICKS = (np.arange(16) & 0b0011) != 0
 _D2_CLICKS = (np.arange(16) & 0b1100) != 0
 _BOTH_CLICK = _D1_CLICKS & _D2_CLICKS
+# the four bits of each class, one row per class
+_CLASS_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
 
 
 @dataclass(frozen=True)
@@ -514,7 +552,7 @@ def _seek(gen: np.random.Philox, state: dict, stream: int, counter: int) -> np.r
 
 
 def _draw_unit(lo, hi, *, seed, n_trials_per_setting, cums, cells, span):
-    """Sorted event keys and per-setting (n_s, n_i, n_si) of the trials [lo, hi).
+    """Each block's sorted event keys, and per-setting (n_s, n_i, n_si), of the trials [lo, hi).
 
     Trial t reads raw word t of numpy's ``Philox(key=seed).random_raw()``
     (word t % 4 of counter t // 4 + 1, as numpy steps the counter before
@@ -530,7 +568,9 @@ def _draw_unit(lo, hi, *, seed, n_trials_per_setting, cums, cells, span):
     4k..4k+3 of ``Philox(key=seed + ((b + 1) << 64))``, the four words of
     counter k + 1 under a key the gate words never use: the times of its D1
     pair, D1 background, D2 pair and D2 background clicks.  A unit holds
-    whole blocks, so it needs no click count from before lo.
+    whole blocks, so it needs no click count from before lo, and it is drawn
+    a block at a time (``_draw_block``), so that no more than a block's words
+    are held at once.
 
     ``cells[channel]`` is the first cell of that channel's gate, counted
     from the keys' cell origin, and its number of cells; ``span`` is the
@@ -538,41 +578,50 @@ def _draw_unit(lo, hi, *, seed, n_trials_per_setting, cums, cells, span):
     """
     gen = np.random.Philox(key=seed)
     fresh = gen.state
-    words = _seek(gen, fresh, 0, lo // 4).random_raw(hi - lo)
-    n = n_trials_per_setting
     tallies = np.zeros((len(cums), 3), dtype=np.int64)
+    firsts, counts = np.array(cells, dtype=np.int64).T
+    step = 1 << _BLOCK_BITS
+    keys = [
+        _draw_block(
+            gen, fresh, block_lo, min(block_lo + step, hi), tallies,
+            n_trials_per_setting, cums, firsts, counts, span,
+        )
+        for block_lo in range(lo, hi, step)
+    ]
+    return keys, tallies
+
+
+def _draw_block(gen, fresh, lo, hi, tallies, n, cums, firsts, counts, span) -> np.ndarray:
+    """The sorted event keys of the trials [lo, hi) of one block, as ``_draw_unit`` draws them.
+
+    Adds the block's per-setting (n_s, n_i, n_si) to ``tallies``; ``firsts``
+    and ``counts`` are the gates' first cells and numbers of cells.
+    """
+    words = _seek(gen, fresh, 0, lo // 4).random_raw(hi - lo)
     trials, classes = [], []
     for sid in range(lo // n, (hi - 1) // n + 1):
         a, b = max(lo, sid * n), min(hi, (sid + 1) * n)
         rows, cls = _classify(words[a - lo : b - lo], cums[sid])
-        counts = np.bincount(cls, minlength=16)
-        tallies[sid] = counts[_D1_CLICKS].sum(), counts[_D2_CLICKS].sum(), counts[_BOTH_CLICK].sum()
+        per_class = np.bincount(cls, minlength=16)
+        tallies[sid] += [per_class[clicks].sum() for clicks in (_D1_CLICKS, _D2_CLICKS, _BOTH_CLICK)]
         trials.append(a + rows)
         classes.append(cls)
     del words
     trials, classes = np.concatenate(trials), np.concatenate(classes)
+    times = _seek(gen, fresh, (lo >> _BLOCK_BITS) + 1, 0).random_raw(4 * len(trials))
 
-    times = np.empty((len(trials), 4), dtype=np.uint64)
-    blocks = trials >> _BLOCK_BITS
-    starts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist()
-    for start, stop in zip(starts, starts[1:] + [len(trials)]):
-        block = _seek(gen, fresh, int(blocks[start]) + 1, 0)
-        times[start:stop] = block.random_raw(4 * (stop - start)).reshape(-1, 4)
-
-    # bits of the class: D1 pair, D1 background, D2 pair, D2 background
-    keys = []
-    for bit in range(4):
-        has = ((classes >> bit) & 1) == 1
-        channel = bit >> 1
-        first, count = cells[channel]
-        key = (_uniform(times[has, bit]) * count).astype(np.int64)
-        key += trials[has] * span + first
-        key *= 2
-        key += channel
-        keys.append(key)
+    # a click trial's four time words, flattened: word 4k + b times the click
+    # of bit b of the k-th click trial's class, on channel b >> 1
+    at = np.flatnonzero(_CLASS_BITS[classes])
+    channel = (at & 3) >> 1
+    key = (_uniform(times[at]) * counts[channel]).astype(np.int64)
+    key += trials[at >> 2] * span
+    key += firsts[channel]
+    key *= 2
+    key += channel
     # a key holds its whole event, so the sorted keys are the sorted events;
-    # the stable sort merges the origins' runs, each already in trial order
-    return np.sort(np.concatenate(keys), kind="stable"), tallies
+    # they come in trial order, so the stable sort only orders each trial's
+    return np.sort(key, kind="stable")
 
 
 def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, seed: int) -> EventLog:
@@ -584,16 +633,17 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
 
     Each trial reads one raw word and each click trial four more
     (``_draw_unit``), at counters fixed by the trial alone.  The trials are
-    drawn in units cut at the global multiples of ``_UNIT_TRIALS``, on
-    ``_WORKERS`` threads, so the log depends on neither.  A click's
+    drawn in units cut at the global multiples of ``_UNIT_TRIALS``, each a
+    2**16-trial block at a time, on ``_WORKERS`` threads, the caller one of
+    them, so the log depends on none of these.  A click's
     timestamp is the time word's uniform variate scaled onto its gate's
     resolution cells.
 
     Events are assembled as one int64 column: each click's key
     ``(trial * span + cell) * 2 + channel``, with ``cell`` counted from the
     earliest gate start and ``span`` cells per trial, holds the whole event.
-    Each unit sorts its keys; the units are in trial order, so their sorted
-    keys, joined, are the sorted keys of the run.  The log's columns come
+    Each block sorts its keys; the blocks are in trial order, so their
+    sorted keys, joined, are the sorted keys of the run.  The log's columns come
     from them: trial and cell from the quotient and remainder by the span,
     channel from the low bit; the log takes them over without a copy.
     """
@@ -630,8 +680,9 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
         tallies += unit_tallies
     true_counts = {sid: tuple(int(x) for x in row) for sid, row in enumerate(tallies)}
 
-    key = np.concatenate([np.zeros(0, dtype=np.int64)] + [keys for keys, _ in units])
-    del units
+    blocks = [block for keys, _ in units for block in keys]
+    key = np.concatenate([np.zeros(0, dtype=np.int64)] + blocks)
+    del units, blocks
     channel = (key & 1).astype(np.uint8)
     key >>= 1
     # a floor division by a scalar and a multiply-subtract: numpy's divmod

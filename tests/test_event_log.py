@@ -27,7 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dlczsim import analysis, simulator
+from dlczsim import analysis, grammar, simulator
 from dlczsim.analysis import LOG_FORMAT_VERSION, ParseError, format_event_log
 from dlczsim.predictor import MeasurementSetting
 from dlczsim.simulator import (
@@ -988,6 +988,93 @@ class TestMemory:
         # 125 B for each such line while these lines are read
         bound = len(text) + 17 * n_rows + 160 * analysis._PIECE_ROWS
         assert traced_peak(analysis.parse_event_log_text, text) < bound
+
+    def test_a_file_is_held_once(self, tmp_path):
+        n_rows = 1 << 19
+        path = tmp_path / "run.log"
+        analysis.write_event_log(spread_log(n_rows), path)
+        # the file's bytes, read once, the columns and a piece: no str of the
+        # text is held beside them
+        bound = path.stat().st_size + 17 * n_rows + 160 * analysis._PIECE_ROWS
+        assert traced_peak(analysis.parse_event_log, path) < bound
+
+
+class TestFilesReadAsBytes:
+    """A file of ASCII bytes is parsed from them, any other as its text: each as its text is parsed."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("files") / "t.log"
+
+    @staticmethod
+    def outcomes(path, data: bytes):
+        """(file, text): the parsed log or the (message, line) of parsing the file of ``data`` and its text."""
+        path.write_bytes(data)
+
+        def of(parse_it):
+            try:
+                return parse_it()
+            except ParseError as exc:
+                return str(exc), exc.line
+
+        def from_text():
+            return analysis.parse_event_log_text(grammar.read_text(path, newline=""), str(path))
+
+        return of(lambda: analysis.parse_event_log(path)), of(from_text)
+
+    def assert_same(self, path, data: bytes):
+        from_file, from_text = self.outcomes(path, data)
+        assert type(from_file) is type(from_text)
+        assert from_file == from_text
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_valid_logs())
+    def test_near_valid_logs(self, path, case):
+        _, text = case
+        self.assert_same(path, text.encode())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="0123456789 -D12#x+_\t\r\n\x0b\x85\u2028\u0663", max_size=60))
+    def test_any_body(self, path, body):
+        self.assert_same(path, (VALID_HEADER + body).encode())
+
+    @pytest.mark.parametrize(
+        "line", [*BAD_LINES.values(), *NEWLY_REJECTED.values()], ids=[*BAD_LINES, *NEWLY_REJECTED]
+    )
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_bad_lines(self, path, line, newline):
+        lines = [*TWELVE_LINES[:5], line, *TWELVE_LINES[6:]]
+        self.assert_same(path, body_text(lines, newline).encode())
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"# version=1\n# seed=1\xff\n",
+            b"# version=1\n# seed=1\n# trials_per_setting=2\n# setting 0 0 0\n0 D1 66 0\r0 D2 330 0\n",
+            b"# version=1\r# seed=1\n",
+            b"",
+            b"0 D1 66 0\n",
+            "# version=1\n# seed=1\n# trials_per_setting=2\n# setting 0 0 0\n0 D1 66 0\n0 D2 \u0663 0\n".encode(),
+        ],
+        ids=["not_utf8", "lone_carriage_return", "carriage_return_in_header", "empty", "no_header", "non_ascii"],
+    )
+    def test_edge_files(self, path, data):
+        from_file, from_text = self.outcomes(path, data)
+        assert isinstance(from_file, tuple)
+        assert from_file == from_text
+
+    def test_not_utf8_names_the_byte(self, path):
+        path.write_bytes(b"# version=1\n# seed=1\xff\n")
+        with pytest.raises(ParseError) as err:
+            analysis.parse_event_log(path)
+        assert str(err.value) == f"{path}: not UTF-8 text: byte 20 (invalid start byte)"
+
+    def test_a_directory_gives_the_text_reader_message(self, tmp_path):
+        with pytest.raises(ParseError) as text_err:
+            grammar.read_text(tmp_path, newline="")
+        with pytest.raises(ParseError) as file_err:
+            analysis.parse_event_log(tmp_path)
+        assert str(file_err.value) == str(text_err.value)
 
 
 @st.composite

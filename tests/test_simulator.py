@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import math
 import re
+import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -169,6 +171,17 @@ UNITS = [1 << 16, 1 << 17, 1 << 18, 1 << 20]
 WORKERS = [1, 2]
 
 
+# both thread helpers, each returning a list
+HELPERS = [
+    pytest.param(simulator._map_on_workers, id="on_workers"),
+    pytest.param(lambda fn, *args: list(simulator._map_in_waves(fn, *args)), id="in_waves"),
+]
+
+
+class ItemError(Exception):
+    """The failure of one item of a thread helper."""
+
+
 def cut_units(monkeypatch, unit, workers):
     monkeypatch.setattr(simulator, "_UNIT_TRIALS", unit)
     monkeypatch.setattr(simulator, "_WORKERS", workers)
@@ -186,11 +199,85 @@ class TestWorkers:
             (lo, lo + 3) for lo in lows
         ]
 
-    @pytest.mark.parametrize("workers,n_items,threaded", [(1, 3, False), (2, 1, False), (2, 3, True)])
-    def test_one_worker_or_one_item_runs_inline(self, workers, n_items, threaded, monkeypatch):
+    @pytest.mark.parametrize("helper", HELPERS)
+    @pytest.mark.parametrize("workers,n_items", [(1, 3), (2, 1)])
+    def test_one_worker_or_one_item_runs_inline(self, helper, workers, n_items, monkeypatch):
         monkeypatch.setattr(simulator, "_WORKERS", workers)
-        idents = simulator._map_on_workers(lambda _: threading.get_ident(), range(n_items))
-        assert (threading.get_ident() not in idents) == threaded
+        assert set(helper(lambda _: threading.get_ident(), range(n_items))) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("helper", HELPERS)
+    @pytest.mark.parametrize("n_items", [2, 6])
+    def test_two_workers_are_the_caller_and_one_thread(self, helper, n_items, monkeypatch):
+        monkeypatch.setattr(simulator, "_WORKERS", 2)
+        # each item waits for another to run at once, so no thread runs two in a row
+        meet = threading.Barrier(2, timeout=10)
+
+        def item(_):
+            meet.wait()
+            return threading.get_ident()
+
+        threads = threading.active_count()
+        idents = helper(item, range(n_items))
+        assert len(set(idents)) == 2
+        assert threading.get_ident() in idents
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("helper", HELPERS)
+    @pytest.mark.parametrize("raiser", ["caller", "helper"])
+    def test_the_first_failing_item_raises(self, helper, raiser, monkeypatch):
+        monkeypatch.setattr(simulator, "_WORKERS", 2)
+        caller = threading.get_ident()
+        meet = threading.Barrier(2, timeout=10)
+        ran = {}
+
+        def item(k):
+            if k < 2:
+                meet.wait()  # items 0 and 1 run at once, one on each thread
+            ran[k] = threading.get_ident()
+            # of items 0 and 1, the one on the raiser's thread fails; every later one fails too
+            if k >= 2 or (ran[k] == caller) == (raiser == "caller"):
+                raise ItemError(k)
+            return k
+
+        threads = threading.active_count()
+        with pytest.raises(ItemError) as err:
+            helper(item, range(5))
+        first = next(k for k in (0, 1) if (ran[k] == caller) == (raiser == "caller"))
+        assert err.value.args == (first,)
+        assert threading.active_count() == threads
+
+    def test_each_item_runs_once_under_frequent_switches(self, monkeypatch):
+        """Four workers and a thread switch every microsecond: the shared counter hands out each item once."""
+        monkeypatch.setattr(simulator, "_WORKERS", 4)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = simulator._map_on_workers(lambda k: runs.append(k) or k, range(5_000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(5_000))
+        assert sorted(runs) == list(range(5_000))
+
+    @pytest.mark.parametrize("helper", HELPERS)
+    def test_an_earlier_item_that_fails_later_raises(self, helper, monkeypatch):
+        monkeypatch.setattr(simulator, "_WORKERS", 2)
+        meet = threading.Barrier(2, timeout=10)
+        second_failed = threading.Event()
+
+        def item(k):
+            meet.wait()
+            if k == 1:
+                second_failed.set()
+                raise ItemError(1)
+            assert second_failed.wait(timeout=10)
+            raise ItemError(0)
+
+        threads = threading.active_count()
+        with pytest.raises(ItemError) as err:
+            helper(item, range(2))
+        assert err.value.args == (0,)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("n_items", [0, 1, 2, 5])
@@ -324,6 +411,23 @@ class TestStreamPinning:
         edge = math.ceil(p * 2**53) << 11
         words = np.array(words + [w for w in (edge - 1, edge) if 0 <= w < 2**64], dtype=np.uint64)
         assert np.array_equal(simulator._below(words, p), simulator._uniform(words) < p)
+
+
+class TestDrawMemory:
+    def test_the_draw_holds_a_block_not_a_unit(self, monkeypatch):
+        """On one worker the draw peaks at a block's gate words and masks, whatever the unit."""
+        monkeypatch.setattr(simulator, "_WORKERS", 1)
+        config, settings_ = ExperimentConfig(), [MeasurementSetting(0, 0)]
+        run_trials(config, settings_, 1_000, seed=3)  # numpy's and Philox's one-time allocations
+        tracemalloc.start()
+        try:
+            log = run_trials(config, settings_, 2**20, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 2**16-trial block's 512 KiB of gate words and its masks; a whole
+        # 2**18-trial unit's words alone are 2 MiB
+        assert 0 < len(log) and peak < 1 << 20
 
 
 class TestClassSampling:

@@ -620,7 +620,7 @@ def _draw_block(gen, fresh, lo, hi, tallies, n, cums, firsts, counts, span) -> n
     key *= 2
     key += channel
     # a key holds its whole event, so the sorted keys are the sorted events;
-    # they come in trial order, so the stable sort only orders each trial's
+    # they come in trial order, so the stable sort only orders each trial's own
     return np.sort(key, kind="stable")
 
 
@@ -643,9 +643,9 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
     ``(trial * span + cell) * 2 + channel``, with ``cell`` counted from the
     earliest gate start and ``span`` cells per trial, holds the whole event.
     Each block sorts its keys; the blocks are in trial order, so their
-    sorted keys, joined, are the sorted keys of the run.  The log's columns come
-    from them: trial and cell from the quotient and remainder by the span,
-    channel from the low bit; the log takes them over without a copy.
+    sorted keys, joined, are the sorted keys of the run.  The log's columns
+    come from them: trial and cell from the quotient and remainder by the
+    span, channel from the low bit; the log takes them over without a copy.
     """
     settings = tuple(settings)
     if not 0 <= seed < 2**64:

@@ -14,7 +14,7 @@ The package covers the full chain of a write/read photon-pair experiment:
 - :mod:`dlczsim.analysis` parses logs, gates and counts clicks, and fits
   fringes and decay curves the way the measured data are treated.
 - :mod:`dlczsim.cli` wires the above into the ``dlczsim`` command.
-- :mod:`dlczsim.grammar` is the number grammar, the UTF-8 file reading and
+- :mod:`dlczsim.grammar` is the text grammar, the UTF-8 file reading and
   the ``ParseError`` every text input shares.
 """
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grammar import ParseError, ascii_float, ascii_int, decode_text, read_bytes
+from .grammar import BLANKS, ParseError, _check_line_breaks, ascii_float, ascii_int, decode_text, read_bytes
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     CHSHResult,
@@ -278,14 +278,8 @@ def write_event_log(log: EventLog, path) -> None:
 _MAX_DIGITS = 18
 
 
-def _check_line_breaks(raw: str, lineno: int, source: str) -> None:
-    # str.splitlines also breaks at \r, \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
-    if raw.splitlines() not in ([], [raw]):
-        raise ParseError("line break other than '\\n' or '\\r\\n'", source, lineno)
-
-
 def _parse_header_line(line: str, lineno: int, source: str, header: dict, settings: dict):
-    body = line[1:].strip()
+    body = line[1:].strip(BLANKS)
     if body.startswith("setting "):
         parts = body.split(" ")
         if len(parts) != 4:
@@ -306,7 +300,7 @@ def _parse_header_line(line: str, lineno: int, source: str, header: dict, settin
     if "=" not in body:
         raise ParseError(f"header line is not 'key=value': {line!r}", source, lineno)
     key, _, value = body.partition("=")
-    key, value = key.strip(), value.strip()
+    key, value = key.strip(BLANKS), value.strip(BLANKS)
     if key in header:
         raise ParseError(f"duplicate header key {key!r}", source, lineno)
     header[key] = (value, lineno)
@@ -315,7 +309,7 @@ def _parse_header_line(line: str, lineno: int, source: str, header: dict, settin
 def _event_fields(raw: str, lineno: int, source: str) -> tuple[int, int, int, int]:
     """(trial, channel, t_ns, setting_id) of one body line, or the ParseError it earns."""
     _check_line_breaks(raw, lineno, source)
-    stripped = raw.strip()
+    stripped = raw.strip()  # any whitespace: this strip only picks a bad line's refusal
     if not stripped:
         raise ParseError("blank line", source, lineno)
     if stripped.startswith("#"):
@@ -443,20 +437,14 @@ def _header_values(header: dict, settings: dict, source: str):
     """(seed, trials_per_setting, config) of a log's header lines, or the ParseError of its first fault.
 
     ``header`` maps each key to its (value, line); the config takes the keys
-    left after ``seed`` and ``trials_per_setting`` are popped.
+    left after ``seed`` and ``trials_per_setting`` are popped.  As in a
+    config file, a fault among the config's entries, named at its line,
+    comes before one found past them.
     """
-    for required in ("seed", "trials_per_setting"):
-        if required not in header:
-            raise ParseError(f"missing required header key {required!r}", source)
-    if not settings:
-        raise ParseError("no settings declared in header", source)
-    if sorted(settings) != list(range(len(settings))):
-        raise ParseError(
-            f"setting ids must be 0..{len(settings) - 1}, got {sorted(settings)}", source
-        )
+    ints = {key: header.pop(key) for key in ("seed", "trials_per_setting") if key in header}
 
     def _header_int(key: str, minimum: int) -> int:
-        value, at = header.pop(key)
+        value, at = ints[key]
         try:
             out = ascii_int(value)
         except ValueError:
@@ -465,9 +453,23 @@ def _header_values(header: dict, settings: dict, source: str):
             raise ParseError(f"{key} must be >= {minimum}, got {out}", source, at)
         return out
 
-    seed = _header_int("seed", 0)
-    n_per = _header_int("trials_per_setting", 0)
-    return seed, n_per, _read_config(header, source)
+    fault = None
+    try:
+        for required in ("seed", "trials_per_setting"):
+            if required not in ints:
+                raise ParseError(f"missing required header key {required!r}", source)
+        if not settings:
+            raise ParseError("no settings declared in header", source)
+        if sorted(settings) != list(range(len(settings))):
+            raise ParseError(
+                f"setting ids must be 0..{len(settings) - 1}, got {sorted(settings)}", source
+            )
+        seed = _header_int("seed", 0)
+        n_per = _header_int("trials_per_setting", 0)
+    except ParseError as exc:
+        fault = exc
+    config = _read_config(header, source, fault)  # raises any fault
+    return seed, n_per, config
 
 
 def _range_bounds(header: dict, settings: dict):
@@ -501,39 +503,34 @@ def _range_bounds(header: dict, settings: dict):
 def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     """Parse the version-1 text format, validating structure and ordering.
 
-    The header is read line by line; the body is parsed a column at a time
-    over its bytes, in pieces of whole lines, a wave of ``_WORKERS`` pieces
-    at a time, straight into the log's columns.  Vectorized checks flag
-    every row that may be bad, and the flagged rows are then re-read one at
-    a time, in order, by the exact per-line rules, so the first offending
-    line is reported with its own message.  Structural errors (field
-    syntax, order, unknown setting ids) come first, then header errors,
-    then range errors.
+    The text is parsed as its UTF-8 bytes.  The header is read line by line;
+    the body is parsed a column at a time over its bytes, in pieces of whole
+    lines, a wave of ``_WORKERS`` pieces at a time, straight into the log's
+    columns.  Vectorized checks flag every row that may be bad, and the
+    flagged rows are then re-read one at a time, in order, by the exact
+    per-line rules, so the first offending line is reported with its own
+    message.  Structural errors (field syntax, order, unknown setting ids)
+    come first, then header errors, then range errors.
     """
-    return _parse_log(text, source)
+    return _parse_log(text.encode("utf-8", "surrogatepass"), source)
 
 
-def _line(text, lo: int, hi: int) -> str:
-    """``text[lo:hi]`` as a str: ``text`` is a log's str, or its bytes when they are ASCII."""
-    line = text[lo:hi]
-    return line if isinstance(line, str) else line.decode("ascii")
+def _parse_log(data: bytes, source: str) -> EventLog:
+    """``parse_event_log_text`` of a log's UTF-8 bytes: only the header and re-read lines are decoded."""
 
+    def line_end(offset: int) -> int:
+        end = data.find(b"\n", offset)
+        return len(data) if end < 0 else end
 
-def _parse_log(text, source: str) -> EventLog:
-    """``parse_event_log_text`` of a log's str, or of its bytes when they are ASCII.
+    def raw_line(offset: int) -> str:
+        return data[offset : line_end(offset)].decode("utf-8", "surrogatepass").removesuffix("\r")
 
-    Only the header and the lines re-read for an error are decoded from
-    bytes, so a log read as bytes is held once.
-    """
-    eol = "\n" if isinstance(text, str) else b"\n"
     # -- header: line by line until the first event line ----------------------
-    end = text.find(eol)
-    end = len(text) if end < 0 else end
-    first = _line(text, 0, end).removesuffix("\r")
+    first = raw_line(0)
     _check_line_breaks(first, 1, source)
     if not first.startswith("#"):
         raise ParseError("missing header", source, 1)
-    version = first[1:].strip()
+    version = first[1:].strip(BLANKS)
     if version != f"version={LOG_FORMAT_VERSION}":
         raise ParseError(
             f"unsupported log version {version!r}, expected 'version={LOG_FORMAT_VERSION}'",
@@ -543,20 +540,18 @@ def _parse_log(text, source: str) -> EventLog:
     lineno = 1
     header: dict = {}
     settings: dict = {}
-    pos = end + 1
-    while pos < len(text):
+    pos = line_end(0) + 1
+    while pos < len(data):
         lineno += 1
-        end = text.find(eol, pos)
-        end = len(text) if end < 0 else end
-        raw = _line(text, pos, end).removesuffix("\r")
+        raw = raw_line(pos)
         _check_line_breaks(raw, lineno, source)
-        line = raw.strip()
+        line = raw.strip(BLANKS)
         if not line:
             raise ParseError("blank line", source, lineno)
         if not line.startswith("#"):
             break  # the body starts at this line
         _parse_header_line(line, lineno, source, header, settings)
-        pos = end + 1
+        pos = line_end(pos) + 1
 
     # the range checks of the body pass take the header's numbers as they
     # read; a faulty header is reported after the body's structure, so a
@@ -564,8 +559,6 @@ def _parse_log(text, source: str) -> EventLog:
     ranges = _range_bounds(header, settings)
 
     # -- body: one row per line, columns parsed from the bytes ----------------
-    # non-ASCII characters of a str become "?", so byte offsets equal str offsets
-    data = text.encode("ascii", "replace") if isinstance(text, str) else text
     # pieces of whole lines, each ending at the first newline at least a
     # piece's bytes past its start
     cuts = [pos]
@@ -593,16 +586,12 @@ def _parse_log(text, source: str) -> EventLog:
         ranges=ranges,
     )
 
-    def raw_line(offset: int) -> str:
-        hi = text.find(eol, offset)
-        return _line(text, offset, len(text) if hi < 0 else hi).removesuffix("\r")
-
     def check_structure(row: int, offset: int) -> None:
         trial_k, _, t_k, sid_k = _event_fields(raw_line(offset), lineno + row, source)
         if trial_k < 0:
             raise ParseError(f"negative trial index {trial_k}", source, lineno + row)
         if row > 0:
-            before = max(text.rfind(eol, pos, offset - 1) + 1, pos)
+            before = max(data.rfind(b"\n", pos, offset - 1) + 1, pos)
             trial_p, _, t_p, _ = _event_fields(raw_line(before), lineno + row - 1, source)
             if (trial_k, t_k) < (trial_p, t_p):
                 raise ParseError("events not sorted by (trial, t_ns)", source, lineno + row)
@@ -619,8 +608,6 @@ def _parse_log(text, source: str) -> EventLog:
             # the line lacks exactly three spaces, so it fails the per-line rules
             check_structure(*stop)
         range_suspects += outside
-    # the exact re-reads use the text; a str's bytes go before the log is built
-    del data, chars, body
 
     # -- header consistency ----------------------------------------------------
     seed, n_per, config = _header_values(header, settings, source)
@@ -665,15 +652,11 @@ def _parse_log(text, source: str) -> EventLog:
 
 
 def parse_event_log(path) -> EventLog:
-    """Parse a version-1 log file, held once: as its bytes when they are ASCII."""
+    """Parse a version-1 log file from its bytes, held once, as ``parse_event_log_text`` parses its text."""
     data = read_bytes(path)
-    if data.isascii():
-        return _parse_log(data, str(path))
-    # any other file is parsed as its text, with that path's messages; the
-    # text keeps "\r", which the parser accepts only before "\n"
-    text = decode_text(data, path)
-    del data
-    return parse_event_log_text(text, source=str(path))
+    if not data.isascii():
+        decode_text(data, path)  # the ParseError of a file that is not UTF-8
+    return _parse_log(data, str(path))
 
 
 # ---------------------------------------------------------------------------

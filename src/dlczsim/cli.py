@@ -29,7 +29,7 @@ from .angular import (
     mixing_angle,
     mixing_cos_sq,
 )
-from .grammar import ParseError, ascii_float, read_text
+from .grammar import BLANKS, ParseError, ascii_float, read_text
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     MeasurementSetting,
@@ -102,11 +102,11 @@ def _settings_table(table: analysis.CoincidenceTable) -> dict:
 
 def _read_csv_points(path, expected_columns):
     """Read a CSV data file with an exact one-line header."""
-    text = read_text(path, newline="")
+    text = read_text(path)
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise ParseError("empty data file", str(path))
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip(BLANKS) for c in rows[0]]
     if header != list(expected_columns):
         raise ParseError(
             f"expected header {','.join(expected_columns)!r}, got {','.join(header)!r}",
@@ -122,7 +122,7 @@ def _read_csv_points(path, expected_columns):
                 f"expected {len(expected_columns)} columns, got {len(row)}", str(path), lineno
             )
         try:
-            point = tuple(ascii_float(x.strip()) for x in row)
+            point = tuple(ascii_float(x.strip(BLANKS)) for x in row)
         except ValueError:
             raise ParseError(
                 f"non-numeric value in row {row}", str(path), lineno

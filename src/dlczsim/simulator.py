@@ -32,7 +32,7 @@ from dataclasses import InitVar, dataclass, field, fields
 import numpy as np
 
 from .angular import LevelScheme, mixing_angle
-from .grammar import ParseError, as_float, ascii_float, read_text
+from .grammar import BLANKS, ParseError, as_float, ascii_float, read_text, split_blanks, split_lines
 from .predictor import MeasurementSetting, pair_amplitudes
 
 __all__ = [
@@ -738,15 +738,15 @@ def _read_config(entries: dict, source: str, fault: ParseError | None = None) ->
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse ``key = value`` lines into a config; unlisted keys keep defaults."""
     entries, fault = {}, None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in split_lines(text, source):
+        line = raw.split("#", 1)[0].strip(BLANKS)
         if not line:
             continue
         if "=" not in line:
             fault = ParseError(f"expected 'key = value', got {raw!r}", source, lineno)
             break
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        key, value = key.strip(BLANKS), value.strip(BLANKS)
         if key in entries:
             fault = ParseError(f"duplicate key {key!r}", source, lineno)
             break
@@ -761,11 +761,10 @@ def load_config(path) -> ExperimentConfig:
 def parse_settings_text(text: str, source: str = "<settings>"):
     """Parse 'theta_s_deg theta_i_deg' lines into measurement settings."""
     settings = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw in split_lines(text, source):
+        parts = split_blanks(raw.split("#", 1)[0])
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'theta_s_deg theta_i_deg', got {raw!r}", source, lineno)
         try:

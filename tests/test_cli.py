@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlczsim import simulator
 from dlczsim.analysis import chsh_from_log, fit_fringe, parse_event_log
@@ -418,6 +423,28 @@ class TestSimulateAndAnalyze:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,text,message",
+        [
+            (
+                "--config",
+                "excitation_prob = 0.2\nretrieval_eff = 0.5\xa0\n",
+                ":2: retrieval_eff must be a decimal number",
+            ),
+            ("--settings", "0 0\n\u30000 0\n", ":2: angles must be numbers"),
+        ],
+        ids=["config_no_break_space", "settings_ideographic_space"],
+    )
+    def test_other_whitespace_exits_two_at_its_line(self, capsys, tmp_path, settings_file, flag, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        settings_ = ["--settings", settings_file] if flag == "--config" else []
+        out = tmp_path / "run.log"
+        code, stdout, err = run_cli(capsys, "simulate", flag, str(path), *settings_, "--n", "10", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {path}{message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_log_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze-gsi", "--log", str(tmp_path / "gone.log"))
         assert code == 2
@@ -671,13 +698,22 @@ class TestFringeFlagValues:
 
 
 class TestCsvNumberGrammar:
-    @pytest.mark.parametrize("cell", ["1_0", "+0.1", "0x1p-3", "Infinity", "\u0661"])
+    @pytest.mark.parametrize(
+        "cell", ["1_0", "+0.1", "0x1p-3", "Infinity", "\u0661", "\xa00", "5\u3000", "\x1f5", "5\x0b", "5\x0c"]
+    )
     def test_rejected_at_file_and_row(self, capsys, tmp_path, cell):
         data = tmp_path / "decay.csv"
         data.write_text(f"delta_t_ns,g_si,sigma\n200,5,0.1\n1000,{cell},0.1\n3000,2,0.1\n")
         code, _, err = run_cli(capsys, "fit-decay", "--data", str(data))
         assert code == 2
         assert "decay.csv:3: non-numeric value" in err
+
+    def test_header_blanks_are_space_and_tab(self, capsys, tmp_path):
+        data = tmp_path / "decay.csv"
+        data.write_text("delta_t_ns,\xa0g_si,sigma\n200,5,0.1\n1000,4,0.1\n3000,2,0.1\n")
+        code, out, err = run_cli(capsys, "fit-decay", "--data", str(data))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {data}:1: expected header") and err.count("\n") == 1
 
     def test_spaces_around_a_cell_are_accepted(self, capsys, tmp_path):
         data = tmp_path / "decay.csv"
@@ -753,3 +789,188 @@ class TestFormatEquivalence:
         code, out, _ = run_cli(capsys, "predict-chsh")
         assert code == 0
         assert "S = " in out
+
+
+# ---------------------------------------------------------------------------
+# every input boundary holds the exit contract
+# ---------------------------------------------------------------------------
+
+
+def _refuse_nan(constant):
+    assert constant != "NaN", "NaN printed on exit 0"
+    return float(constant)
+
+
+def contract_run(*argv) -> int:
+    """Run the CLI in-process with ``--format json`` and hold it to the exit contract.
+
+    Exit 0 prints JSON with no NaN and nothing on stderr; exit 1, 2 or 3
+    prints one ``error:`` line on stderr, after argparse's usage lines for a
+    usage error, and nothing else.  A numpy warning is an error here, so it
+    cannot pass for a message; a read gate past the dark period only warns,
+    by design.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*argv, "--format", "json"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=_refuse_nan)
+    else:
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[-1].startswith("error: ") and err.count("error: ") == 1, (argv, err)
+        assert len(lines) == 1 or (code == 1 and lines[0].startswith("usage: ")), (argv, err)
+    return code
+
+
+# ASCII blanks, then other whitespace the grammar keeps inside a field and line breaks it refuses
+BLANK_TEXTS = ["", " ", "\t", " \t "]
+ODD_SPACES = ["\xa0", "\u2003", "\u3000", "\x1c", "\x1f", "\x0b", "\x0c", "\x85", "\u2028", "\r"]
+GOOD_NUMBERS = ["0", "1", "0.5", ".25", "1e-3", "22.5"]
+ODD_NUMBERS = ["300", "1500", "-1", "nan", "inf", "-inf", "1e999", "1_0", "+1", "\u0663", "", "x"]
+PROBABILITY_KEYS = ["excitation_prob", "retrieval_eff", "det_eff_s", "det_eff_i", "bg_prob_s", "bg_prob_i"]
+
+
+class _Texts:
+    """Draws for one input's text: well formed, or with odd spaces, numbers and line breaks anywhere."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.odd = draw(st.booleans())
+
+    def pick(self, good, odd):
+        return self.draw(st.sampled_from(good) | st.sampled_from(odd) if self.odd else st.sampled_from(good))
+
+    def spaced(self, field: str) -> str:
+        return self.pick(BLANK_TEXTS, ODD_SPACES) + field + self.pick(BLANK_TEXTS, ODD_SPACES)
+
+    def number(self) -> str:
+        if self.odd and self.draw(st.booleans()):
+            return repr(self.draw(st.floats()))
+        return self.pick(GOOD_NUMBERS, ODD_NUMBERS)
+
+    def joined(self, lines) -> str:
+        newline = self.pick(["\n", "\r\n"], ODD_SPACES)
+        return newline.join(lines) + self.draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def config_texts(draw):
+    texts = _Texts(draw)
+    keys = [f.name for f in dataclasses.fields(simulator.ExperimentConfig)] + ["frogs", ""]
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = texts.pick(["entry", "entry", "comment", "blank"], ["any"])
+        if kind == "entry":
+            key, sep = texts.pick(PROBABILITY_KEYS, keys), texts.pick(["="], ["", "=="])
+            comment = draw(st.sampled_from(["", " # note"]))
+            lines.append(texts.spaced(key) + sep + texts.spaced(texts.number()) + comment)
+        elif kind == "comment":
+            lines.append(texts.spaced("# note"))
+        elif kind == "blank":
+            lines.append(texts.pick(BLANK_TEXTS, ODD_SPACES))
+        else:
+            lines.append(draw(st.text(max_size=12)))
+    return texts.joined(lines)
+
+
+@st.composite
+def settings_texts(draw):
+    texts = _Texts(draw)
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        fields = [texts.spaced(texts.number()) for _ in range(texts.pick([2], [1, 3]))]
+        lines.append(texts.pick([" ", "\t"], ODD_SPACES).join(fields))
+    return texts.joined(lines)
+
+
+FIT_HEADERS = {"fit-decay": ("delta_t_ns", "g_si", "sigma"), "fit-fringe": ("theta_s_deg", "counts", "sigma")}
+
+
+@st.composite
+def fit_csvs(draw, command):
+    texts = _Texts(draw)
+    header = list(FIT_HEADERS[command])
+    if texts.pick([False], [True]):
+        header[draw(st.integers(0, 2))] = "time"
+    lines = [",".join(texts.spaced(name) for name in header)]
+    for _ in range(draw(st.integers(0, 7))):
+        lines.append(",".join(texts.spaced(texts.number()) for _ in range(texts.pick([3], [2, 4]))))
+    return texts.joined(lines)
+
+
+INT_VALUES = st.integers(-5, 50) | st.sampled_from([1001, 2**31, 2**63, -(2**63), 10**30])
+FLOAT_VALUES = st.floats() | st.sampled_from([0.0, -0.0, 1e300, 2.0**63, 1.5, 0.5])
+# (argv before the flag, the flag, its values): a flag given twice takes its last value, and
+# "DATA", "SETTINGS" and "OUT" stand for paths in the work directory
+SIMULATE = ("simulate", "--settings", "SETTINGS", "--out", "OUT", "--n", "20")
+NUMERIC_FLAGS = [
+    *((("eta", "--fa", "3", "--fb", "2", "--fc", "3"), flag, FLOAT_VALUES) for flag in ("--fa", "--fb", "--fc")),
+    *((("predict-fringe",), flag, FLOAT_VALUES) for flag in ("--eta", "--theta-i", "--amplitude", "--background")),
+    *((("predict-fringe",), flag, INT_VALUES) for flag in ("--points", "--periods")),
+    (("predict-chsh",), "--eta", FLOAT_VALUES),
+    (("predict-chsh", "--angles", "0", "45", "22.5"), "", FLOAT_VALUES),
+    *((("fit-fringe", "--data", "DATA", "--theta-i", "67.5"), flag, FLOAT_VALUES) for flag in ("--eta", "--theta-i")),
+    *((SIMULATE, flag, INT_VALUES) for flag in ("--n", "--seed")),
+    *((("check-ops",), flag, INT_VALUES) for flag in ("--n-min", "--n-max", "--seed")),
+]
+
+
+class TestEveryInputHoldsTheExitContract:
+    """Any config, settings file, fit CSV or numeric flag value: exit 0-3, one stderr line, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("contract")
+        (path / "settings.txt").write_text("0 0\n22.5 45\n")
+        (path / "bright.cfg").write_text("excitation_prob = 0.2\ndet_eff_s = 1\ndet_eff_i = 1\nretrieval_eff = 1\n")
+        write_fringe_csv(path / "fringe.csv", amp=50.0, bg=2.0, eta=DEFAULT_ETA, theta_i_deg=67.5)
+        return path
+
+    def simulate(self, workdir, config=None, settings_text=None):
+        """simulate, then analyze-gsi of its log when it exits 0 (a log without singles exits 1)."""
+        argv = ["simulate", "--n", "50", "--seed", "1", "--out", str(workdir / "run.log")]
+        for flag, text, default in (("--config", config, "bright.cfg"), ("--settings", settings_text, "settings.txt")):
+            path = workdir / default
+            if text is not None:
+                path = workdir / "input.txt"
+                path.write_bytes(text.encode("utf-8", "surrogatepass"))
+            argv += [flag, str(path)]
+        (workdir / "run.log").unlink(missing_ok=True)
+        if contract_run(*argv) == 0:
+            contract_run("analyze-gsi", "--log", str(workdir / "run.log"))
+        else:
+            assert not (workdir / "run.log").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(config_texts())
+    def test_any_config_text(self, workdir, text):
+        self.simulate(workdir, config=text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(settings_texts())
+    def test_any_settings_text(self, workdir, text):
+        self.simulate(workdir, settings_text=text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(FIT_HEADERS)))
+    def test_any_fit_csv(self, workdir, data, command):
+        path = workdir / "data.csv"
+        path.write_bytes(data.draw(fit_csvs(command)).encode("utf-8", "surrogatepass"))
+        extra = ("--theta-i", "67.5") if command == "fit-fringe" else ()
+        contract_run(command, "--data", str(path), *extra)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(NUMERIC_FLAGS))
+    def test_any_numeric_flag_value(self, workdir, data, case):
+        before, flag, values = case
+        value = repr(data.draw(values))
+        files = {"DATA": str(workdir / "fringe.csv"), "SETTINGS": str(workdir / "settings.txt"),
+                 "OUT": str(workdir / "flag.log")}
+        argv = [files.get(a, a) for a in before]
+        contract_run(*argv, f"{flag}={value}" if flag else value)

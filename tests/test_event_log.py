@@ -569,6 +569,26 @@ class TestHeaderGrammar:
         assert fragment in str(err.value)
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "header,line,fragment",
+        [
+            ("#\u3000version=1\n# seed=1\n", 1, "unsupported log version"),
+            ("# version=1\n#\u3000seed = 1\n", 2, "unknown config key '\\u3000seed'"),
+            ("# version=1\n# seed = 1\xa0\n", 2, "seed must be an integer"),
+            ("# version=1\n# seed\x1f= 1\n", 2, "unknown config key 'seed\\x1f'"),
+            ("# version=1\n# seed=1\n# setting 0 0 0\u2003\n", 3, "bad setting line"),
+            ("# version=1\n# seed=1\n# excitation_prob=\xa00.1\n", 3, "excitation_prob must be a decimal"),
+        ],
+        ids=["version", "before_key", "after_value", "after_key", "setting", "before_value"],
+    )
+    def test_blanks_are_space_and_tab(self, header, line, fragment):
+        """Other whitespace stays inside its field, whose own message refuses it at its line."""
+        text = header + "# trials_per_setting=2\n" + "# setting 0 0 0\n" * ("setting" not in header)
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert fragment in str(err.value)
+        assert err.value.line == line
+
     def test_writer_spellings_accepted(self):
         extra = "# excitation_prob=0.25\n# bg_prob_s=2e-05\n# cycle_ns=1500\n# dark_ns=.64e3\n"
         log = parse(self.header(angle="-22.5", extra=extra))
@@ -724,10 +744,14 @@ def piece_starts():
 
 
 def expected_starts(body: str, rows: int) -> list:
-    """The parser's cut of a body: a piece ends with the first line that takes it to rows * 9 bytes."""
+    """The parser's cut of a body: a piece ends with the first line that takes it to rows * 9 bytes.
+
+    The offsets count the body's UTF-8 bytes, which the parser reads.
+    """
+    data = body.encode()
     starts = [0]
-    for end in (k + 1 for k, char in enumerate(body) if char == "\n"):
-        if end - starts[-1] >= rows * analysis._SHORTEST_LINE and end < len(body):
+    for end in (k + 1 for k, byte in enumerate(data) if byte == ord("\n")):
+        if end - starts[-1] >= rows * analysis._SHORTEST_LINE and end < len(data):
             starts.append(end)
     return starts
 
@@ -1018,7 +1042,7 @@ class TestFilesReadAsBytes:
                 return str(exc), exc.line
 
         def from_text():
-            return analysis.parse_event_log_text(grammar.read_text(path, newline=""), str(path))
+            return analysis.parse_event_log_text(grammar.read_text(path), str(path))
 
         return of(lambda: analysis.parse_event_log(path)), of(from_text)
 
@@ -1071,7 +1095,7 @@ class TestFilesReadAsBytes:
 
     def test_a_directory_gives_the_text_reader_message(self, tmp_path):
         with pytest.raises(ParseError) as text_err:
-            grammar.read_text(tmp_path, newline="")
+            grammar.read_text(tmp_path)
         with pytest.raises(ParseError) as file_err:
             analysis.parse_event_log(tmp_path)
         assert str(file_err.value) == str(text_err.value)

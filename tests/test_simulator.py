@@ -701,7 +701,9 @@ class TestNumberGrammar:
     """Config and settings files read numbers as the log header does."""
 
     @pytest.mark.parametrize(
-        "value", ["1_0e-1", "+0_0", "+0.1", "0x1p-3", "Infinity", "NaN", "1e", ".", "\u0660.1"]
+        "value",
+        ["1_0e-1", "+0_0", "+0.1", "0x1p-3", "Infinity", "NaN", "1e", ".", "\u0660.1",
+         "0.1\xa0", "\u20030.1", "\u30000.1", "0.1\x1f"],
     )
     def test_config_spellings_rejected_at_their_line(self, value):
         message = f"cfg.txt:2: excitation_prob must be a decimal number, got {value!r}"
@@ -722,10 +724,89 @@ class TestNumberGrammar:
         cfg = ExperimentConfig.from_mapping({"excitation_prob": "0.1", "delta_t_ns": np.int64(300)})
         assert cfg == ExperimentConfig(excitation_prob=0.1, delta_t_ns=300.0)
 
-    @pytest.mark.parametrize("line", ["+1 0", "1_0 0", "0 0x10", "0 Infinity", "\u0663 0"])
+    @pytest.mark.parametrize(
+        "line", ["+1 0", "1_0 0", "0 0x10", "0 Infinity", "\u0663 0", "\u30000 0", "0 0\xa0", "\x1f0 0"]
+    )
     def test_settings_spellings_rejected_at_their_line(self, line):
         with pytest.raises(ValueError, match=r"s\.txt:2: angles must be numbers"):
             parse_settings_text(f"0 0\n{line}\n", source="s.txt")
+
+
+# characters that str.split() and str.strip() take for whitespace but that are
+# neither an ASCII space or tab nor a line break
+NOT_BLANKS = {
+    "no_break_space": "\xa0", "em_space": "\u2003", "ideographic_space": "\u3000", "unit_separator": "\x1f"
+}
+# line breaks that str.splitlines() knows besides "\n" and "\r\n"
+OTHER_BREAKS = {
+    "lone_carriage_return": "\r",
+    "vertical_tab": "\x0b",
+    "form_feed": "\x0c",
+    "file_separator": "\x1c",
+    "group_separator": "\x1d",
+    "record_separator": "\x1e",
+    "next_line": "\x85",
+    "line_separator": "\u2028",
+    "paragraph_separator": "\u2029",
+}
+
+
+class TestBlanksAndLineBreaks:
+    """Config and settings files strip and split on space and tab alone; a line ends at "\\n" or "\\r\\n"."""
+
+    @pytest.mark.parametrize("char", NOT_BLANKS.values(), ids=NOT_BLANKS.keys())
+    @pytest.mark.parametrize("key", ["{c}excitation_prob", "excitation_prob{c}"], ids=["before", "after"])
+    def test_config_keeps_other_whitespace_in_its_key(self, key, char):
+        key = key.format(c=char)
+        message = f"cfg.txt:2: unknown config key {key!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_config_text(f"delta_t_ns = 300\n{key}= 0.1\n", source="cfg.txt")
+
+    @pytest.mark.parametrize("char", NOT_BLANKS.values(), ids=NOT_BLANKS.keys())
+    @pytest.mark.parametrize(
+        "line", ["{c}0 0", "0 0{c}", "0{c}0", "0 {c} 0"], ids=["before", "after", "between", "beside_a_space"]
+    )
+    def test_settings_keep_other_whitespace_in_its_field(self, line, char):
+        with pytest.raises(ParseError) as err:
+            parse_settings_text("0 0\n" + line.format(c=char) + "\n", source="s.txt")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS.values(), ids=OTHER_BREAKS.keys())
+    def test_config_refuses_other_line_breaks_at_their_line(self, char):
+        message = "cfg.txt:2: line break other than '\\n' or '\\r\\n'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_config_text(f"delta_t_ns = 300\nexcitation_prob = 0.1{char}dark_ns = 700\n", source="cfg.txt")
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS.values(), ids=OTHER_BREAKS.keys())
+    def test_settings_refuse_other_line_breaks_at_their_line(self, char):
+        message = "s.txt:2: line break other than '\\n' or '\\r\\n'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_settings_text(f"0 0\n10 20{char}30 40\n", source="s.txt")
+
+    def test_spaces_and_tabs_are_blanks(self):
+        assert parse_config_text("\t delta_t_ns\t=  300 \t# comment\n") == ExperimentConfig(delta_t_ns=300.0)
+        assert parse_settings_text(" 10\t \t20 \n\t30 40\t# comment\n") == [
+            MeasurementSetting(10, 20),
+            MeasurementSetting(30, 40),
+        ]
+
+    def test_crlf_files_are_read_as_lf_files(self, tmp_path):
+        cfg, settings_ = tmp_path / "run.cfg", tmp_path / "s.txt"
+        cfg.write_bytes(b"delta_t_ns = 300\r\n# comment\r\n\r\nexcitation_prob = 0.2\r\n")
+        settings_.write_bytes(b"10 20\r\n30 40")
+        assert load_config(cfg) == ExperimentConfig(delta_t_ns=300.0, excitation_prob=0.2)
+        assert load_settings(settings_) == [MeasurementSetting(10, 20), MeasurementSetting(30, 40)]
+
+    @pytest.mark.parametrize(
+        "load,data",
+        [(load_config, b"delta_t_ns = 300\rexcitation_prob = 0.2\n"), (load_settings, b"10 20\r30 40\n")],
+    )
+    def test_a_lone_carriage_return_in_a_file_is_refused(self, tmp_path, load, data):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="line break other than") as err:
+            load(path)
+        assert err.value.line == 1
 
 
 class TestGateLayout:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,6 @@ from .predictor import (
 from .simulator import (
     CHANNEL_NAMES,
     EventLog,
-    ExperimentConfig,
     _INT64_MAX,
     _map_in_waves,
     _read_config,
@@ -357,24 +356,21 @@ def _int_column(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
     return value, bad, too_long
 
 
-def _parse_rows(data: np.ndarray, start: int, lo: int, hi: int, row0: int, out, known, ranges):
+def _parse_rows(data: np.ndarray, lo: int, hi: int, row0: int, out, ranges):
     """Read the body lines in the bytes [lo, hi) of ``data`` into rows ``row0`` on of ``out``.
 
-    ``lo`` starts a line and ``hi`` ends one (or the text); ``start`` is
-    ``lo`` or, past the first piece, the start of the line before it, which
-    is read again only for the order compare of row ``row0``.  ``out`` holds
-    the final trial, channel and t_ns columns; ``known`` the sorted setting
-    ids of the header; ``ranges`` (setting size, trial bound, resolution, latest
-    time) or None.
+    ``lo`` starts a line and ``hi`` ends one (or the text).  ``out`` holds
+    the final trial, channel and t_ns columns; ``ranges`` is (setting size,
+    trial bound, resolution, latest time) from the log's header.
 
-    Returns the line at which the piece stops, as (row, offset in ``data``),
-    or None when every line holds exactly three spaces; then, among the rows
-    before the stop, those that may break the structure and those that may
-    break the ranges, each as (row, offset).  A suspect row is re-read by the
-    exact per-line rules; a row with a field too long to read here (see
-    ``_int_column``) is always suspect.
+    Returns the rows that may be bad, as (row, offset in ``data``) pairs in
+    file order; each is re-read by the exact per-line rules.  The piece's
+    first row is always among them, for the order compare with the line
+    before, and so is a row with a field too long to read here (see
+    ``_int_column``).  The last, when a line lacks exactly three spaces, is
+    that line, where the piece stops.
     """
-    buf = data[start:hi]
+    buf = data[lo:hi]
     if buf[-1] != ord("\n"):
         buf = np.append(buf, np.uint8(ord("\n")))
     sep = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
@@ -386,12 +382,12 @@ def _parse_rows(data: np.ndarray, start: int, lo: int, hi: int, row0: int, out, 
     n_rows = len(aligned) if aligned.all() else int(np.argmin(aligned))
     ends = sep[: 4 * n_rows].reshape(n_rows, 4)  # the three spaces and the newline
     newline = ends[:, 3]
-    line_start = np.zeros_like(newline)
-    line_start[1:] = newline[:-1] + 1
+    # the start of each row's line, and of the line after the last row
+    line_start = np.append(0, newline + 1)
     sid_end = newline - (buf[newline - 1] == ord("\r"))
 
     # the trial, t_ns and setting id fields, read as one array of three rows
-    field_start = np.stack([line_start, ends[:, 1] + 1, ends[:, 2] + 1])
+    field_start = np.stack([line_start[:-1], ends[:, 1] + 1, ends[:, 2] + 1])
     field_end = np.stack([ends[:, 0], ends[:, 2], sid_end])
     (trial, t_ns, sid), bad, too_long = _int_column(buf, field_start, field_end)
     del field_start, field_end
@@ -400,37 +396,25 @@ def _parse_rows(data: np.ndarray, start: int, lo: int, hi: int, row0: int, out, 
     bad |= (ends[:, 1] - ends[:, 0] != 3) | (buf[ends[:, 0] + 1] != ord("D"))
     bad |= channel > 1
 
-    # the structure: field syntax, a negative trial, an unknown setting id, and
-    # the order against the row before, whose long field gave no value here
-    suspect = bad | too_long | (trial < 0) | ~np.isin(sid, known)
+    # the structure: field syntax, a negative trial, and the order against the
+    # row before, whose long field gave no value here
+    suspect = bad | too_long | (trial < 0)
+    suspect[:1] = True  # its line before is the piece before's: the exact check compares them
     suspect[1:] |= too_long[:-1]
     suspect[1:] |= (trial[1:] < trial[:-1]) | ((trial[1:] == trial[:-1]) & (t_ns[1:] < t_ns[:-1]))
-    # the ranges: clamped bounds only ever flag extra rows, which the exact check clears
-    outside = np.zeros_like(suspect)
-    if ranges is not None:
-        n_per, trial_bound, res, t_max = ranges
-        outside |= too_long | (trial >= trial_bound) | (sid != _setting_ids(trial, n_per))
-        # t_ns % res, as a floor division by a scalar and a multiply-subtract
-        outside |= (t_ns - t_ns // res * res != 0) if res <= _INT64_MAX else (t_ns != 0)
-        outside |= (t_ns < 0) | (t_ns > t_max)
+    # the ranges, an unknown setting id among them: clamped bounds only ever
+    # flag extra rows, which the exact check clears
+    n_per, trial_bound, res, t_max = ranges
+    suspect |= (trial >= trial_bound) | (sid != _setting_ids(trial, n_per))
+    # t_ns % res, as a floor division by a scalar and a multiply-subtract
+    suspect |= (t_ns - t_ns // res * res != 0) if res <= _INT64_MAX else (t_ns != 0)
+    suspect |= (t_ns < 0) | (t_ns > t_max)
 
-    # the line before the piece is the piece before's; when it lacks three
-    # spaces, that piece stops there and this one is never looked at
-    first = int(start < lo)
-    own = slice(first, max(n_rows, first))
-    n_own = own.stop - first
     for column, values in zip(out, (trial, channel, t_ns)):
-        column[row0 : row0 + n_own] = values[own]
-    line_start += start
-
-    def rows_and_offsets(mask) -> list:
-        at = np.flatnonzero(mask[own])
-        return list(zip((at + row0).tolist(), line_start[own][at].tolist()))
-
-    stop = None
-    if 4 * n_rows != len(sep):
-        stop = row0 + n_own, start + (int(newline[-1]) + 1 if n_rows else 0)
-    return stop, rows_and_offsets(suspect), rows_and_offsets(outside)
+        column[row0 : row0 + n_rows] = values
+    # and past the last row, a line without exactly three spaces, if any
+    at = np.flatnonzero(np.append(suspect, 4 * n_rows != len(sep)))
+    return list(zip((at + row0).tolist(), (line_start[at] + lo).tolist()))
 
 
 def _header_values(header: dict, settings: dict, source: str):
@@ -472,45 +456,18 @@ def _header_values(header: dict, settings: dict, source: str):
     return seed, n_per, config
 
 
-def _range_bounds(header: dict, settings: dict):
-    """(setting size, trial bound, resolution, latest time) of a log's header lines, or None.
-
-    Read from the raw ``{key: (text, line)}`` entries, with the config's
-    defaults for absent keys, and None when a number does not read or could
-    not bound a mask.  Every header that ``_header_values`` accepts reads.
-    """
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
-
-    def number(key: str, read):
-        return read(header[key][0]) if key in header else defaults[key]
-
-    try:
-        n_per = number("trials_per_setting", ascii_int)
-        res = number("tia_resolution_ns", ascii_float)
-        cycle = number("cycle_ns", ascii_float)
-    except (KeyError, ValueError):
-        return None
-    if not (math.isfinite(res) and res >= 1 and math.isfinite(cycle)):
-        return None
-    return (
-        n_per,
-        min(len(settings) * n_per, _INT64_MAX),
-        int(res),
-        min(math.floor(cycle), _INT64_MAX),
-    )
-
-
 def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     """Parse the version-1 text format, validating structure and ordering.
 
-    The text is parsed as its UTF-8 bytes.  The header is read line by line;
-    the body is parsed a column at a time over its bytes, in pieces of whole
-    lines, a wave of ``_WORKERS`` pieces at a time, straight into the log's
-    columns.  Vectorized checks flag every row that may be bad, and the
-    flagged rows are then re-read one at a time, in order, by the exact
-    per-line rules, so the first offending line is reported with its own
-    message.  Structural errors (field syntax, order, unknown setting ids)
-    come first, then header errors, then range errors.
+    The text is parsed as its UTF-8 bytes, in file order, and the first bad
+    line ends the parse.  The header is read line by line and then checked
+    as a whole, before any body line.  The body is parsed a column at a time
+    over its bytes, in pieces of whole lines, a wave of ``_WORKERS`` pieces
+    at a time, straight into the log's columns.  Vectorized checks flag every
+    row that may be bad, and each wave's flagged rows are then re-read one at
+    a time, in order, by the exact per-line rules: first the line's structure
+    (field syntax, order, setting id), then its ranges (trial within the run
+    and its setting's block, t_ns on the grid and within the cycle).
     """
     return _parse_log(text.encode("utf-8", "surrogatepass"), source)
 
@@ -525,7 +482,7 @@ def _parse_log(data: bytes, source: str) -> EventLog:
     def raw_line(offset: int) -> str:
         return data[offset : line_end(offset)].decode("utf-8", "surrogatepass").removesuffix("\r")
 
-    # -- header: line by line until the first event line ----------------------
+    # -- header: line by line until the first event line, then as a whole ----
     first = raw_line(0)
     _check_line_breaks(first, 1, source)
     if not first.startswith("#"):
@@ -553,10 +510,9 @@ def _parse_log(data: bytes, source: str) -> EventLog:
         _parse_header_line(line, lineno, source, header, settings)
         pos = line_end(pos) + 1
 
-    # the range checks of the body pass take the header's numbers as they
-    # read; a faulty header is reported after the body's structure, so a
-    # number read from it here never decides the outcome
-    ranges = _range_bounds(header, settings)
+    seed, n_per, config = _header_values(header, settings, source)
+    res = int(config.tia_resolution_ns)
+    n_trials = len(settings) * n_per
 
     # -- body: one row per line, columns parsed from the bytes ----------------
     # pieces of whole lines, each ending at the first newline at least a
@@ -575,50 +531,26 @@ def _parse_log(data: bytes, source: str) -> EventLog:
     trial = np.empty(n_rows, dtype=np.int64)
     channel = np.empty(n_rows, dtype=np.uint8)
     t_ns = np.empty(n_rows, dtype=np.int64)
-    known = np.array(sorted(s for s in settings if -_INT64_MAX - 1 <= s <= _INT64_MAX), dtype=np.int64)
-    # each piece past the first reads the line before it again, for the order compare
-    starts = [pos] + [max(data.rfind(b"\n", pos, lo - 1) + 1, pos) for lo in cuts[1:-1]]
     body = functools.partial(
         _parse_rows,
         chars,
         out=(trial, channel, t_ns),
-        known=known,
-        ranges=ranges,
+        ranges=(n_per, min(n_trials, _INT64_MAX), res, math.floor(config.cycle_ns)),
     )
 
-    def check_structure(row: int, offset: int) -> None:
-        trial_k, _, t_k, sid_k = _event_fields(raw_line(offset), lineno + row, source)
-        if trial_k < 0:
-            raise ParseError(f"negative trial index {trial_k}", source, lineno + row)
-        if row > 0:
-            before = max(data.rfind(b"\n", pos, offset - 1) + 1, pos)
-            trial_p, _, t_p, _ = _event_fields(raw_line(before), lineno + row - 1, source)
-            if (trial_k, t_k) < (trial_p, t_p):
-                raise ParseError("events not sorted by (trial, t_ns)", source, lineno + row)
-        if sid_k not in settings:
-            raise ParseError(f"event references unknown setting id {sid_k}", source, lineno + row)
-
-    # each wave's suspects are checked before the next wave is read, so the
-    # first structural error ends the parse
-    range_suspects = []
-    for stop, structure, outside in _map_in_waves(body, starts, cuts[:-1], cuts[1:], rows[:-1]):
-        for row, offset in structure:
-            check_structure(row, offset)
-        if stop is not None:
-            # the line lacks exactly three spaces, so it fails the per-line rules
-            check_structure(*stop)
-        range_suspects += outside
-
-    # -- header consistency ----------------------------------------------------
-    seed, n_per, config = _header_values(header, settings, source)
-
-    # -- ranges: trial within the run and its setting block, t_ns on the grid --
-    res = int(config.tia_resolution_ns)
-    n_trials = len(settings) * n_per
-
-    def check_range(row: int, offset: int) -> None:
+    def check(row: int, offset: int) -> None:
+        """The exact rules for one body line: its structure, then its ranges."""
         at = lineno + row
         trial_k, _, t_k, sid_k = _event_fields(raw_line(offset), at, source)
+        if trial_k < 0:
+            raise ParseError(f"negative trial index {trial_k}", source, at)
+        if row > 0:
+            before = max(data.rfind(b"\n", pos, offset - 1) + 1, pos)
+            trial_p, _, t_p, _ = _event_fields(raw_line(before), at - 1, source)
+            if (trial_k, t_k) < (trial_p, t_p):
+                raise ParseError("events not sorted by (trial, t_ns)", source, at)
+        if sid_k not in settings:
+            raise ParseError(f"event references unknown setting id {sid_k}", source, at)
         if trial_k >= n_trials:
             raise ParseError(
                 f"trial {trial_k} beyond the {n_trials} trials of {len(settings)} settings"
@@ -642,8 +574,11 @@ def _parse_log(data: bytes, source: str) -> EventLog:
         # a row flagged for a long field takes its exact values
         trial[row], t_ns[row] = trial_k, t_k
 
-    for row, offset in range_suspects:
-        check_range(row, offset)
+    # each wave's suspects are checked, in file order, before the next wave is
+    # read, so the first bad line ends the parse
+    for suspects in _map_in_waves(body, cuts[:-1], cuts[1:], rows[:-1]):
+        for row, offset in suspects:
+            check(row, offset)
 
     ordered = tuple(settings[k] for k in range(len(settings)))
     return EventLog(

@@ -29,7 +29,7 @@ from .angular import (
     mixing_angle,
     mixing_cos_sq,
 )
-from .grammar import BLANKS, ParseError, ascii_float, read_text
+from .grammar import BLANKS, ParseError, ascii_float, read_text, split_lines
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     MeasurementSetting,
@@ -101,9 +101,9 @@ def _settings_table(table: analysis.CoincidenceTable) -> dict:
 
 
 def _read_csv_points(path, expected_columns):
-    """Read a CSV data file with an exact one-line header."""
-    text = read_text(path)
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    """Read a CSV data file with an exact one-line header, its lines cut as config files' are."""
+    # each line keeps a "\n", so a quoted cell cannot join two lines into one number
+    rows = list(csv.reader(raw + "\n" for _, raw in split_lines(read_text(path), str(path))))
     if not rows:
         raise ParseError("empty data file", str(path))
     header = [c.strip(BLANKS) for c in rows[0]]

@@ -124,27 +124,15 @@ def _map_on_workers(fn, *args) -> list:
 
 
 def _map_in_waves(fn, *args):
-    """``map(fn, *args)`` as a generator, ``_WORKERS`` items at a time.
+    """``map(fn, *args)`` as a generator: ``_map_on_workers`` of ``_WORKERS`` items at a time.
 
-    The caller runs the first item of each wave and a pool of ``_WORKERS - 1``
-    threads the others.  Each wave's results are yielded, in item order,
-    before the next wave is started, so at most one wave's results are held
-    at once unless the caller keeps them; no output depends on the number of
-    threads.  When items of a wave raise, the pool's threads are joined and
-    the exception of the first failing item is raised.
+    Each wave's results are yielded, in item order, before the next wave is
+    started, so at most one wave's results are held at once unless the
+    caller keeps them; no output depends on the number of threads.
     """
     items = list(zip(*args))
-    if _WORKERS < 2 or len(items) < 2:
-        yield from itertools.starmap(fn, items)
-        return
-    # leaving the block, by a raise too, joins the pool's threads
-    with ThreadPoolExecutor(_WORKERS - 1) as pool:
-        for k in range(0, len(items), _WORKERS):
-            first, *rest = items[k : k + _WORKERS]
-            futures = [pool.submit(fn, *item) for item in rest]
-            wave = [fn(*first)] + [future.result() for future in futures]
-            while wave:
-                yield wave.pop(0)
+    for k in range(0, len(items), _WORKERS):
+        yield from _map_on_workers(fn, *zip(*items[k : k + _WORKERS]))
 
 
 # click class c of one trial: bit 0 a D1 pair click, bit 1 a D1 background

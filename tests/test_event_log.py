@@ -2,8 +2,12 @@
 
 ``oracle_parse_event_log_text`` below is the line-at-a-time parser that the
 column parser replaced, kept verbatim as the reference apart from its name, its
-``config.validate()`` call, whose checks the config's construction now makes, and
-its last line, which hands the record columns to ``EventLog``.  On near-valid logs
+``config.validate()`` call, whose checks the config's construction now makes, its
+last line, which hands the record columns to ``EventLog``, and the order of its
+checks, which is now the column parser's file order: the header's checks moved
+into ``header_values``, run at the first body line (or at the end of a log with
+no body), and each line's range checks moved from a pass after the body to right
+after that line's structure checks.  On near-valid logs
 (a canonical log with one mutation) both must return equal logs or raise
 the same ParseError at the same line.  The spellings the column parser
 rejects on purpose, which the reference let through ``int()`` and
@@ -15,6 +19,8 @@ same bytes for every log, valid or not.
 
 ``TestPieces`` cuts the body into pieces of one or three rows, on one worker or
 two, and requires the bytes, the parsed log and the first error of one piece.
+``piece_starts`` records the offset at which each piece starts from the
+parser's ``_parse_rows(data, lo, hi, row0, out, ranges)``.
 """
 
 import contextlib
@@ -107,6 +113,37 @@ def oracle_parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
 
     header: dict = {}
     settings: dict = {}
+
+    def header_values():
+        for required in ("seed", "trials_per_setting"):
+            if required not in header:
+                raise ParseError(f"missing required header key {required!r}", source)
+        if not settings:
+            raise ParseError("no settings declared in header", source)
+        if sorted(settings) != list(range(len(settings))):
+            raise ParseError(
+                f"setting ids must be 0..{len(settings) - 1}, got {sorted(settings)}", source
+            )
+
+        def _header_int(key: str, minimum: int) -> int:
+            value, lineno = header.pop(key)
+            try:
+                out = int(value)
+            except ValueError:
+                raise ParseError(f"{key} must be an integer, got {value!r}", source, lineno) from None
+            if out < minimum:
+                raise ParseError(f"{key} must be >= {minimum}, got {out}", source, lineno)
+            return out
+
+        seed = _header_int("seed", 0)
+        n_per = _header_int("trials_per_setting", 0)
+        config_lines = {k: v for k, (v, _) in header.items()}
+        try:
+            config = ExperimentConfig.from_mapping(config_lines)
+        except ValueError as exc:
+            raise ParseError(str(exc), source) from None
+        return seed, n_per, config
+
     rows = []
     in_body = False
     last_key = (-1, -1)  # (trial, t_ns) of the previous event
@@ -119,6 +156,10 @@ def oracle_parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
                 raise ParseError("header line after the event body began", source, lineno)
             _parse_header_line(line, lineno, source, header, settings)
             continue
+        if not in_body:
+            seed, n_per, config = header_values()
+            res = int(config.tia_resolution_ns)
+            n_trials = len(settings) * n_per
         in_body = True
         parts = line.split(" ")
         if len(parts) != 4:
@@ -140,40 +181,6 @@ def oracle_parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
         last_key = (trial, t_ns)
         if sid not in settings:
             raise ParseError(f"event references unknown setting id {sid}", source, lineno)
-        rows.append((trial, CHANNEL_NAMES.index(parts[1]), t_ns, sid, lineno))
-
-    for required in ("seed", "trials_per_setting"):
-        if required not in header:
-            raise ParseError(f"missing required header key {required!r}", source)
-    if not settings:
-        raise ParseError("no settings declared in header", source)
-    if sorted(settings) != list(range(len(settings))):
-        raise ParseError(
-            f"setting ids must be 0..{len(settings) - 1}, got {sorted(settings)}", source
-        )
-
-    def _header_int(key: str, minimum: int) -> int:
-        value, lineno = header.pop(key)
-        try:
-            out = int(value)
-        except ValueError:
-            raise ParseError(f"{key} must be an integer, got {value!r}", source, lineno) from None
-        if out < minimum:
-            raise ParseError(f"{key} must be >= {minimum}, got {out}", source, lineno)
-        return out
-
-    seed = _header_int("seed", 0)
-    n_per = _header_int("trials_per_setting", 0)
-    config_lines = {k: v for k, (v, _) in header.items()}
-    try:
-        config = ExperimentConfig.from_mapping(config_lines)
-    except ValueError as exc:
-        raise ParseError(str(exc), source) from None
-
-    res = int(config.tia_resolution_ns)
-    n_trials = len(settings) * n_per
-    events = np.zeros(len(rows), dtype=EVENT_DTYPE)
-    for k, (trial, chan, t_ns, sid, lineno) in enumerate(rows):
         if trial >= n_trials:
             raise ParseError(
                 f"trial {trial} beyond the {n_trials} trials of {len(settings)} settings"
@@ -191,7 +198,13 @@ def oracle_parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
             )
         if not 0 <= t_ns <= config.cycle_ns:
             raise ParseError(f"timestamp {t_ns} outside the {config.cycle_ns} ns cycle", source, lineno)
-        events[k] = (trial, chan, t_ns, sid)
+        rows.append((trial, CHANNEL_NAMES.index(parts[1]), t_ns, sid))
+    if not in_body:
+        seed, n_per, config = header_values()
+
+    events = np.zeros(len(rows), dtype=EVENT_DTYPE)
+    for k, row in enumerate(rows):
+        events[k] = row
 
     ordered = tuple(settings[sid] for sid in range(len(settings)))
     return EventLog(
@@ -728,15 +741,15 @@ def cut_pieces(rows, workers):
 def piece_starts():
     """The body offsets at which the parser's pieces start, for the one parse in the block.
 
-    Only the pieces read are recorded: a structural error ends the parse
-    after the wave that holds it.
+    Only the pieces read are recorded: the first bad line ends the parse
+    after the wave that holds it, and a bad header before any piece.
     """
     starts, found = [], []
     parse_rows = analysis._parse_rows
 
-    def recorded(data, start, lo, *args, **kwargs):
+    def recorded(data, lo, *args, **kwargs):
         found.append(lo)  # the body's first piece starts at the lowest offset
-        return parse_rows(data, start, lo, *args, **kwargs)
+        return parse_rows(data, lo, *args, **kwargs)
 
     with mock.patch.object(analysis, "_parse_rows", recorded):
         yield starts
@@ -963,6 +976,44 @@ class TestLaterWaves:
         assert found == (f"t.log:{at}: {message}", at)
 
 
+class TestFileOrder:
+    """The first fault in file order ends the parse: the header's before any body line's,
+    and a line's ranges before the next line's structure."""
+
+    @pytest.mark.parametrize("rows,workers", [(1000, 1), *PIECES])
+    @pytest.mark.parametrize("k", [0, 3, 8])
+    def test_a_range_fault_before_an_order_fault(self, k, rows, workers):
+        lines = list(TWELVE_LINES)
+        trial, channel, _, sid = lines[k].split(" ")
+        lines[k] = f"{trial} {channel} 1502 {sid}"  # out of the cycle, and after line k + 1's time
+        with cut_pieces(rows, workers):
+            found = outcome(analysis.parse_event_log_text, body_text(lines))
+        at = FIRST_BODY_LINE + k
+        assert found == (f"t.log:{at}: timestamp 1502 outside the 1500.0 ns cycle", at)
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("# seed=5", "# seed=-1", "seed must be >= 0, got -1"),
+            ("# trials_per_setting=10", "# trials_per_setting=x", "trials_per_setting must be an integer, got 'x'"),
+            ("# dark_ns=640.0", "# dark_ns=0", "dark_ns must be positive"),
+            ("# setting 1 45.0 90.0", "# setting 2 45.0 90.0", "setting ids must be 0..1, got [0, 2]"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["bad_channel", "unknown_setting", "off_grid"])
+    def test_a_header_fault_before_a_body_fault(self, old, new, message, kind):
+        lines = list(TWELVE_LINES)
+        lines[2] = BAD_LINES[kind]
+        text = body_text(lines).replace(old, new, 1)
+        with cut_pieces(3, 2), piece_starts() as starts:
+            found = outcome(analysis.parse_event_log_text, text)
+        # a fault past the header's entries has no line of its own
+        at = next((n for n, line in enumerate(text.split("\n"), 1) if line == new), None)
+        at = at if "setting ids" not in message else None
+        assert found == (str(ParseError(message, "t.log", at)), at)
+        assert starts == []
+
+
 def spread_log(n_rows):
     """A valid log of n_rows clicks over two settings, trials spread over ten times as many."""
     rng = np.random.default_rng(n_rows)
@@ -1021,6 +1072,30 @@ class TestMemory:
         # text is held beside them
         bound = path.stat().st_size + 17 * n_rows + 160 * analysis._PIECE_ROWS
         assert traced_peak(analysis.parse_event_log, path) < bound
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("tia_resolution_ns", "4.0", "is not a multiple of the 4 ns resolution"),
+            ("trials_per_setting", "1", "trial [0-9]+ (belongs to setting|beyond the 2 trials)"),
+        ],
+    )
+    def test_a_file_refused_at_every_row_is_held_once(self, key, value, message, tmp_path):
+        """A header that puts every row out of range: the parse stops in the first piece."""
+        n_rows = 1 << 19
+        path = tmp_path / "run.log"
+        analysis.write_event_log(spread_log(n_rows), path)
+        text = path.read_text()
+        start = text.index(f"# {key}=")
+        path.write_text(text[:start] + f"# {key}={value}" + text[text.index("\n", start) :])
+        del text
+
+        def refused():
+            with pytest.raises(ParseError, match=message):
+                analysis.parse_event_log(path)
+
+        bound = path.stat().st_size + 17 * n_rows + 160 * analysis._PIECE_ROWS
+        assert traced_peak(refused) < bound
 
 
 class TestFilesReadAsBytes:

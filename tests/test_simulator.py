@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlczsim import simulator
+from dlczsim import cli, simulator
 from dlczsim.grammar import ParseError
 from dlczsim.predictor import MeasurementSetting, chsh_setting_table
 from dlczsim.simulator import (
@@ -799,7 +799,16 @@ class TestBlanksAndLineBreaks:
 
     @pytest.mark.parametrize(
         "load,data",
-        [(load_config, b"delta_t_ns = 300\rexcitation_prob = 0.2\n"), (load_settings, b"10 20\r30 40\n")],
+        [
+            (load_config, b"delta_t_ns = 300\rexcitation_prob = 0.2\n"),
+            (load_settings, b"10 20\r30 40\n"),
+            # a fit-decay CSV, which the csv module alone would cut at each "\r"
+            pytest.param(
+                lambda path: cli._read_csv_points(path, ("delta_t_ns", "g_si", "sigma")),
+                b"delta_t_ns,g_si,sigma\r200,5.2514,0.05\r1000,4.4017,0.05\r2000,3.6288,0.05\r",
+                id="fit_csv",
+            ),
+        ],
     )
     def test_a_lone_carriage_return_in_a_file_is_refused(self, tmp_path, load, data):
         path = tmp_path / "input.txt"

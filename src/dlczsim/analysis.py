@@ -35,7 +35,6 @@ from .simulator import (
     CHANNEL_NAMES,
     EventLog,
     _INT64_MAX,
-    _map_in_waves,
     _read_config,
     _setting_ids,
     gate_windows,
@@ -161,8 +160,8 @@ class ExponentialFit:
 
 
 # rows in one piece of a log body: the writer formats and the parser reads
-# the body a piece at a time, _WORKERS pieces at once, so that memory beyond
-# the log's columns and text is bounded by a few pieces; no output depends on it
+# the body one piece at a time, on the calling thread, so that memory beyond
+# the log's columns and text is bounded by one piece; no output depends on it
 _PIECE_ROWS = 1 << 15
 
 # the bytes of the shortest body line, "0 D1 0 0\n": the parser, which
@@ -250,14 +249,13 @@ def _header_text(log: EventLog) -> str:
 
 
 def _body_pieces(log: EventLog):
-    """The body's bytes, in order, in pieces of ``_PIECE_ROWS`` rows, formatted a wave at a time.
+    """The body's bytes, in order, in pieces of ``_PIECE_ROWS`` rows, each formatted when taken.
 
-    The pieces' bytes, joined, are the body, so no byte depends on the cut
-    or on the number of threads.
+    The pieces' bytes, joined, are the body, so no byte depends on the cut.
     """
     lows = range(0, len(log), _PIECE_ROWS)
     highs = [min(lo + _PIECE_ROWS, len(log)) for lo in lows]
-    return _map_in_waves(functools.partial(_format_rows, log), lows, highs)
+    return map(functools.partial(_format_rows, log), lows, highs)
 
 
 def format_event_log(log: EventLog) -> str:
@@ -266,7 +264,7 @@ def format_event_log(log: EventLog) -> str:
 
 
 def write_event_log(log: EventLog, path) -> None:
-    """Write the version-1 text of a log: each wave of pieces is written before the next is formatted."""
+    """Write the version-1 text of a log: each piece is written before the next is formatted."""
     with open(path, "wb") as fh:
         fh.write(_header_text(log).encode("utf-8"))
         for piece in _body_pieces(log):
@@ -361,7 +359,9 @@ def _parse_rows(data: np.ndarray, lo: int, hi: int, row0: int, out, ranges):
 
     ``lo`` starts a line and ``hi`` ends one (or the text).  ``out`` holds
     the final trial, channel and t_ns columns; ``ranges`` is (setting size,
-    trial bound, resolution, latest time) from the log's header.
+    trial bound, resolution, latest time) from the log's header.  Each
+    integer field takes its own ``_int_column`` call, whose digit loop runs
+    to that field's longest spelling in the piece, not to the trial's.
 
     Returns the rows that may be bad, as (row, offset in ``data``) pairs in
     file order; each is re-read by the exact per-line rules.  The piece's
@@ -386,12 +386,13 @@ def _parse_rows(data: np.ndarray, lo: int, hi: int, row0: int, out, ranges):
     line_start = np.append(0, newline + 1)
     sid_end = newline - (buf[newline - 1] == ord("\r"))
 
-    # the trial, t_ns and setting id fields, read as one array of three rows
-    field_start = np.stack([line_start[:-1], ends[:, 1] + 1, ends[:, 2] + 1])
-    field_end = np.stack([ends[:, 0], ends[:, 2], sid_end])
-    (trial, t_ns, sid), bad, too_long = _int_column(buf, field_start, field_end)
-    del field_start, field_end
-    bad, too_long = bad.any(axis=0), too_long.any(axis=0)
+    # the trial, t_ns and setting id fields
+    fields = ((line_start[:-1], ends[:, 0]), (ends[:, 1] + 1, ends[:, 2]), (ends[:, 2] + 1, sid_end))
+    (trial, bad, too_long), (t_ns, bad_t, long_t), (sid, bad_sid, long_sid) = (
+        _int_column(buf, start, end) for start, end in fields
+    )
+    bad |= bad_t | bad_sid
+    too_long |= long_t | long_sid
     channel = buf[ends[:, 0] + 2] - np.uint8(ord("1"))
     bad |= (ends[:, 1] - ends[:, 0] != 3) | (buf[ends[:, 0] + 1] != ord("D"))
     bad |= channel > 1
@@ -462,12 +463,14 @@ def parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
     The text is parsed as its UTF-8 bytes, in file order, and the first bad
     line ends the parse.  The header is read line by line and then checked
     as a whole, before any body line.  The body is parsed a column at a time
-    over its bytes, in pieces of whole lines, a wave of ``_WORKERS`` pieces
-    at a time, straight into the log's columns.  Vectorized checks flag every
-    row that may be bad, and each wave's flagged rows are then re-read one at
-    a time, in order, by the exact per-line rules: first the line's structure
-    (field syntax, order, setting id), then its ranges (trial within the run
-    and its setting's block, t_ns on the grid and within the cycle).
+    over its bytes, in pieces of whole lines, one piece at a time, straight
+    into the log's columns.  Vectorized checks flag every row that may be
+    bad, and each piece's flagged rows are then re-read one at a time, in
+    order, by the exact per-line rules, before the next piece is read: first
+    the line's structure (field syntax, order, setting id), then its ranges
+    (trial within the run and its setting's block, t_ns on the grid and
+    within the cycle).  So no piece after the one that holds the first bad
+    line is read.
     """
     return _parse_log(text.encode("utf-8", "surrogatepass"), source)
 
@@ -574,9 +577,9 @@ def _parse_log(data: bytes, source: str) -> EventLog:
         # a row flagged for a long field takes its exact values
         trial[row], t_ns[row] = trial_k, t_k
 
-    # each wave's suspects are checked, in file order, before the next wave is
-    # read, so the first bad line ends the parse
-    for suspects in _map_in_waves(body, cuts[:-1], cuts[1:], rows[:-1]):
+    # each piece's suspects are checked, in file order, before the next piece
+    # is read, so the first bad line ends the parse
+    for suspects in map(body, cuts[:-1], cuts[1:], rows[:-1]):
         for row, offset in suspects:
             check(row, offset)
 

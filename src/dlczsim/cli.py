@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -50,6 +51,15 @@ __all__ = ["main"]
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; the contract here is 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number, "-1e+16" and "-inf" as well as "-2", is a value
+        # and not an option, so it reaches its flag's own check; no option here
+        # looks like a number
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -76,9 +76,8 @@ _BLOCK_BITS = 16
 # depends on either
 _UNIT_TRIALS = 1 << 18
 
-# threads drawing units, or writing or reading pieces of a text log, at once,
-# the calling thread one of them: at most two, and no more than the CPUs this
-# process may run on; no output depends on it
+# threads drawing units at once, the calling thread one of them: at most two,
+# and no more than the CPUs this process may run on; no output depends on it
 _WORKERS = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -121,18 +120,6 @@ def _map_on_workers(fn, *args) -> list:
     if failed:
         raise failed[min(failed)]
     return results
-
-
-def _map_in_waves(fn, *args):
-    """``map(fn, *args)`` as a generator: ``_map_on_workers`` of ``_WORKERS`` items at a time.
-
-    Each wave's results are yielded, in item order, before the next wave is
-    started, so at most one wave's results are held at once unless the
-    caller keeps them; no output depends on the number of threads.
-    """
-    items = list(zip(*args))
-    for k in range(0, len(items), _WORKERS):
-        yield from _map_on_workers(fn, *zip(*items[k : k + _WORKERS]))
 
 
 # click class c of one trial: bit 0 a D1 pair click, bit 1 a D1 background

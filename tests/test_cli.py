@@ -658,6 +658,30 @@ class TestNonFiniteAngleFlags:
         assert "theta_i_deg must be finite" in err
 
 
+class TestNegativeAngleValues:
+    """A negative angle such as "-1e+16" or "-inf" is a value, not an option: it reaches the angle's own check."""
+
+    @pytest.mark.parametrize("value", ["-1e999", "-1E+999", "-inf", "-Infinity", "-nan"])
+    def test_predict_chsh_names_the_angle(self, capsys, value):
+        code, out, err = run_cli(capsys, "predict-chsh", "--angles", "0", "45", "22.5", value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: theta_i_deg must be finite, got {float(value)}\n"
+
+    def test_predict_chsh_takes_a_finite_one(self, capsys):
+        scalars = run_json(capsys, "predict-chsh", "--angles", "0", "45", "22.5", "-1e+16")
+        assert math.isfinite(scalars["s"])
+
+    def test_analyze_chsh_looks_for_its_settings(self, capsys, tmp_path, chsh_settings_file):
+        log = str(tmp_path / "run.log")
+        run_cli(capsys, "simulate", "--settings", chsh_settings_file, "--n", "200", "--seed", "3", "--out", log)
+        code, out, err = run_cli(capsys, "analyze-chsh", "--log", log, "--angles", "-2.5E-3", "0", "45", "22.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: log is missing polarizer settings: (-0.0025, 0), ")
+        assert err.count("\n") == 1
+
+
 class TestFringeFlagValues:
     @pytest.mark.parametrize("flag", ["--amplitude", "--background"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

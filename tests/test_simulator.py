@@ -171,13 +171,6 @@ UNITS = [1 << 16, 1 << 17, 1 << 18, 1 << 20]
 WORKERS = [1, 2]
 
 
-# both thread helpers, each returning a list
-HELPERS = [
-    pytest.param(simulator._map_on_workers, id="on_workers"),
-    pytest.param(lambda fn, *args: list(simulator._map_in_waves(fn, *args)), id="in_waves"),
-]
-
-
 class ItemError(Exception):
     """The failure of one item of a thread helper."""
 
@@ -188,7 +181,7 @@ def cut_units(monkeypatch, unit, workers):
 
 
 class TestWorkers:
-    """The one thread decision that the draw and the text-log codec share."""
+    """The thread helper that spreads the draw's units over the workers."""
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("n_items", [0, 1, 2, 5])
@@ -199,15 +192,14 @@ class TestWorkers:
             (lo, lo + 3) for lo in lows
         ]
 
-    @pytest.mark.parametrize("helper", HELPERS)
     @pytest.mark.parametrize("workers,n_items", [(1, 3), (2, 1)])
-    def test_one_worker_or_one_item_runs_inline(self, helper, workers, n_items, monkeypatch):
+    def test_one_worker_or_one_item_runs_inline(self, workers, n_items, monkeypatch):
         monkeypatch.setattr(simulator, "_WORKERS", workers)
-        assert set(helper(lambda _: threading.get_ident(), range(n_items))) == {threading.get_ident()}
+        idents = simulator._map_on_workers(lambda _: threading.get_ident(), range(n_items))
+        assert set(idents) == {threading.get_ident()}
 
-    @pytest.mark.parametrize("helper", HELPERS)
     @pytest.mark.parametrize("n_items", [2, 6])
-    def test_two_workers_are_the_caller_and_one_thread(self, helper, n_items, monkeypatch):
+    def test_two_workers_are_the_caller_and_one_thread(self, n_items, monkeypatch):
         monkeypatch.setattr(simulator, "_WORKERS", 2)
         # each item waits for another to run at once, so no thread runs two in a row
         meet = threading.Barrier(2, timeout=10)
@@ -217,14 +209,13 @@ class TestWorkers:
             return threading.get_ident()
 
         threads = threading.active_count()
-        idents = helper(item, range(n_items))
+        idents = simulator._map_on_workers(item, range(n_items))
         assert len(set(idents)) == 2
         assert threading.get_ident() in idents
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("helper", HELPERS)
     @pytest.mark.parametrize("raiser", ["caller", "helper"])
-    def test_the_first_failing_item_raises(self, helper, raiser, monkeypatch):
+    def test_the_first_failing_item_raises(self, raiser, monkeypatch):
         monkeypatch.setattr(simulator, "_WORKERS", 2)
         caller = threading.get_ident()
         meet = threading.Barrier(2, timeout=10)
@@ -241,7 +232,7 @@ class TestWorkers:
 
         threads = threading.active_count()
         with pytest.raises(ItemError) as err:
-            helper(item, range(5))
+            simulator._map_on_workers(item, range(5))
         first = next(k for k in (0, 1) if (ran[k] == caller) == (raiser == "caller"))
         assert err.value.args == (first,)
         assert threading.active_count() == threads
@@ -259,8 +250,7 @@ class TestWorkers:
         assert results == list(range(5_000))
         assert sorted(runs) == list(range(5_000))
 
-    @pytest.mark.parametrize("helper", HELPERS)
-    def test_an_earlier_item_that_fails_later_raises(self, helper, monkeypatch):
+    def test_an_earlier_item_that_fails_later_raises(self, monkeypatch):
         monkeypatch.setattr(simulator, "_WORKERS", 2)
         meet = threading.Barrier(2, timeout=10)
         second_failed = threading.Event()
@@ -275,33 +265,9 @@ class TestWorkers:
 
         threads = threading.active_count()
         with pytest.raises(ItemError) as err:
-            helper(item, range(2))
+            simulator._map_on_workers(item, range(2))
         assert err.value.args == (0,)
         assert threading.active_count() == threads
-
-    @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("n_items", [0, 1, 2, 5])
-    def test_waves_come_in_item_order(self, n_items, workers, monkeypatch):
-        monkeypatch.setattr(simulator, "_WORKERS", workers)
-        lows = range(0, 10 * n_items, 10)
-        waves = simulator._map_in_waves(lambda lo, hi: (lo, hi), lows, [lo + 3 for lo in lows])
-        assert list(waves) == [(lo, lo + 3) for lo in lows]
-
-    def test_a_wave_starts_when_the_last_result_is_taken(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_WORKERS", 2)
-        started = []
-
-        def item(k):
-            started.append(k)
-            return k
-
-        waves = simulator._map_in_waves(item, range(5))
-        seen = []
-        for taken in range(5):
-            seen.append(next(waves))
-            # the results of taken items' waves, and no item of a later wave, have been made
-            assert sorted(started) == list(range(min(5, 2 * (taken // 2 + 1))))
-        assert seen == list(range(5))
 
 
 class TestStreamPinning:

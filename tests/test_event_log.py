@@ -930,6 +930,51 @@ class TestPieces:
         assert found == (f"t.log:{at}: unknown channel 'D3'", at)
 
 
+def first_rows(n_rows):
+    """The first n_rows rows of TWELVE_ROWS, under its header."""
+    return EventLog(
+        config=TWELVE_ROWS.config,
+        settings=TWELVE_ROWS.settings,
+        seed=TWELVE_ROWS.seed,
+        n_trials_per_setting=TWELVE_ROWS.n_trials_per_setting,
+        trial=TWELVE_ROWS.trial[:n_rows],
+        channel=TWELVE_ROWS.channel[:n_rows],
+        t_ns=TWELVE_ROWS.t_ns[:n_rows],
+    )
+
+
+class TestWriterPieces:
+    """The writer's pieces come in row order, each formatted when it is taken, on either number of workers."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 5])
+    def test_pieces_come_in_row_order(self, n_rows, workers):
+        """Pieces of one row: piece k is body line k."""
+        with cut_pieces(1, workers):
+            pieces = [bytes(piece) for piece in analysis._body_pieces(first_rows(n_rows))]
+        assert pieces == [f"{line}\n".encode() for line in TWELVE_LINES[:n_rows]]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_piece_is_formatted_when_it_is_taken(self, workers, monkeypatch):
+        """Pieces of three rows: no piece is formatted before the one ahead of it is taken."""
+        formatted = []
+        format_rows = analysis._format_rows
+
+        def recorded(log, lo, hi):
+            formatted.append((lo, hi))
+            return format_rows(log, lo, hi)
+
+        monkeypatch.setattr(analysis, "_format_rows", recorded)
+        with cut_pieces(3, workers):
+            pieces = analysis._body_pieces(TWELVE_ROWS)
+            for taken in range(4):
+                assert formatted == [(3 * k, 3 * k + 3) for k in range(taken)]
+                lines = TWELVE_LINES[3 * taken : 3 * taken + 3]
+                assert bytes(next(pieces)) == "".join(f"{line}\n" for line in lines).encode()
+            assert next(pieces, None) is None
+        assert len(formatted) == 4
+
+
 class TestLaterWaves:
     """Pieces of three rows, one at a time on two workers: lines 6 and on are read in piece 3 or beyond."""
 

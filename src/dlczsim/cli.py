@@ -30,7 +30,7 @@ from .angular import (
     mixing_angle,
     mixing_cos_sq,
 )
-from .grammar import BLANKS, ParseError, ascii_float, read_text, split_lines
+from .grammar import BLANKS, ParseError, ascii_float, ascii_int, read_text, split_lines
 from .predictor import (
     CANONICAL_ANGLES_DEG,
     MeasurementSetting,
@@ -55,8 +55,8 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # a negative number, "-1e+16" and "-inf" as well as "-2", is a value
-        # and not an option, so it reaches its flag's own check; no option here
-        # looks like a number
+        # and not an option, so it reaches its flag's grammar and then its own
+        # check; no option here looks like a number
         self._negative_number_matcher = re.compile(
             r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
         )
@@ -441,28 +441,28 @@ def _build_parser() -> _Parser:
         return p
 
     p = add("eta", _cmd_eta, "mixing angle and branching table of a level scheme")
-    p.add_argument("--fa", type=float, required=True, help="initial ground-level F")
-    p.add_argument("--fb", type=float, required=True, help="storage ground-level F")
-    p.add_argument("--fc", type=float, required=True, help="excited-level F")
+    p.add_argument("--fa", type=ascii_float, required=True, help="initial ground-level F")
+    p.add_argument("--fb", type=ascii_float, required=True, help="storage ground-level F")
+    p.add_argument("--fc", type=ascii_float, required=True, help="excited-level F")
 
     p = add("predict-fringe", _cmd_predict_fringe, "ideal coincidence fringe samples")
-    p.add_argument("--eta", type=float, default=simulator.DEFAULT_ETA, help="mixing angle, radians")
-    p.add_argument("--theta-i", type=float, default=67.5, help="idler polarizer angle, degrees")
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--background", type=float, default=0.0)
+    p.add_argument("--eta", type=ascii_float, default=simulator.DEFAULT_ETA, help="mixing angle, radians")
+    p.add_argument("--theta-i", type=ascii_float, default=67.5, help="idler polarizer angle, degrees")
+    p.add_argument("--amplitude", type=ascii_float, default=1.0)
+    p.add_argument("--background", type=ascii_float, default=0.0)
     p.add_argument(
         "--points",
-        type=int,
+        type=ascii_int,
         default=64,
         help=f"samples per 180-degree period (--points x --periods <= {PREDICT_FRINGE_MAX_ROWS})",
     )
-    p.add_argument("--periods", type=int, default=1)
+    p.add_argument("--periods", type=ascii_int, default=1)
 
     p = add("predict-chsh", _cmd_predict_chsh, "ideal correlation coefficients and S")
-    p.add_argument("--eta", type=float, default=simulator.DEFAULT_ETA, help="mixing angle, radians")
+    p.add_argument("--eta", type=ascii_float, default=simulator.DEFAULT_ETA, help="mixing angle, radians")
     p.add_argument(
         "--angles",
-        type=float,
+        type=ascii_float,
         nargs=4,
         default=list(CANONICAL_ANGLES_DEG),
         metavar=("TS", "TI", "TSP", "TIP"),
@@ -472,15 +472,15 @@ def _build_parser() -> _Parser:
     p = add("simulate", _cmd_simulate, "run the Monte Carlo and write an event log")
     p.add_argument("--config", help="key=value config file (defaults when omitted)")
     p.add_argument("--settings", required=True, help="file of 'theta_s_deg theta_i_deg' lines")
-    p.add_argument("--n", type=int, required=True, help="trials per setting")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=ascii_int, required=True, help="trials per setting")
+    p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--out", required=True, help="event-log output path")
 
     p = add("analyze-chsh", _cmd_analyze_chsh, "E table and S from an event log")
     p.add_argument("--log", required=True)
     p.add_argument(
         "--angles",
-        type=float,
+        type=ascii_float,
         nargs=4,
         default=list(CANONICAL_ANGLES_DEG),
         metavar=("TS", "TI", "TSP", "TIP"),
@@ -491,18 +491,18 @@ def _build_parser() -> _Parser:
 
     p = add("fit-fringe", _cmd_fit_fringe, "fit a measured fringe CSV")
     p.add_argument("--data", required=True, help="CSV with header theta_s_deg,counts,sigma")
-    p.add_argument("--eta", type=float, default=simulator.DEFAULT_ETA, help="fixed mixing angle, radians")
-    p.add_argument("--theta-i", type=float, required=True, help="fixed idler angle, degrees")
+    p.add_argument("--eta", type=ascii_float, default=simulator.DEFAULT_ETA, help="fixed mixing angle, radians")
+    p.add_argument("--theta-i", type=ascii_float, required=True, help="fixed idler angle, degrees")
 
     p = add("fit-decay", _cmd_fit_decay, "fit g_si decay CSV")
     p.add_argument("--data", required=True, help="CSV with header delta_t_ns,g_si,sigma")
 
     p = add("check-ops", _cmd_check_ops, "collective-operator numerical validation")
-    p.add_argument("--n-min", type=int, default=2, help="smallest atom number")
+    p.add_argument("--n-min", type=ascii_int, default=2, help="smallest atom number")
     p.add_argument(
-        "--n-max", type=int, default=8, help=f"largest atom number (<= {CHECK_OPS_MAX_ATOMS})"
+        "--n-max", type=ascii_int, default=8, help=f"largest atom number (<= {CHECK_OPS_MAX_ATOMS})"
     )
-    p.add_argument("--seed", type=int, default=0, help="atom-position seed")
+    p.add_argument("--seed", type=ascii_int, default=0, help="atom-position seed")
 
     return parser
 

@@ -11,7 +11,7 @@ the interpolator resolution.
 
 Randomness is counter-based: trial ``t`` always reads the same words of
 the keyed Philox stream, so a run is reproducible event-for-event no matter
-how trials are cut into units or spread over threads.  Each trial reads one
+how trials are cut into blocks or spread over threads.  Each trial reads one
 word and samples its joint click class from the same table the closed form
 sums; only click trials read more words, for their timestamps.
 """
@@ -67,16 +67,12 @@ _INT64_MAX = 2**63 - 1
 # an EventLog's click columns and their dtypes
 _COLUMNS = {"trial": np.int64, "channel": np.uint8, "t_ns": np.int64}
 
-# the time words of a click are keyed by its block of 2**16 trials
+# trials are drawn in blocks of 2**16, cut at the global multiples of 2**16:
+# the work items handed to the threads, the bound on the draw's memory and
+# the key of each block's time words
 _BLOCK_BITS = 16
 
-# trials drawn as one unit: a whole number of blocks, cut at its global
-# multiples; the grain at which units are handed to the workers. A unit is
-# drawn a block at a time, so a block bounds the draw's memory; no output
-# depends on either
-_UNIT_TRIALS = 1 << 18
-
-# threads drawing units at once, the calling thread one of them: at most two,
+# threads drawing blocks at once, the calling thread one of them: at most two,
 # and no more than the CPUs this process may run on; no output depends on it
 _WORKERS = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -511,68 +507,54 @@ def _classify(words: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rows, 1 + np.searchsorted(limits, words[rows] >> np.uint64(11), side="right")
 
 
-def _seek(gen: np.random.Philox, state: dict, stream: int, counter: int) -> np.random.Philox:
-    """Position gen as ``Philox(key=seed + (stream << 64))`` after ``counter`` blocks.
+# each thread's Philox, repositioned before every draw (``_words``)
+_philox = threading.local()
 
-    ``state`` is the state of a fresh ``Philox(key=seed)``: key words
-    (seed, 0), counter 0 and an empty buffer; it is reused, and setting it
-    costs a tenth of constructing a generator.  The buffer stays empty, so
-    the next raw word is word 0 of counter ``counter + 1``: raw word
-    ``4 * counter`` of that key's stream.
+
+def _words(seed: int, stream: int, counter: int, n: int) -> np.ndarray:
+    """Raw words ``4 * counter`` .. ``4 * counter + n - 1`` of ``Philox(key=seed + (stream << 64))``.
+
+    Draws them from this thread's one generator, set first to the kept
+    state of a fresh ``Philox``: key words (seed, stream), counter
+    ``counter`` and an empty buffer, so the next raw word is word 0 of
+    counter ``counter + 1``.  Setting a state costs a tenth of constructing
+    a generator, and nothing of an earlier draw carries over.
     """
-    state["state"]["key"][1] = stream
+    try:
+        gen, state = _philox.gen
+    except AttributeError:
+        gen = np.random.Philox(key=0)
+        state = gen.state
+        _philox.gen = gen, state
+    key = state["state"]["key"]
+    key[0], key[1] = seed, stream
     state["state"]["counter"][0] = counter
     gen.state = state
-    return gen
+    return gen.random_raw(n)
 
 
-def _draw_unit(lo, hi, *, seed, n_trials_per_setting, cums, cells, span):
-    """Each block's sorted event keys, and per-setting (n_s, n_i, n_si), of the trials [lo, hi).
+def _draw_block(lo, hi, *, seed, n, cums, firsts, counts, span):
+    """The sorted event keys, and per-setting (n_s, n_i, n_si), of the trials [lo, hi) of one block.
 
     Trial t reads raw word t of numpy's ``Philox(key=seed).random_raw()``
     (word t % 4 of counter t // 4 + 1, as numpy steps the counter before
-    each block) as its gate word, so a unit, which starts at a multiple of
-    4, reads its words from counter lo // 4 on.  With u = (word >> 11) *
-    2**-53 and S_c the sum of the probabilities of classes 1..c (S_0 = 0,
-    ``cums[k]`` for setting k), the trial falls in class c >= 1 when
-    S_{c-1} <= u < S_c and is silent when u >= S_15 (``_classify``).  Both
-    tests are integer compares of the word against ``ceil(S * 2**53)``, as
-    in ``_below``, so a class of probability 0 is never drawn and one of
-    probability 1 always is.  Only click trials are classified, and the
-    k-th click trial of block b = t >> 16 (k from 0) reads raw words
-    4k..4k+3 of ``Philox(key=seed + ((b + 1) << 64))``, the four words of
-    counter k + 1 under a key the gate words never use: the times of its D1
-    pair, D1 background, D2 pair and D2 background clicks.  A unit holds
-    whole blocks, so it needs no click count from before lo, and it is drawn
-    a block at a time (``_draw_block``), so that no more than a block's words
-    are held at once.
+    each block) as its gate word.  With u = (word >> 11) * 2**-53 and S_c
+    the sum of the probabilities of classes 1..c (S_0 = 0, ``cums[k]`` for
+    setting k), the trial falls in class c >= 1 when S_{c-1} <= u < S_c
+    and is silent when u >= S_15 (``_classify``), both decided on the
+    integer word as in ``_below``.  The k-th click trial of block
+    b = t >> 16 (k from 0) reads raw words 4k..4k+3 of
+    ``Philox(key=seed + ((b + 1) << 64))``, a key the gate words never
+    use: the times of its D1 pair, D1 background, D2 pair and D2
+    background clicks.  A block starts at a multiple of 2**16, so it needs
+    no click count from before lo.
 
-    ``cells[channel]`` is the first cell of that channel's gate, counted
-    from the keys' cell origin, and its number of cells; ``span`` is the
-    number of cells per trial in a key.
+    ``n`` is the trials per setting; ``firsts`` and ``counts`` are the
+    gates' first cells, counted from the keys' cell origin, and their
+    numbers of cells; ``span`` is the number of cells per trial in a key.
     """
-    gen = np.random.Philox(key=seed)
-    fresh = gen.state
     tallies = np.zeros((len(cums), 3), dtype=np.int64)
-    firsts, counts = np.array(cells, dtype=np.int64).T
-    step = 1 << _BLOCK_BITS
-    keys = [
-        _draw_block(
-            gen, fresh, block_lo, min(block_lo + step, hi), tallies,
-            n_trials_per_setting, cums, firsts, counts, span,
-        )
-        for block_lo in range(lo, hi, step)
-    ]
-    return keys, tallies
-
-
-def _draw_block(gen, fresh, lo, hi, tallies, n, cums, firsts, counts, span) -> np.ndarray:
-    """The sorted event keys of the trials [lo, hi) of one block, as ``_draw_unit`` draws them.
-
-    Adds the block's per-setting (n_s, n_i, n_si) to ``tallies``; ``firsts``
-    and ``counts`` are the gates' first cells and numbers of cells.
-    """
-    words = _seek(gen, fresh, 0, lo // 4).random_raw(hi - lo)
+    words = _words(seed, 0, lo // 4, hi - lo)
     trials, classes = [], []
     for sid in range(lo // n, (hi - 1) // n + 1):
         a, b = max(lo, sid * n), min(hi, (sid + 1) * n)
@@ -583,7 +565,7 @@ def _draw_block(gen, fresh, lo, hi, tallies, n, cums, firsts, counts, span) -> n
         classes.append(cls)
     del words
     trials, classes = np.concatenate(trials), np.concatenate(classes)
-    times = _seek(gen, fresh, (lo >> _BLOCK_BITS) + 1, 0).random_raw(4 * len(trials))
+    times = _words(seed, (lo >> _BLOCK_BITS) + 1, 0, 4 * len(trials))
 
     # a click trial's four time words, flattened: word 4k + b times the click
     # of bit b of the k-th click trial's class, on channel b >> 1
@@ -596,7 +578,7 @@ def _draw_block(gen, fresh, lo, hi, tallies, n, cums, firsts, counts, span) -> n
     key += channel
     # a key holds its whole event, so the sorted keys are the sorted events;
     # they come in trial order, so the stable sort only orders each trial's own
-    return np.sort(key, kind="stable")
+    return np.sort(key, kind="stable"), tallies
 
 
 def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, seed: int) -> EventLog:
@@ -607,12 +589,11 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
     time) with the exact per-setting tallies attached as ``true_counts``.
 
     Each trial reads one raw word and each click trial four more
-    (``_draw_unit``), at counters fixed by the trial alone.  The trials are
-    drawn in units cut at the global multiples of ``_UNIT_TRIALS``, each a
-    2**16-trial block at a time, on ``_WORKERS`` threads, the caller one of
-    them, so the log depends on none of these.  A click's
-    timestamp is the time word's uniform variate scaled onto its gate's
-    resolution cells.
+    (``_draw_block``), at counters fixed by the trial alone.  The trials are
+    drawn in 2**16-trial blocks cut at the global multiples of 2**16, on
+    ``_WORKERS`` threads, the caller one of them, so the log depends on
+    neither.  A click's timestamp is the time word's uniform variate scaled
+    onto its gate's resolution cells.
 
     Events are assembled as one int64 column: each click's key
     ``(trial * span + cell) * 2 + channel``, with ``cell`` counted from the
@@ -639,25 +620,26 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
         )
 
     draw = functools.partial(
-        _draw_unit,
+        _draw_block,
         seed=seed,
-        n_trials_per_setting=n_trials_per_setting,
+        n=n_trials_per_setting,
         cums=[np.cumsum(_click_classes(config, s, config.delta_t_ns)[1:]) for s in settings],
-        cells=[(first - first_cell, cells) for first, cells in gates],
+        firsts=np.array([first - first_cell for first, _ in gates], dtype=np.int64),
+        counts=np.array([cells for _, cells in gates], dtype=np.int64),
         span=span,
     )
-    lows = range(0, n_total, _UNIT_TRIALS)
-    # one map over every unit, not waves: waiting out each wave's slower unit
+    step = 1 << _BLOCK_BITS
+    lows = range(0, n_total, step)
+    # one map over every block, not waves: waiting out each wave's slower item
     # made a 2**22-trial draw about 20 % slower on two cores
-    units = _map_on_workers(draw, lows, [min(lo + _UNIT_TRIALS, n_total) for lo in lows])
+    blocks = _map_on_workers(draw, lows, [min(lo + step, n_total) for lo in lows])
     tallies = np.zeros((len(settings), 3), dtype=np.int64)
-    for _, unit_tallies in units:
-        tallies += unit_tallies
+    for _, block_tallies in blocks:
+        tallies += block_tallies
     true_counts = {sid: tuple(int(x) for x in row) for sid, row in enumerate(tallies)}
 
-    blocks = [block for keys, _ in units for block in keys]
-    key = np.concatenate([np.zeros(0, dtype=np.int64)] + blocks)
-    del units, blocks
+    key = np.concatenate([np.zeros(0, dtype=np.int64)] + [keys for keys, _ in blocks])
+    del blocks
     channel = (key & 1).astype(np.uint8)
     key >>= 1
     # a floor division by a scalar and a multiply-subtract: numpy's divmod

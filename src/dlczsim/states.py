@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -139,16 +138,11 @@ def excited_commutator_deviation(model: EnsembleModel, alpha: int, m) -> float:
     g^2 sum_mu Z_mu with Z = |a><a| - |b><b|.  Terms that move different
     atoms pick up off-diagonal single-atom traces, which vanish in the
     unpolarized mixture, so the positions drop out and the rest is single-
-    atom traces against rho_1 = 1/(2f_a+1) on each ground sublevel.  The
-    arithmetic is exact, so the result is (2f_a+2)/N correctly rounded.
+    atom traces against rho_1 = p = 1/(2f_a+1) on each ground sublevel.
+    The norm is g^2 N p = 1; Z reads -1 on the excited atom and tr(rho_1 Z)
+    = p on each of the N - 1 others, so the expectation is
+    g^2 (-1 + (N-1) p) = 1 - (2f_a+2)/N, and the deviation (2f_a+2)/N,
+    which integer true division rounds correctly.
     """
     _check_sublevels(model, alpha, HalfInt.of(m))
-    n = model.n_atoms
-    p = Fraction(1, model.ground_multiplicity())  # tr(rho_1 |a><a|) = tr(rho_1 Z)
-    g_sq = Fraction(model.ground_multiplicity(), n)
-    norm = g_sq * n * p  # N terms tr(rho_1 |a><b| |b><a|)
-    if norm <= 0:
-        raise ValueError("vacuum does not couple to this operator")
-    # Z on the excited atom reads -1; on each of the N-1 others it reads tr(rho_1 Z)
-    weighted = g_sq**2 * (n * -p + n * (n - 1) * p * p)
-    return float(abs(weighted / norm - 1))
+    return (model.f_a.twice + 2) / model.n_atoms

@@ -661,7 +661,7 @@ class TestNonFiniteAngleFlags:
 class TestNegativeAngleValues:
     """A negative angle such as "-1e+16" or "-inf" is a value, not an option: it reaches the angle's own check."""
 
-    @pytest.mark.parametrize("value", ["-1e999", "-1E+999", "-inf", "-Infinity", "-nan"])
+    @pytest.mark.parametrize("value", ["-1e999", "-1E+999", "-inf"])
     def test_predict_chsh_names_the_angle(self, capsys, value):
         code, out, err = run_cli(capsys, "predict-chsh", "--angles", "0", "45", "22.5", value)
         assert code == 1
@@ -945,6 +945,9 @@ NUMERIC_FLAGS = [
     *((SIMULATE, flag, INT_VALUES) for flag in ("--n", "--seed")),
     *((("check-ops",), flag, INT_VALUES) for flag in ("--n-min", "--n-max", "--seed")),
 ]
+# spellings Python's float() and int() take and the grammar refuses
+ODD_FLOATS = ["6_7.5", " 67.5 ", "\u0666\u0667.\u0665", "+67.5", "0x1p-3", "Infinity", "-Infinity", "-nan"]
+ODD_INTS = ["1_0", " 10 ", "\u0661\u0660", "+10", "-0_1"]
 
 
 class TestEveryInputHoldsTheExitContract:
@@ -1000,3 +1003,19 @@ class TestEveryInputHoldsTheExitContract:
                  "OUT": str(workdir / "flag.log")}
         argv = [files.get(a, a) for a in before]
         contract_run(*argv, f"{flag}={value}" if flag else value)
+
+    @pytest.mark.parametrize("case", NUMERIC_FLAGS, ids=[f"{case[0][0]} {case[1] or '--angles'}" for case in NUMERIC_FLAGS])
+    def test_a_numeric_flag_outside_the_grammar_is_a_usage_error(self, capsys, workdir, case):
+        """A flag reads the files' grammar: any other spelling is argparse's one usage error, and no log."""
+        before, flag, values = case
+        files = {"DATA": str(workdir / "fringe.csv"), "SETTINGS": str(workdir / "settings.txt"),
+                 "OUT": str(workdir / "flag.log")}
+        argv = [files.get(a, a) for a in before]
+        kind, odd = ("ascii_int", ODD_INTS) if values is INT_VALUES else ("ascii_float", ODD_FLOATS)
+        for value in odd:
+            (workdir / "flag.log").unlink(missing_ok=True)
+            code, out, err = run_cli(capsys, *argv, f"{flag}={value}" if flag else value)
+            assert (code, out) == (1, "")
+            assert err.startswith("usage: ") and err.count("error: ") == 1
+            assert err.endswith(f"\nerror: argument {flag or '--angles'}: invalid {kind} value: {value!r}\n")
+            assert not (workdir / "flag.log").exists()

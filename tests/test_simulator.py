@@ -166,8 +166,7 @@ def philox4x64(counter, key):
     return c
 
 
-# unit sizes (whole numbers of 2**16-trial blocks) and thread counts the log must not depend on
-UNITS = [1 << 16, 1 << 17, 1 << 18, 1 << 20]
+# thread counts the log must not depend on
 WORKERS = [1, 2]
 
 
@@ -175,13 +174,8 @@ class ItemError(Exception):
     """The failure of one item of a thread helper."""
 
 
-def cut_units(monkeypatch, unit, workers):
-    monkeypatch.setattr(simulator, "_UNIT_TRIALS", unit)
-    monkeypatch.setattr(simulator, "_WORKERS", workers)
-
-
 class TestWorkers:
-    """The thread helper that spreads the draw's units over the workers."""
+    """The thread helper that spreads the draw's blocks over the workers."""
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("n_items", [0, 1, 2, 5])
@@ -274,14 +268,13 @@ class TestStreamPinning:
     """The draw must reproduce the stream's description byte for byte."""
 
     @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("unit", UNITS)
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_byte_equal_to_oracle(self, case, unit, workers, monkeypatch):
+    def test_byte_equal_to_oracle(self, case, workers, monkeypatch):
         config, settings_ = ORACLE_CASES[case]
-        # past 2**16 trials the time-word blocks and the units straddle the settings
+        # past 2**16 trials the blocks straddle the settings
         n = 70_001
         events, true_counts = oracle_run(config, settings_, n, seed=77)
-        cut_units(monkeypatch, unit, workers)
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
         log = run_trials(config, settings_, n, seed=77)
         assert len(log) > 0
         assert log.events.tobytes() == events.tobytes()
@@ -298,16 +291,15 @@ class TestStreamPinning:
         assert (same_cell & (ev["channel"][1:] != ev["channel"][:-1])).any()
 
     @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("unit", UNITS)
     @pytest.mark.parametrize(
         "config, n",
         [(ExperimentConfig(), 0), (clean_config(excitation_prob=0.0), 3_000)],
         ids=["zero_trials", "no_clicks"],
     )
-    def test_runs_without_events_equal_the_oracle(self, config, n, unit, workers, monkeypatch):
+    def test_runs_without_events_equal_the_oracle(self, config, n, workers, monkeypatch):
         settings_ = [MeasurementSetting(0, 0), MeasurementSetting(45, 0)]
         events, true_counts = oracle_run(config, settings_, n, seed=5)
-        cut_units(monkeypatch, unit, workers)
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
         log = run_trials(config, settings_, n, seed=5)
         assert len(log) == len(events) == 0
         assert log.events.dtype == EVENT_DTYPE
@@ -327,28 +319,46 @@ class TestStreamPinning:
         digest = hashlib.sha256(log.events.tobytes()).hexdigest()
         assert digest == "a7c1621f1cdad7f672925fe833f9b7e15ea1ca5b77fd846ff31c9282f9dae7e4"
 
-    def test_units_hold_whole_blocks(self):
-        """A unit must not start inside a block: its clicks' time counters count from the block start."""
-        assert simulator._UNIT_TRIALS % (1 << simulator._BLOCK_BITS) == 0
-
     @pytest.mark.parametrize("lo", [0, 1 << 16, 3 << 18])
     @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
     def test_positioned_gate_words_continue_the_stream(self, seed, lo):
-        """A unit's gate words, read from counter lo // 4 on, are raw words lo.. of Philox(key=seed)."""
-        gen = np.random.Philox(key=seed)
-        simulator._seek(gen, gen.state, 0, lo // 4)
+        """A block's gate words, read from counter lo // 4 on, are raw words lo.. of Philox(key=seed)."""
         expected = np.random.Philox(key=seed).random_raw(lo + 1_001)[lo:]
-        assert np.array_equal(gen.random_raw(1_001), expected)
+        assert np.array_equal(simulator._words(seed, 0, lo // 4, 1_001), expected)
 
     @pytest.mark.parametrize("block", [0, 5, 2**40])
     @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
-    def test_reseeked_time_words_are_the_block_stream(self, seed, block):
-        """After any other draw, seeking to stream b + 1 gives the words of a fresh block generator."""
-        gen = np.random.Philox(key=seed)
-        fresh = gen.state
-        simulator._seek(gen, fresh, 0, 5).random_raw(7)
-        words = simulator._seek(gen, fresh, block + 1, 0).random_raw(4 * 3)
+    def test_time_words_after_another_draw_are_the_block_stream(self, seed, block):
+        """After any other draw, the words of stream b + 1 are those of a fresh block generator."""
+        simulator._words(2**64 - 1 - seed, 3, 5, 7)
+        words = simulator._words(seed, block + 1, 0, 4 * 3)
         assert np.array_equal(words, np.random.Philox(key=seed + ((block + 1) << 64)).random_raw(12))
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_runs_drawn_in_turn_equal_runs_drawn_alone(self, workers, monkeypatch):
+        """Each thread's generator carries nothing from one run into the next."""
+        runs = [
+            (ORACLE_CASES["shared_cells"], 2**64 - 1),
+            ((clean_config(excitation_prob=0.05, bg_prob_s=0.01), [MeasurementSetting(10, 40)]), 5),
+        ]
+        n = 70_001
+
+        def alone(case, seed):
+            # a new thread starts without a generator of its own
+            result = []
+            thread = threading.Thread(target=lambda: result.append(run_trials(*case, n, seed=seed)))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            return result[0]
+
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        references = [alone(case, seed) for case, seed in runs]
+        for _ in range(2):
+            for (case, seed), reference in zip(runs, references):
+                log = run_trials(*case, n, seed=seed)
+                assert log.events.tobytes() == reference.events.tobytes()
+                assert log.true_counts == reference.true_counts
 
     @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
     def test_words_are_philox_blocks_from_counter_one(self, seed):
@@ -379,9 +389,26 @@ class TestStreamPinning:
         assert np.array_equal(simulator._below(words, p), simulator._uniform(words) < p)
 
 
+    def test_four_workers_under_frequent_switches_keep_their_own_generators(self, monkeypatch):
+        """Four threads and a switch every microsecond: no draw reads another thread's generator."""
+        config, settings_ = ORACLE_CASES["bright_with_background"]
+        n = 150_000  # seven blocks
+        monkeypatch.setattr(simulator, "_WORKERS", 1)
+        reference = run_trials(config, settings_, n, seed=77)
+        monkeypatch.setattr(simulator, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            log = run_trials(config, settings_, n, seed=77)
+        finally:
+            sys.setswitchinterval(interval)
+        assert log.events.tobytes() == reference.events.tobytes()
+        assert log.true_counts == reference.true_counts
+
+
 class TestDrawMemory:
-    def test_the_draw_holds_a_block_not_a_unit(self, monkeypatch):
-        """On one worker the draw peaks at a block's gate words and masks, whatever the unit."""
+    def test_the_draw_holds_one_block(self, monkeypatch):
+        """On one worker the draw peaks at a block's gate words and masks."""
         monkeypatch.setattr(simulator, "_WORKERS", 1)
         config, settings_ = ExperimentConfig(), [MeasurementSetting(0, 0)]
         run_trials(config, settings_, 1_000, seed=3)  # numpy's and Philox's one-time allocations
@@ -391,8 +418,7 @@ class TestDrawMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a 2**16-trial block's 512 KiB of gate words and its masks; a whole
-        # 2**18-trial unit's words alone are 2 MiB
+        # a 2**16-trial block's 512 KiB of gate words and its masks
         assert 0 < len(log) and peak < 1 << 20
 
 
@@ -400,15 +426,14 @@ class TestClassSampling:
     """One gate word per trial, sampled from the closed-form click-class table."""
 
     @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("unit", UNITS)
-    def test_units_do_not_change_the_stream(self, unit, workers, monkeypatch):
-        """Clicks carry their rank in a block across unit and setting boundaries."""
+    def test_workers_do_not_change_the_stream(self, workers, monkeypatch):
+        """Clicks carry their rank in a block across setting boundaries."""
         cfg = clean_config(excitation_prob=0.05, bg_prob_s=0.01, bg_prob_i=0.01, base_visibility=0.8)
         settings_ = [MeasurementSetting(10, 40), MeasurementSetting(67.5, 112.5)]
         n = 40_000
-        cut_units(monkeypatch, 1 << 20, 1)
+        monkeypatch.setattr(simulator, "_WORKERS", 1)
         reference = run_trials(cfg, settings_, n, seed=5)
-        cut_units(monkeypatch, unit, workers)
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
         log = run_trials(cfg, settings_, n, seed=5)
         assert log == reference
         assert log.true_counts == reference.true_counts
@@ -900,13 +925,12 @@ class TestDeterminism:
         assert a != b
 
     @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("unit", UNITS)
-    def test_units_do_not_change_the_stream(self, unit, workers, monkeypatch):
-        """Trial t owns a fixed counter block, so unit size and thread count are irrelevant."""
+    def test_workers_do_not_change_the_stream(self, workers, monkeypatch):
+        """Trial t owns a fixed counter block, so the thread count is irrelevant."""
         cfg = ExperimentConfig()
         settings = [MeasurementSetting(0, 0), MeasurementSetting(45, 0)]
         reference = run_trials(cfg, settings, 25_000, seed=9)
-        cut_units(monkeypatch, unit, workers)
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
         assert run_trials(cfg, settings, 25_000, seed=9) == reference
 
     def test_zero_trials_gives_empty_log(self):

@@ -168,6 +168,9 @@ def philox4x64(counter, key):
 
 # thread counts the log must not depend on
 WORKERS = [1, 2]
+# trials per setting: the settings share a block, end on block bounds, straddle
+# them, and end one trial short of a whole block
+TRIALS = [40_000, 1 << 16, 70_001, (1 << 17) - 1]
 
 
 class ItemError(Exception):
@@ -268,11 +271,10 @@ class TestStreamPinning:
     """The draw must reproduce the stream's description byte for byte."""
 
     @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("n", TRIALS)
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_byte_equal_to_oracle(self, case, workers, monkeypatch):
+    def test_byte_equal_to_oracle(self, case, n, workers, monkeypatch):
         config, settings_ = ORACLE_CASES[case]
-        # past 2**16 trials the blocks straddle the settings
-        n = 70_001
         events, true_counts = oracle_run(config, settings_, n, seed=77)
         monkeypatch.setattr(simulator, "_WORKERS", workers)
         log = run_trials(config, settings_, n, seed=77)
@@ -293,8 +295,12 @@ class TestStreamPinning:
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize(
         "config, n",
-        [(ExperimentConfig(), 0), (clean_config(excitation_prob=0.0), 3_000)],
-        ids=["zero_trials", "no_clicks"],
+        [
+            (ExperimentConfig(), 0),
+            (clean_config(excitation_prob=0.0), 3_000),
+            (clean_config(excitation_prob=0.0), 70_001),
+        ],
+        ids=["zero_trials", "no_clicks", "no_clicks_over_blocks"],
     )
     def test_runs_without_events_equal_the_oracle(self, config, n, workers, monkeypatch):
         settings_ = [MeasurementSetting(0, 0), MeasurementSetting(45, 0)]
@@ -318,6 +324,26 @@ class TestStreamPinning:
         log = run_trials(ExperimentConfig(), [MeasurementSetting(0, 0)], 50_000, seed=9)
         digest = hashlib.sha256(log.events.tobytes()).hexdigest()
         assert digest == "a7c1621f1cdad7f672925fe833f9b7e15ea1ca5b77fd846ff31c9282f9dae7e4"
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("n", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 200_000])
+    def test_blocks_cut_the_run_at_multiples_of_the_block(self, n, workers, monkeypatch):
+        """The work items start at multiples of 2**16, hold at most 2**16 trials and cover the run once."""
+        bounds = []
+        draw_block = simulator._draw_block
+
+        def recording(lo, hi, **kwargs):
+            bounds.append((lo, hi))
+            return draw_block(lo, hi, **kwargs)
+
+        monkeypatch.setattr(simulator, "_draw_block", recording)
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        run_trials(ExperimentConfig(), [MeasurementSetting(0, 0)], n, seed=3)
+        bounds.sort()
+        step = 1 << simulator._BLOCK_BITS
+        assert all(lo % step == 0 and lo < hi <= lo + step for lo, hi in bounds)
+        # each block starts where the one before it ends, the first at 0 and the last ending at n
+        assert [0] + [hi for _, hi in bounds] == [lo for lo, _ in bounds] + [n]
 
     @pytest.mark.parametrize("lo", [0, 1 << 16, 3 << 18])
     @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
@@ -925,13 +951,15 @@ class TestDeterminism:
         assert a != b
 
     @pytest.mark.parametrize("workers", WORKERS)
-    def test_workers_do_not_change_the_stream(self, workers, monkeypatch):
+    @pytest.mark.parametrize("n", [25_000, 70_001])
+    def test_workers_do_not_change_the_stream(self, n, workers, monkeypatch):
         """Trial t owns a fixed counter block, so the thread count is irrelevant."""
         cfg = ExperimentConfig()
         settings = [MeasurementSetting(0, 0), MeasurementSetting(45, 0)]
-        reference = run_trials(cfg, settings, 25_000, seed=9)
+        monkeypatch.setattr(simulator, "_WORKERS", 1)
+        reference = run_trials(cfg, settings, n, seed=9)
         monkeypatch.setattr(simulator, "_WORKERS", workers)
-        assert run_trials(cfg, settings, 25_000, seed=9) == reference
+        assert run_trials(cfg, settings, n, seed=9) == reference
 
     def test_zero_trials_gives_empty_log(self):
         log = run_trials(ExperimentConfig(), [MeasurementSetting(0, 0)], 0, seed=1)

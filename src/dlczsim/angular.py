@@ -30,7 +30,7 @@ __all__ = [
 class HalfInt:
     """An integer or half-integer quantum number, stored as twice its value.
 
-    Storing ``2j`` as an int keeps arithmetic and selection rules exact;
+    Storing ``2j`` as an int keeps selection rules exact;
     ``HalfInt(3)`` is 3/2 and ``HalfInt(6)`` is 3.
     """
 
@@ -39,33 +39,11 @@ class HalfInt:
     @classmethod
     def of(cls, value) -> "HalfInt":
         """Coerce an int, float, Fraction or HalfInt into a HalfInt."""
-        if isinstance(value, HalfInt):
-            return value
-        doubled = 2 * Fraction(value)
-        if doubled.denominator != 1:
-            raise ValueError(f"{value!r} is not an integer or half-integer")
-        return cls(int(doubled))
+        return value if isinstance(value, HalfInt) else cls(_doubled(value))
 
     @property
     def value(self) -> float:
         return self.twice / 2
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.of(other).twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __rsub__(self, other) -> "HalfInt":
-        return HalfInt(HalfInt.of(other).twice - self.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -77,22 +55,17 @@ class HalfInt:
 
 
 def _doubled(value) -> int:
-    """``HalfInt.of(value).twice``, without a Fraction for HalfInt, int and float.
+    """``2 * value`` as an exact int, the one (j, m) conversion of this module.
 
-    Doubling a float is exact unless it overflows, so a float whose double
-    is integral is an integer or half-integer; everything else (non-half-
-    integers, nan, inf, doubles beyond the float range, other types) takes
-    the HalfInt.of path and its exact value or its exception.
+    A value that is not an integer or half-integer raises ValueError, and
+    one that ``Fraction`` cannot take raises its exception.
     """
     if isinstance(value, HalfInt):
         return value.twice
-    if isinstance(value, int):
-        return 2 * value
-    if isinstance(value, float):
-        doubled = 2.0 * float(value)  # a builtin float overflows to inf without a warning
-        if doubled.is_integer():
-            return int(doubled)
-    return HalfInt.of(value).twice
+    doubled = 2 * Fraction(value)
+    if doubled.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer or half-integer")
+    return int(doubled)
 
 
 def projections(j: HalfInt) -> list[HalfInt]:
@@ -179,17 +152,6 @@ def _racah(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> tuple[in
     )
 
 
-@lru_cache(maxsize=None)
-def _cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
-    """A Clebsch-Gordan coefficient as a float, from its exact square.
-
-    Integer true division rounds correctly, so ``num / den`` equals
-    ``float(Fraction(num, den))`` bit for bit, without the gcd.
-    """
-    sign, num, den = _racah(tj1, tm1, tj2, tm2, tJ, tM)
-    return sign * math.sqrt(num / den) if sign else 0.0
-
-
 def cg(j1, m1, j2, m2, J, M) -> float:
     """Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M> (Condon-Shortley).
 
@@ -208,8 +170,10 @@ def cg(j1, m1, j2, m2, J, M) -> float:
         _check_jm(tj2, tm2)
         _check_jm(tJ, tM)
     if tM != tm1 + tm2:
-        return 0.0  # most of any sweep; kept out of the cache
-    return _cg_value(tj1, tm1, tj2, tm2, tJ, tM)
+        return 0.0  # most of any sweep: the call into the Racah sum is skipped
+    sign, num, den = _racah(tj1, tm1, tj2, tm2, tJ, tM)
+    # integer true division rounds correctly: float(Fraction(num, den)) without the gcd
+    return sign * math.sqrt(num / den) if sign else 0.0
 
 
 # largest F a LevelScheme accepts; the exact branching table of a scheme

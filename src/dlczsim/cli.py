@@ -67,6 +67,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _flag_type(parse, spelling):
+    """An argparse type reading the files' grammar, refused in the files' wording."""
+
+    def read(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {spelling}, got {text!r}") from None
+
+    return read
+
+
+_decimal = _flag_type(ascii_float, "a decimal number")
+_integer = _flag_type(ascii_int, "an integer")
+
+
 class _Report:
     """Uniform output of a subcommand: scalar values plus one optional table."""
 
@@ -440,69 +456,69 @@ def _build_parser() -> _Parser:
         )
         return p
 
+    def add_eta(p, help_text="mixing angle, radians"):
+        p.add_argument("--eta", type=_decimal, default=simulator.DEFAULT_ETA, help=help_text)
+
+    def add_angles(p, help_text=None):
+        p.add_argument(
+            "--angles",
+            type=_decimal,
+            nargs=4,
+            default=list(CANONICAL_ANGLES_DEG),
+            metavar=("TS", "TI", "TSP", "TIP"),
+            help=help_text,
+        )
+
     p = add("eta", _cmd_eta, "mixing angle and branching table of a level scheme")
-    p.add_argument("--fa", type=ascii_float, required=True, help="initial ground-level F")
-    p.add_argument("--fb", type=ascii_float, required=True, help="storage ground-level F")
-    p.add_argument("--fc", type=ascii_float, required=True, help="excited-level F")
+    p.add_argument("--fa", type=_decimal, required=True, help="initial ground-level F")
+    p.add_argument("--fb", type=_decimal, required=True, help="storage ground-level F")
+    p.add_argument("--fc", type=_decimal, required=True, help="excited-level F")
 
     p = add("predict-fringe", _cmd_predict_fringe, "ideal coincidence fringe samples")
-    p.add_argument("--eta", type=ascii_float, default=simulator.DEFAULT_ETA, help="mixing angle, radians")
-    p.add_argument("--theta-i", type=ascii_float, default=67.5, help="idler polarizer angle, degrees")
-    p.add_argument("--amplitude", type=ascii_float, default=1.0)
-    p.add_argument("--background", type=ascii_float, default=0.0)
+    add_eta(p)
+    p.add_argument("--theta-i", type=_decimal, default=67.5, help="idler polarizer angle, degrees")
+    p.add_argument("--amplitude", type=_decimal, default=1.0)
+    p.add_argument("--background", type=_decimal, default=0.0)
     p.add_argument(
         "--points",
-        type=ascii_int,
+        type=_integer,
         default=64,
         help=f"samples per 180-degree period (--points x --periods <= {PREDICT_FRINGE_MAX_ROWS})",
     )
-    p.add_argument("--periods", type=ascii_int, default=1)
+    p.add_argument("--periods", type=_integer, default=1)
 
     p = add("predict-chsh", _cmd_predict_chsh, "ideal correlation coefficients and S")
-    p.add_argument("--eta", type=ascii_float, default=simulator.DEFAULT_ETA, help="mixing angle, radians")
-    p.add_argument(
-        "--angles",
-        type=ascii_float,
-        nargs=4,
-        default=list(CANONICAL_ANGLES_DEG),
-        metavar=("TS", "TI", "TSP", "TIP"),
-        help="theta_s theta_i theta_s' theta_i' in degrees",
-    )
+    add_eta(p)
+    add_angles(p, "theta_s theta_i theta_s' theta_i' in degrees")
 
     p = add("simulate", _cmd_simulate, "run the Monte Carlo and write an event log")
     p.add_argument("--config", help="key=value config file (defaults when omitted)")
     p.add_argument("--settings", required=True, help="file of 'theta_s_deg theta_i_deg' lines")
-    p.add_argument("--n", type=ascii_int, required=True, help="trials per setting")
-    p.add_argument("--seed", type=ascii_int, default=0)
+    p.add_argument("--n", type=_integer, required=True, help="trials per setting")
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", required=True, help="event-log output path")
 
     p = add("analyze-chsh", _cmd_analyze_chsh, "E table and S from an event log")
     p.add_argument("--log", required=True)
-    p.add_argument(
-        "--angles",
-        type=ascii_float,
-        nargs=4,
-        default=list(CANONICAL_ANGLES_DEG),
-        metavar=("TS", "TI", "TSP", "TIP"),
-    )
+    add_angles(p)
 
     p = add("analyze-gsi", _cmd_analyze_gsi, "g_si and efficiency ratios from an event log")
     p.add_argument("--log", required=True)
 
     p = add("fit-fringe", _cmd_fit_fringe, "fit a measured fringe CSV")
     p.add_argument("--data", required=True, help="CSV with header theta_s_deg,counts,sigma")
-    p.add_argument("--eta", type=ascii_float, default=simulator.DEFAULT_ETA, help="fixed mixing angle, radians")
-    p.add_argument("--theta-i", type=ascii_float, required=True, help="fixed idler angle, degrees")
+    add_eta(p, "fixed mixing angle, radians")
+    p.add_argument("--theta-i", type=_decimal, required=True, help="fixed idler angle, degrees")
 
     p = add("fit-decay", _cmd_fit_decay, "fit g_si decay CSV")
     p.add_argument("--data", required=True, help="CSV with header delta_t_ns,g_si,sigma")
 
     p = add("check-ops", _cmd_check_ops, "collective-operator numerical validation")
-    p.add_argument("--n-min", type=ascii_int, default=2, help="smallest atom number")
+    p.add_argument("--n-min", type=_integer, default=2, help="smallest atom number")
     p.add_argument(
-        "--n-max", type=ascii_int, default=8, help=f"largest atom number (<= {CHECK_OPS_MAX_ATOMS})"
+        "--n-max", type=_integer, default=8, help=f"largest atom number (<= {CHECK_OPS_MAX_ATOMS})"
     )
-    p.add_argument("--seed", type=ascii_int, default=0, help="atom-position seed")
+    p.add_argument("--seed", type=_integer, default=0, help="atom-position seed")
 
     return parser
 

@@ -1011,11 +1011,11 @@ class TestEveryInputHoldsTheExitContract:
         files = {"DATA": str(workdir / "fringe.csv"), "SETTINGS": str(workdir / "settings.txt"),
                  "OUT": str(workdir / "flag.log")}
         argv = [files.get(a, a) for a in before]
-        kind, odd = ("ascii_int", ODD_INTS) if values is INT_VALUES else ("ascii_float", ODD_FLOATS)
+        spelling, odd = ("an integer", ODD_INTS) if values is INT_VALUES else ("a decimal number", ODD_FLOATS)
         for value in odd:
             (workdir / "flag.log").unlink(missing_ok=True)
             code, out, err = run_cli(capsys, *argv, f"{flag}={value}" if flag else value)
             assert (code, out) == (1, "")
             assert err.startswith("usage: ") and err.count("error: ") == 1
-            assert err.endswith(f"\nerror: argument {flag or '--angles'}: invalid {kind} value: {value!r}\n")
+            assert err.endswith(f"\nerror: argument {flag or '--angles'}: must be {spelling}, got {value!r}\n")
             assert not (workdir / "flag.log").exists()

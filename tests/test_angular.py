@@ -411,6 +411,21 @@ class TestRacahSum:
                         expected = sign * math.sqrt(float(Fraction(num, den))) if sign else 0.0
                         assert cg(*map(HalfInt, key)).hex() == expected.hex(), key
 
+    def test_projection_mismatch_skips_the_racah_sum(self, monkeypatch):
+        calls = []
+
+        def counting_racah(*key):
+            calls.append(key)
+            return _racah(*key)
+
+        monkeypatch.setattr(angular, "_racah", counting_racah)
+        assert cg(1, 1, 1, 0, 2, 0) == 0.0
+        assert cg(1.5, 0.5, 0.5, 0.5, 1, 0) == 0.0
+        assert calls == []
+        # a matching projection runs the sum, so the count above can see a call
+        assert cg(1, 0, 1, 0, 2, 0) != 0.0
+        assert calls == [(2, 0, 2, 0, 4, 0)]
+
     def test_sweep_and_eta_bytes_are_pinned(self):
         """The j <= 4 unitaries, built from floats as a user would, and eta."""
         digest = hashlib.sha256()

@@ -740,12 +740,11 @@ def _lm_coefficients(s, c, delta, par):
     safeguarded Newton steps on 1/length - 1/delta (Moré 1978, section 5).
     """
 
-    def step(par):
-        den = s * s + par
-        return np.divide(s * c, den, out=np.zeros_like(s), where=den > 0), den
+    def step(par):  # s c / (s**2 + par), where a tiny s would underflow s**2
+        return np.divide(c, s + par / s, out=np.zeros_like(s), where=s > 0), s * s + par
 
-    def correction(k, den, fp):  # the Newton step on 1/length - 1/delta
-        return fp / delta * (k @ k) / np.sum(k * k / den)
+    def correction(k, den, fp):  # the Newton step on 1/length - 1/delta, scaled so k @ k cannot overflow
+        return fp / delta / np.sum((k / math.hypot(*k)) ** 2 / den)
 
     k, den = step(0.0)
     length = math.hypot(*k)
@@ -854,10 +853,12 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
 
     ``points`` are (theta_s_rad, counts, sigma) triples scanned at a fixed
     idler angle; eta and theta_i are held at the given values.  The model is
-    amplitude * shape(theta_s - phase_offset) + background with the same
-    shape used by the predictor, and the visibility is read off the fitted
-    curve's extrema over a full polarizer turn.  eta must lie in [0, pi/2]
-    and theta_i must be finite.
+    amplitude * 2 a0(theta_s - phase_offset)**2 + background, with the
+    predictor's a0 = R cos(theta_s - psi): the form C + A cos 2theta_s +
+    B sin 2theta_s, fitted by one weighted linear solve.  The fit reports
+    amplitude >= 0, phase_offset in [-pi/2, pi/2) and the visibility of the
+    fitted curve's extrema.  eta must lie in [0, pi/2] and theta_i must be
+    finite; a shape flat in theta_s (R = 0) raises FitError.
     """
     if not math.isfinite(theta_i_fixed):
         raise ValueError(f"theta_i_fixed must be finite, got {theta_i_fixed}")
@@ -866,48 +867,41 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
         raise ValueError(f"need at least 4 fringe points, got {len(pts)}")
     if any(s <= 0 for _, _, s in pts):
         raise ValueError("all sigmas must be positive")
-    theta = np.array([t for t, _, _ in pts])
-    y = np.array([v for _, v, _ in pts])
-    w = 1.0 / np.array([s for _, _, s in pts])
+    theta, y, sigma = np.array(pts).T
     if theta.max() - theta.min() < math.pi / 2 - 1e-9:
         raise ValueError("fringe points must span at least half a period (pi/2)")
-    # checks eta before the fit starts
+    # checks eta before the fit starts; R cos(psi) = a0 and R sin(psi) = a2 at theta_s = 0
     a0, _, a2, _ = pair_amplitudes(eta_fixed, 0.0, theta_i_fixed)
-
-    def shape_and_slope(th):
-        # the fringe shape 2*a0**2 and its theta_s slope, since a2 = d(a0)/d(theta_s)
-        a0, _, a2, _ = pair_amplitudes(eta_fixed, th, theta_i_fixed)
-        return 2.0 * a0 * a0, 4.0 * a0 * a2
-
-    def residual(p):
-        amp, bg, phi = p
-        f, _ = shape_and_slope(theta - phi)
-        return (amp * f + bg - y) * w
-
-    def jacobian(p):
-        amp, bg, phi = p
-        f, fslope = shape_and_slope(theta - phi)
-        return np.column_stack((f * w, w, -amp * fslope * w))
-
-    x0 = np.array([y.max() - y.min(), y.min(), 0.0])
-    result = _run_lm(residual, jacobian, x0)
-    amp, bg, phi = result.x
-
-    # extrema of the fitted curve over theta_s: shape ranges over [0, 2M]
-    # with M = a0**2 + a2**2, the same at every theta_s
-    swing = 2.0 * (a0 * a0 + a2 * a2) * amp
-    c_max = bg + max(swing, 0.0)
-    c_min = bg + min(swing, 0.0)
-    if c_max + c_min <= 0:
+    with np.errstate(all="ignore"):  # chi2 is at most the weighted counts' sum of squares
+        w = 1.0 / sigma
+        design = w[:, None] * np.column_stack((np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)))
+        wy = w * y
+        squares = np.sum(design * design) + wy @ wy
+    if not math.isfinite(squares):
+        raise FitError("fit cannot start: the weighted data's sum of squares is not finite")
+    r2 = a0 * a0 + a2 * a2
+    if r2 <= np.finfo(float).eps:
+        raise FitError(
+            f"fringe shape is flat at eta = {eta_fixed:.6g}, theta_i = {theta_i_fixed:.6g} rad;"
+            " the amplitude is not identifiable"
+        )
+    coef, _, rank, _ = np.linalg.lstsq(design, wy)
+    if rank < 3:
+        raise FitError("singular fit design; parameters are not identifiable")
+    c, a, b = coef.tolist()
+    if c <= 0:
         raise FitError("fitted curve is non-positive; visibility undefined")
-    visibility = (c_max - c_min) / (c_max + c_min)
+    # the curve swings over [C - swing, C + swing] with swing = amplitude * R**2
+    swing = math.hypot(a, b)
+    phi = math.remainder(0.5 * math.atan2(b, a) - math.atan2(a2, a0), math.pi)
+    residuals = design @ coef - wy
     return FringeFit(
-        amplitude=float(amp),
-        background=float(bg),
-        phase_offset=float(phi),
-        visibility=float(visibility),
-        residuals=result.fun,
-        chi2=float(np.sum(result.fun**2)),
+        amplitude=swing / r2,
+        background=c - swing,
+        phase_offset=phi - math.pi if phi >= math.pi / 2 else phi,
+        visibility=swing / c,
+        residuals=residuals,
+        chi2=float(np.sum(residuals**2)),
     )
 
 
@@ -923,7 +917,8 @@ def fit_exponential(points) -> ExponentialFit:
         raise ValueError(f"need at least 3 decay points, got {len(pts)}")
     t = np.array([p.delta_t_ns for p in pts])
     y = np.array([p.g_si for p in pts])
-    w = 1.0 / np.array([p.sigma for p in pts])
+    with np.errstate(all="ignore"):  # a tiny sigma's infinite weight is refused by _run_lm
+        w = 1.0 / np.array([p.sigma for p in pts])
     if np.unique(t).size < 3:
         raise ValueError("need at least 3 distinct delay times")
 

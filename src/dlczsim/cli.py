@@ -68,13 +68,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _flag_type(parse, spelling):
-    """An argparse type reading the files' grammar, refused in the files' wording."""
+    """An argparse type on the files' grammar, refused in their wording, echoing at most 40 characters."""
 
     def read(text):
         try:
             return parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"must be {spelling}, got {text!r}") from None
+            cut = "…" if len(text) > 40 else ""
+            raise argparse.ArgumentTypeError(f"must be {spelling}, got {text[:40]!r}{cut}") from None
 
     return read
 

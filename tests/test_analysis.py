@@ -27,7 +27,7 @@ from dlczsim.analysis import (
     parse_event_log_text,
     write_event_log,
 )
-from dlczsim.predictor import MeasurementSetting, chsh_setting_table, correlation_e
+from dlczsim.predictor import FringeModel, MeasurementSetting, chsh_setting_table, correlation_e, pair_amplitudes
 from dlczsim.simulator import (
     EventLog,
     ExperimentConfig,
@@ -722,6 +722,50 @@ class TestFitFringe:
         points = self.generate(100.0, 0.0, 0.0)
         with pytest.raises(ValueError, match=rf"^theta_i_fixed must be finite, got {theta_i}$"):
             fit_fringe(points, self.ETA, theta_i)
+
+    @pytest.mark.parametrize("phase_deg, reported_deg", [(-80.0, -80.0), (60.0, 60.0), (100.0, -80.0)])
+    def test_reports_one_branch_that_builds_its_model(self, phase_deg, reported_deg):
+        # from a zero phase, Levenberg-Marquardt took the -80 degree fringe to amplitude -100,
+        # background 99.2 and phase +10 degrees: the same curve, which FringeModel refuses
+        fit = fit_fringe(self.generate(100.0, 20.0, math.radians(phase_deg)), self.ETA, self.THETA_I)
+        np.testing.assert_allclose(fit.amplitude, 100.0, rtol=1e-9)
+        np.testing.assert_allclose(fit.background, 20.0, atol=1e-7)
+        np.testing.assert_allclose(math.degrees(fit.phase_offset), reported_deg, atol=1e-7)
+        assert -math.pi / 2 <= fit.phase_offset < math.pi / 2
+        FringeModel(self.ETA, fit.amplitude, fit.background)
+
+    @pytest.mark.parametrize("seed, phase_deg", [(1, -80.0), (2, 4.0), (3, 60.0)])
+    def test_chi2_is_the_reported_curve_against_the_counts(self, seed, phase_deg):
+        rng = np.random.default_rng(seed)
+        scan = self.generate(150.0, 12.0, math.radians(phase_deg), step_deg=15.0)
+        counts = rng.poisson([y for _, y, _ in scan]).astype(float)
+        points = [(t, k, math.sqrt(max(k, 1.0))) for (t, _, _), k in zip(scan, counts)]
+        fit = fit_fringe(points, self.ETA, self.THETA_I)
+        theta, y, sigma = np.array(points).T
+        a0 = pair_amplitudes(self.ETA, theta - fit.phase_offset, self.THETA_I)[0]
+        chi2 = np.sum(((fit.amplitude * 2.0 * a0 * a0 + fit.background - y) / sigma) ** 2)
+        np.testing.assert_allclose(fit.chi2, chi2, rtol=1e-9)
+
+    @pytest.mark.parametrize("eta, theta_i", [(0.0, math.pi / 2), (math.pi / 2, 0.0)])
+    def test_refuses_a_shape_flat_in_theta_s(self, eta, theta_i):
+        # a0 vanishes at every theta_s, so no amplitude fits the counts' swing
+        points = [(t, 50.0 + 10.0 * math.cos(2.0 * t), 1.0) for t in np.radians(np.arange(0.0, 360.0, 20.0))]
+        message = rf"^fringe shape is flat at eta = {eta:.6g}, theta_i = {theta_i:.6g} rad;"
+        with pytest.raises(FitError, match=message):
+            fit_fringe(points, eta, theta_i)
+
+    @pytest.mark.parametrize("theta_s", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_signal_angle(self, theta_s):
+        points = self.generate(100.0, 0.0, 0.0)
+        points[3] = (theta_s, points[3][1], 1.0)
+        with pytest.raises(FitError, match=r"^fit cannot start: .*not finite"):
+            fit_fringe(points, self.ETA, self.THETA_I)
+
+    def test_refuses_points_a_quarter_turn_apart(self):
+        # sin(2 theta_s) vanishes at 0, 90, 180 and 270 degrees: its coefficient is free
+        points = [(math.radians(d), y, 1.0) for d, y in [(0, 10.0), (90, 50.0), (180, 12.0), (270, 48.0)]]
+        with pytest.raises(FitError, match=r"^singular fit design; parameters are not identifiable$"):
+            fit_fringe(points, self.ETA, self.THETA_I)
 
 
 class TestFitExponential:

@@ -585,7 +585,19 @@ class TestFitCommands:
         assert err.count("\n") == 1
 
     def test_jacobian_column_norm_overflow_exits_three_at_once(self, tmp_path):
-        # at theta_i = 67.5 deg the residuals start finite, but the phase column's norm overflows
+        # the residuals start finite, but the floor column's norm, 1e308 * sqrt(3), overflows
+        data = tmp_path / "overflow.csv"
+        data.write_text("delta_t_ns,g_si,sigma\n200,1,1e-308\n1000,1,1e-308\n2000,1,1e-308\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "dlczsim", "fit-decay", "--data", str(data)],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == "error: fit did not converge: a Jacobian column's norm overflows\n"
+
+    def test_fringe_data_whose_norm_overflows_cannot_start(self, tmp_path):
+        # every weighted count is finite at theta_i = 67.5 deg too, but their sum of squares is not
         data = tmp_path / "overflow.csv"
         data.write_text("theta_s_deg,counts,sigma\n0,1.5e308,1\n45,0,1\n90,1.5e308,1\n135,0,1\n")
         result = subprocess.run(
@@ -594,7 +606,47 @@ class TestFitCommands:
             text=True,
         )
         assert (result.returncode, result.stdout) == (3, "")
-        assert result.stderr == "error: fit did not converge: a Jacobian column's norm overflows\n"
+        assert result.stderr.startswith("error: fit cannot start: ")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("fit-fringe", "theta_s_deg,counts,sigma\n0,10,1e-320\n45,50,1\n90,12,1\n135,48,1\n"),
+            ("fit-decay", "delta_t_ns,g_si,sigma\n200,5,1e-320\n1000,4,0.1\n3000,2,0.1\n"),
+        ],
+        ids=["fit_fringe", "fit_decay"],
+    )
+    def test_an_infinite_weight_prints_the_error_alone(self, tmp_path, command, text):
+        # in a process of its own: 1 / 1e-320 overflows, and numpy's warning would print to the real stderr
+        data = tmp_path / "tiny_sigma.csv"
+        data.write_text(text)
+        extra = ("--theta-i", "67.5") if command == "fit-fringe" else ()
+        result = subprocess.run(
+            [sys.executable, "-m", "dlczsim", command, "--data", str(data), *extra],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("error: fit cannot start: ")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags, degrees, message",
+        [
+            (("--eta", "0", "--theta-i", "90"), (0, 45, 90, 135), "fringe shape is flat at eta = 0, theta_i = 1.5708"),
+            (("--theta-i", "67.5"), (0, 90, 180, 270), "singular fit design; parameters are not identifiable"),
+        ],
+        ids=["flat_shape", "quarter_turns"],
+    )
+    def test_a_fringe_the_data_do_not_fix_exits_three(self, capsys, tmp_path, flags, degrees, message):
+        # at eta = 0 and theta_i = 90 deg the shape is flat; at quarter turns sin(2 theta_s) is free
+        data = tmp_path / "fringe.csv"
+        rows = "".join(f"{d},{y},1\n" for d, y in zip(degrees, (10, 50, 12, 48)))
+        data.write_text("theta_s_deg,counts,sigma\n" + rows)
+        code, out, err = run_cli(capsys, "fit-fringe", "--data", str(data), *flags)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_fit_that_cannot_start_exits_three(self, capsys, tmp_path):
         # counts near the float maximum overflow the residuals at the starting point
@@ -1019,3 +1071,12 @@ class TestEveryInputHoldsTheExitContract:
             assert err.startswith("usage: ") and err.count("error: ") == 1
             assert err.endswith(f"\nerror: argument {flag or '--angles'}: must be {spelling}, got {value!r}\n")
             assert not (workdir / "flag.log").exists()
+
+    def test_a_long_refused_flag_value_is_echoed_in_part(self, capsys):
+        # 5 001 digits: int() refuses them at its digit limit, and the whole value once filled the line
+        code, out, err = run_cli(capsys, "check-ops", "--n-min", "1" + "0" * 5000)
+        assert (code, out) == (1, "")
+        assert err.count("error: ") == 1
+        line = err.splitlines()[-1]
+        assert line == f"error: argument --n-min: must be an integer, got {'1' + '0' * 39!r}…"
+        assert len(line.encode()) < 200

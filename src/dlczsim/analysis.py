@@ -205,7 +205,7 @@ def _scatter_decimal(buf: np.ndarray, end: np.ndarray, neg, mag, width) -> None:
         digits -= 1
         left = digits > 0
         if not left.all():
-            last, mag, digits = last[left], mag[left], digits[left]
+            last, mag, digits = last.compress(left), mag.compress(left), digits.compress(left)
 
 
 def _format_rows(log: EventLog, lo: int, hi: int) -> np.ndarray:
@@ -616,26 +616,30 @@ def gate_and_count(log: EventLog) -> CoincidenceTable:
     """
     n_settings = len(log.settings)
     n_per = log.n_trials_per_setting
-    gated = []
+    # the last trial of every setting but the last; one beyond int64 is above every trial
+    lasts = np.array([min(k * n_per - 1, _INT64_MAX) for k in range(1, n_settings)], dtype=np.int64)
+    in_gate = []
     for channel, (center, width) in enumerate(gate_windows(log.config)):
         # the integer times inside [center - width/2, center + width/2]
         lo, hi = math.ceil(center - width / 2), math.floor(center + width / 2)
-        trial = log.trial[(log.channel == channel) & (log.t_ns >= lo) & (log.t_ns <= hi)]
+        in_gate.append((log.channel == channel) & (log.t_ns >= lo) & (log.t_ns <= hi))
+    # the trials with a gated D1 click, with a gated D2 click and with either,
+    # each counted once per setting; a trial with both is in the first two and
+    # once in the third, so n_si = n_s + n_i - n_any
+    counts = []
+    for mask in (*in_gate, in_gate[0] | in_gate[1]):
+        # compress, not log.trial[mask]: numpy's boolean-mask indexing is several times slower
+        trial = log.trial.compress(mask)
         # the distinct trials: the column is sorted, and no trial is -1
-        gated.append(trial[np.diff(trial, prepend=-1) != 0])
-    # the trials of the shorter list that the longer holds too: both are
-    # sorted, and -1 pads the end of the longer
-    shorter, longer = sorted(gated, key=len)
-    both = shorter[np.append(longer, -1)[np.searchsorted(longer, shorter)] == shorter]
-    n_s, n_i, n_si = (
-        np.bincount(_setting_ids(trials, n_per), minlength=n_settings) for trials in (*gated, both)
-    )
+        trial = trial.compress(np.diff(trial, prepend=-1) != 0)
+        counts.append(np.diff(np.searchsorted(trial, lasts, side="right"), prepend=0, append=len(trial)))
+    n_s, n_i, n_any = counts
 
     rows = {
         sid: SettingCounts(
             n_s=int(n_s[sid]),
             n_i=int(n_i[sid]),
-            n_si=int(n_si[sid]),
+            n_si=int(n_s[sid] + n_i[sid] - n_any[sid]),
             n_trials=n_per,
         )
         for sid in range(n_settings)
@@ -882,7 +886,8 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
     r2 = a0 * a0 + a2 * a2
     if r2 <= np.finfo(float).eps:
         raise FitError(
-            f"fringe shape is flat at eta = {eta_fixed:.6g}, theta_i = {theta_i_fixed:.6g} rad;"
+            f"fringe shape is flat at eta = {eta_fixed:.6g},"
+            f" theta_i = {theta_i_fixed:.6g} rad = {math.degrees(theta_i_fixed):.6g} deg;"
             " the amplitude is not identifiable"
         )
     coef, _, rank, _ = np.linalg.lstsq(design, wy)

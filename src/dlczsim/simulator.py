@@ -568,12 +568,13 @@ def _draw_block(lo, hi, *, seed, n, cums, firsts, counts, span):
     times = _words(seed, (lo >> _BLOCK_BITS) + 1, 0, 4 * len(trials))
 
     # a click trial's four time words, flattened: word 4k + b times the click
-    # of bit b of the k-th click trial's class, on channel b >> 1
-    at = np.flatnonzero(_CLASS_BITS[classes])
+    # of bit b of the k-th click trial's class, on channel b >> 1; every gather
+    # is a take, which is several times faster than numpy's fancy indexing
+    at = np.flatnonzero(_CLASS_BITS.take(classes, axis=0))
     channel = (at & 3) >> 1
-    key = (_uniform(times[at]) * counts[channel]).astype(np.int64)
-    key += trials[at >> 2] * span
-    key += firsts[channel]
+    key = (_uniform(times.take(at)) * counts.take(channel)).astype(np.int64)
+    key += trials.take(at >> 2) * span
+    key += firsts.take(channel)
     key *= 2
     key += channel
     # a key holds its whole event, so the sorted keys are the sorted events;

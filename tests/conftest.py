@@ -1,0 +1,12 @@
+"""Hypothesis profiles: ``HYPOTHESIS_PROFILE=ci`` draws the same examples on every run.
+
+Without the variable, Hypothesis's default profile draws new examples each
+run, so local runs keep exploring.
+"""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

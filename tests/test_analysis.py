@@ -488,6 +488,58 @@ class TestGateAndCount:
         )
         assert counts_of(gate_and_count(log)) == oracle_gate_counts(log)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n_settings=st.integers(1, 16),
+        n_per=st.one_of(st.integers(1, 8), st.sampled_from([2**40, 2**59])),
+        delta_t=st.sampled_from([0.0, 200.0]),
+        widths=st.sampled_from(GATE_WIDTHS),
+    )
+    def test_per_setting_counts_match_the_oracle_at_every_setting_start(
+        self, data, n_settings, n_per, delta_t, widths
+    ):
+        """1 to 16 settings, trials on both sides of each setting start, repeats and overlapping gates.
+
+        At delta_t = 0 the D1 and D2 gates overlap, so a time can fall in both.
+        With 2**59 trials per setting and 16 settings the last trial is 2**63 - 1.
+        """
+        n_trials = n_settings * n_per
+        near_a_start = st.builds(
+            lambda k, offset: min(max(k * n_per + offset, 0), n_trials - 1),
+            st.integers(0, n_settings),
+            st.integers(-2, 2),
+        )
+        trials = data.draw(st.lists(st.one_of(near_a_start, st.integers(0, n_trials - 1)), max_size=40))
+        rows = []
+        for trial in trials:
+            # one to three clicks per drawn trial, so a gate can hold repeats
+            clicks = data.draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 500)), min_size=1, max_size=3))
+            rows += [(trial, channel, t) for channel, t in clicks]
+        log = make_log(
+            rows,
+            settings=tuple(MeasurementSetting(float(k), 0.0) for k in range(n_settings)),
+            n=n_per,
+            config=ExperimentConfig(delta_t_ns=delta_t, gate_d1_ns=widths[0], gate_d2_ns=widths[1]),
+        )
+        assert counts_of(gate_and_count(log)) == oracle_gate_counts(log)
+
+    @pytest.mark.parametrize("n_settings, n_per", [(16, 2**59), (3, 2**62), (2, 2**63), (2, 2**64)])
+    def test_setting_starts_near_the_top_of_int64(self, n_settings, n_per):
+        """A paired trial each side of every setting start, and trial 2**63 - 1, under the setting that owns it."""
+        last = min(n_settings * n_per, 2**63) - 1
+        trials = sorted({t for k in range(n_settings + 1) for t in (k * n_per - 1, k * n_per) if 0 <= t <= last} | {last})
+        log = make_log(
+            [(t, channel, time) for t in trials for channel, time in ((0, 100), (1, 330))],
+            settings=tuple(MeasurementSetting(float(k), 0.0) for k in range(n_settings)),
+            n=n_per,
+        )
+        expected = {sid: (0, 0, 0) for sid in range(n_settings)}
+        for t in trials:
+            c = expected[t // n_per][0] + 1
+            expected[t // n_per] = (c, c, c)
+        assert counts_of(gate_and_count(log)) == oracle_gate_counts(log) == expected
+
     @pytest.mark.parametrize("widths", GATE_WIDTHS, ids=["odd_edges", "half_ns_edges", "even_edges"])
     def test_times_next_to_the_gate_edges_match_the_oracle(self, widths):
         """Each time from one ns outside to one ns inside each gate edge, in a trial of its own.
@@ -590,6 +642,12 @@ class TestCountStatistics:
         g, sigma = compute_g_si(gate_and_count(log))
         assert abs(g - 1.0) < 3 * sigma
 
+    def test_g_si_sigma_from_hand_computed_counts(self):
+        """g = 8 * 360 / (12 * 24) = 10 and sigma = g * sqrt(1/8 + 1/12 + 1/24) = 10 * sqrt(1/4) = 5."""
+        g, sigma = compute_g_si(SettingCounts(n_s=12, n_i=24, n_si=8, n_trials=360))
+        assert g == pytest.approx(10.0, rel=1e-15)
+        assert sigma == pytest.approx(5.0, rel=1e-14)
+
     def test_detection_efficiency_examples(self):
         assert detection_efficiency(SettingCounts(100, 100, 2, 1000)) == (0.02, 0.02)
         assert detection_efficiency(SettingCounts(5, 5, 5, 5)) == (1.0, 1.0)
@@ -620,6 +678,16 @@ class TestChshFromLog:
         message = str(err.value)
         assert "missing polarizer settings" in message
         assert "(22.5, 45)" in message
+
+    def test_a_setting_1e_5_degrees_off_is_missing(self):
+        """Settings match within 1e-6 degrees, so (22.5 + 1e-5, 45) does not stand in for (22.5, 45)."""
+        table = chsh_setting_table()
+        sid = next(k for k, s in enumerate(table) if (s.theta_s_deg, s.theta_i_deg) == (22.5, 45.0))
+        settings_ = list(table)
+        settings_[sid] = MeasurementSetting(22.5 + 1e-5, 45.0)
+        log = run_trials(clean_config(), settings_, 100, seed=1)
+        with pytest.raises(ValueError, match=r"^log is missing polarizer settings: \(22\.5, 45\)$"):
+            chsh_from_log(log)
 
     def test_sigma_e_shrinks_like_root_two_with_double_statistics(self):
         """Doubling trials per setting halves the variance of E estimates."""
@@ -750,7 +818,7 @@ class TestFitFringe:
     def test_refuses_a_shape_flat_in_theta_s(self, eta, theta_i):
         # a0 vanishes at every theta_s, so no amplitude fits the counts' swing
         points = [(t, 50.0 + 10.0 * math.cos(2.0 * t), 1.0) for t in np.radians(np.arange(0.0, 360.0, 20.0))]
-        message = rf"^fringe shape is flat at eta = {eta:.6g}, theta_i = {theta_i:.6g} rad;"
+        message = rf"^fringe shape is flat at eta = {eta:.6g}, theta_i = {theta_i:.6g} rad = {math.degrees(theta_i):.6g} deg;"
         with pytest.raises(FitError, match=message):
             fit_fringe(points, eta, theta_i)
 

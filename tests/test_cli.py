@@ -634,7 +634,11 @@ class TestFitCommands:
     @pytest.mark.parametrize(
         "flags, degrees, message",
         [
-            (("--eta", "0", "--theta-i", "90"), (0, 45, 90, 135), "fringe shape is flat at eta = 0, theta_i = 1.5708"),
+            (
+                ("--eta", "0", "--theta-i", "90"),
+                (0, 45, 90, 135),
+                "fringe shape is flat at eta = 0, theta_i = 1.5708 rad = 90 deg; the amplitude is not identifiable\n",
+            ),
             (("--theta-i", "67.5"), (0, 90, 180, 270), "singular fit design; parameters are not identifiable"),
         ],
         ids=["flat_shape", "quarter_turns"],

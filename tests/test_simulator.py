@@ -1051,6 +1051,27 @@ class TestMonteCarloAgainstClosedForm:
         np.testing.assert_allclose(contrasts[0], 0.9, atol=1e-12)
         np.testing.assert_allclose(contrasts[1], 0.9 * math.exp(-0.8), atol=1e-12)
 
+    def test_idler_clicks_decay_with_the_retrieval_time_not_the_memory_time(self):
+        """At delta_t = retrieval_tau_ns = memory_tau_ns / 10 the idler's efficiency falls by 1/e, not e**-0.1."""
+        cfg = clean_config(
+            excitation_prob=0.5,
+            retrieval_eff=0.8,
+            delta_t_ns=1000.0,
+            retrieval_tau_ns=1000.0,
+            memory_tau_ns=10_000.0,
+            base_visibility=0.9,
+            dark_ns=1400.0,
+        )
+        # without polarizers every stored excitation's idler reaches D2: P_i = p * R * exp(-1)
+        assert trial_click_probabilities(cfg)[1] == pytest.approx(0.5 * 0.8 * math.exp(-1.0), rel=1e-12)
+        setting = MeasurementSetting(0.0, 0.0)
+        p_i = trial_click_probabilities(cfg, setting)[1]
+        # at eta = pi/4 the idler passes its polarizer at theta_i = 0 half the time
+        assert p_i == pytest.approx(0.5 * 0.8 * math.exp(-1.0) / 2, rel=1e-12)
+        n = 200_000
+        n_i = run_trials(cfg, [setting], n, seed=41).true_counts[0][1]
+        assert abs(n_i - n * p_i) < 4 * math.sqrt(n * p_i * (1 - p_i))
+
 
 class TestExpectedGsi:
     def test_perfect_efficiency_gives_inverse_p(self):

@@ -407,8 +407,10 @@ def _parse_rows(data: np.ndarray, lo: int, hi: int, row0: int, out, ranges):
     # flag extra rows, which the exact check clears
     n_per, trial_bound, res, t_max = ranges
     suspect |= (trial >= trial_bound) | (sid != _setting_ids(trial, n_per))
-    # t_ns % res, as a floor division by a scalar and a multiply-subtract
-    suspect |= (t_ns - t_ns // res * res != 0) if res <= _INT64_MAX else (t_ns != 0)
+    # t_ns % res, as a floor division by a scalar and a multiply-subtract; res
+    # fits int64, as the config's write gate holds a positive multiple of it
+    # within a cycle of at most 2**63 - 1 ns
+    suspect |= t_ns - t_ns // res * res != 0
     suspect |= (t_ns < 0) | (t_ns > t_max)
 
     for column, values in zip(out, (trial, channel, t_ns)):
@@ -571,9 +573,10 @@ def _parse_log(data: bytes, source: str) -> EventLog:
             )
         if not 0 <= t_k <= config.cycle_ns:
             raise ParseError(f"timestamp {t_k} outside the {config.cycle_ns} ns cycle", source, at)
-        for name, value in (("trial", trial_k), ("timestamp", t_k)):
-            if value > _INT64_MAX:
-                raise ParseError(f"{name} {value} does not fit in a signed 64-bit integer", source, at)
+        # the line above bounds t_k by the cycle, at most 2**63 - 1 ns; a trial
+        # below a run of more than 2**63 trials may still pass int64
+        if trial_k > _INT64_MAX:
+            raise ParseError(f"trial {trial_k} does not fit in a signed 64-bit integer", source, at)
         # a row flagged for a long field takes its exact values
         trial[row], t_ns[row] = trial_k, t_k
 

@@ -106,11 +106,11 @@ def _jm(j, m) -> tuple[int, int]:
 def _racah(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> tuple[int, int, int]:
     """Signed square of a Clebsch-Gordan coefficient as (sign, numerator, denominator).
 
-    All three are exact integers; the fraction is not reduced.  Couplings
-    that violate a selection rule come back as (0, 0, 1).
+    All three are exact integers; the fraction is not reduced.  The caller
+    passes tM == tm1 + tm2 (``cg`` returns 0.0 before the call otherwise, and
+    ``branching_table`` builds tM as that sum).  Couplings that violate
+    another selection rule come back as (0, 0, 1).
     """
-    if tM != tm1 + tm2:
-        return 0, 0, 1
     if not _triangle_ok(tj1, tj2, tJ):
         return 0, 0, 1
     if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:

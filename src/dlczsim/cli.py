@@ -129,10 +129,9 @@ def _settings_table(table: analysis.CoincidenceTable) -> dict:
 
 def _read_csv_points(path, expected_columns):
     """Read a CSV data file with an exact one-line header, its lines cut as config files' are."""
-    # each line keeps a "\n", so a quoted cell cannot join two lines into one number
+    # each line keeps a "\n", so a quoted cell cannot join two lines into one number;
+    # even an empty file has one line, which is one row, so rows[0] exists
     rows = list(csv.reader(raw + "\n" for _, raw in split_lines(read_text(path), str(path))))
-    if not rows:
-        raise ParseError("empty data file", str(path))
     header = [c.strip(BLANKS) for c in rows[0]]
     if header != list(expected_columns):
         raise ParseError(

@@ -236,15 +236,6 @@ class ExperimentConfig:
     def as_mapping(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_mapping(cls, mapping) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        # text reads through the number grammar, numbers pass as they are
-        return cls(**{k: ascii_float(v) if isinstance(v, str) else v for k, v in mapping.items()})
-
 
 def _setting_ids(trial: np.ndarray, n_trials_per_setting: int) -> np.ndarray:
     """``trial // n_trials_per_setting``, exact for every int64 trial and every n >= 0.
@@ -360,8 +351,8 @@ def decoherence_visibility(delta_t_ns: float, tau_ns: float, v0: float) -> float
     return v0 * math.exp(-delta_t_ns / tau_ns)
 
 
-def _effective_retrieval(config: ExperimentConfig, delta_t_ns: float) -> float:
-    return config.retrieval_eff * math.exp(-delta_t_ns / config.retrieval_tau_ns)
+def _effective_retrieval(config: ExperimentConfig) -> float:
+    return config.retrieval_eff * math.exp(-config.delta_t_ns / config.retrieval_tau_ns)
 
 
 def gate_windows(config: ExperimentConfig):
@@ -385,26 +376,20 @@ def _gate_cells(center: float, width: float, res: int) -> tuple[int, int]:
     return first, last - first + 1
 
 
-def joint_outcome_probs(
-    config: ExperimentConfig, setting: MeasurementSetting, delta_t_ns: float | None = None
-) -> np.ndarray:
+def joint_outcome_probs(config: ExperimentConfig, setting: MeasurementSetting) -> np.ndarray:
     """Born probabilities of the four polarizer pass/fail outcomes.
 
     Order: (pass, pass), (pass, fail), (fail, pass), (fail, fail), for a
-    pair stored for delta_t_ns (default: the configured storage time).  The
-    stored pair is the state of ``pair_amplitudes`` mixed with white noise
-    at the decayed visibility V, so each entry is V*a**2 + (1 - V)/4.
+    pair stored for the config's delta_t_ns.  The stored pair is the state
+    of ``pair_amplitudes`` mixed with white noise at the decayed visibility
+    V, so each entry is V*a**2 + (1 - V)/4.
     """
-    if delta_t_ns is None:
-        delta_t_ns = config.delta_t_ns
-    vis = decoherence_visibility(delta_t_ns, config.memory_tau_ns, config.base_visibility)
+    vis = decoherence_visibility(config.delta_t_ns, config.memory_tau_ns, config.base_visibility)
     amps = pair_amplitudes(config.eta, setting.theta_s_rad, setting.theta_i_rad)
     return vis * amps * amps + (1.0 - vis) / 4.0
 
 
-def _click_classes(
-    config: ExperimentConfig, setting: MeasurementSetting | None, delta_t_ns: float
-) -> np.ndarray:
+def _click_classes(config: ExperimentConfig, setting: MeasurementSetting | None) -> np.ndarray:
     """Exact probabilities of the 16 joint click classes of one trial.
 
     Entry c is the chance that a trial's clicks are exactly those of class
@@ -413,17 +398,18 @@ def _click_classes(
     clicks.  A pair is made with the excitation probability, passes the
     polarizers by the Born rule (no polarizers for ``setting=None``), and
     each passing photon is detected with its channel's efficiency, the idler
-    after retrieval from a memory stored for delta_t_ns.  Background clicks
-    are independent of the pair and of each other.  Products of exact 0 and
-    1 factors stay exact, so impossible classes get 0.0 and certain ones 1.0.
+    after retrieval from a memory stored for the config's delta_t_ns.
+    Background clicks are independent of the pair and of each other.
+    Products of exact 0 and 1 factors stay exact, so impossible classes get
+    0.0 and certain ones 1.0.
     """
     if setting is None:
         p4 = (1.0, 0.0, 0.0, 0.0)
     else:
-        p4 = joint_outcome_probs(config, setting, delta_t_ns)
+        p4 = joint_outcome_probs(config, setting)
     p = config.excitation_prob
     eff_s = config.det_eff_s
-    eff_i = _effective_retrieval(config, delta_t_ns) * config.det_eff_i
+    eff_i = _effective_retrieval(config) * config.det_eff_i
     # pair[a, b]: D1 pair click a and D2 pair click b, over no pair and the
     # four polarizer outcomes (pass, pass), (pass, fail), (fail, pass), (fail, fail)
     pair = np.zeros((2, 2))
@@ -438,9 +424,7 @@ def _click_classes(
 
 
 def trial_click_probabilities(
-    config: ExperimentConfig,
-    setting: MeasurementSetting | None = None,
-    delta_t_ns: float | None = None,
+    config: ExperimentConfig, setting: MeasurementSetting | None = None
 ) -> tuple[float, float, float]:
     """Exact per-trial probabilities (P_s, P_i, P_si) of gate clicks.
 
@@ -450,9 +434,7 @@ def trial_click_probabilities(
     the simulator draws from.  With ``setting=None`` the polarizers are
     absent and every created pair reaches the detectors.
     """
-    if delta_t_ns is None:
-        delta_t_ns = config.delta_t_ns
-    probs = _click_classes(config, setting, delta_t_ns)
+    probs = _click_classes(config, setting)
     return (
         float(probs[_D1_CLICKS].sum()),
         float(probs[_D2_CLICKS].sum()),
@@ -460,18 +442,16 @@ def trial_click_probabilities(
     )
 
 
-def expected_g_si(
-    config: ExperimentConfig,
-    delta_t_ns: float | None = None,
-    setting: MeasurementSetting | None = None,
-) -> float:
+def expected_g_si(config: ExperimentConfig, setting: MeasurementSetting | None = None) -> float:
     """Predicted signal/idler intensity cross-correlation P_si/(P_s*P_i).
 
     The default is the polarization-blind correlation (no polarizers), for
     which perfect efficiencies and zero background give exactly 1/p.  Pass
     the polarizer setting to predict what a gated, polarized log measures.
+    The storage time is the config's; for another, build a config that
+    holds it (``dataclasses.replace`` checks the timing layout).
     """
-    p_s, p_i, p_si = trial_click_probabilities(config, setting, delta_t_ns)
+    p_s, p_i, p_si = trial_click_probabilities(config, setting)
     if p_s <= 0 or p_i <= 0:
         raise ValueError("expected_g_si undefined: a channel never clicks")
     return p_si / (p_s * p_i)
@@ -624,7 +604,7 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
         _draw_block,
         seed=seed,
         n=n_trials_per_setting,
-        cums=[np.cumsum(_click_classes(config, s, config.delta_t_ns)[1:]) for s in settings],
+        cums=[np.cumsum(_click_classes(config, s)[1:]) for s in settings],
         firsts=np.array([first - first_cell for first, _ in gates], dtype=np.int64),
         counts=np.array([cells for _, cells in gates], dtype=np.int64),
         span=span,

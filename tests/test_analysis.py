@@ -602,6 +602,10 @@ class TestGateAndCount:
 
 
 class TestCountStatistics:
+    def test_empty_table_has_no_totals(self):
+        with pytest.raises(ValueError, match="^empty coincidence table$"):
+            CoincidenceTable(rows={}).totals()
+
     def test_settings_counts_invariants(self):
         with pytest.raises(ValueError):
             SettingCounts(n_s=1, n_i=1, n_si=2, n_trials=10)
@@ -745,6 +749,12 @@ class TestFitFringe:
         expected = (curve.max() - curve.min()) / (curve.max() + curve.min())
         np.testing.assert_allclose(fit.visibility, expected, rtol=1e-6)
 
+    def test_zero_counts_give_a_non_positive_curve(self):
+        """A scan without coincidences fits C = 0 exactly, where visibility swing / C is undefined."""
+        points = [(t, 0.0, 1.0) for t in np.radians(np.arange(0.0, 180.0, 45.0))]
+        with pytest.raises(FitError, match="^fitted curve is non-positive; visibility undefined$"):
+            fit_fringe(points, self.ETA, self.THETA_I)
+
     def test_constant_counts_give_zero_visibility(self):
         points = [(t, 50.0, 1.0) for t in np.radians(np.arange(0, 360, 20.0))]
         fit = fit_fringe(points, self.ETA, self.THETA_I)
@@ -843,6 +853,13 @@ class TestFitExponential:
         return [
             DecayPoint(t, floor + amp * math.exp(-t / tau), sigma) for t in self.TIMES
         ]
+
+    def test_rising_tail_gives_a_negative_tau(self):
+        """g_si that falls, then rises at the longest delay, runs tau through 0 to about -4e10 ns."""
+        times = [0.0, 200.0, 500.0, 4000.0, 7000.0]
+        points = [DecayPoint(t, g, 0.1) for t, g in zip(times, [4.2, 3.5, 3.1, 2.8, 3.0])]
+        with pytest.raises(FitError, match="^fitted decay constant is not positive: tau = -"):
+            fit_exponential(points)
 
     def test_noiseless_round_trip(self):
         fit = fit_exponential(self.generate(1.0, 5.0, 3700.0))

@@ -223,6 +223,10 @@ class TestLevelScheme:
             LevelScheme.of(0, 1, 0)
         LevelScheme.of(3, 2, 3)  # valid, must not raise
 
+    def test_plain_ints_rejected(self):
+        with pytest.raises(TypeError, match="^f_a must be a HalfInt, got int$"):
+            LevelScheme(3, 2, 3)
+
     def test_half_integer_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LevelScheme.of(1.5, 1, 1)

@@ -561,6 +561,21 @@ class TestFitCommands:
         payload = run_json(capsys, "fit-decay", "--data", str(data))
         np.testing.assert_allclose(payload["tau_ns"], 3700.0, rtol=1e-6)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "data.csv:1: expected header 'delta_t_ns,g_si,sigma', got ''"),
+            ("delta_t_ns,g_si,sigma\n200,5.2,0.05\n1000,4.4\n", "data.csv:3: expected 3 columns, got 2"),
+        ],
+        ids=["empty", "short_row"],
+    )
+    def test_malformed_fit_csv_exits_two(self, capsys, tmp_path, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        code, out, err = run_cli(capsys, "fit-decay", "--data", str(data))
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / message}\n"
+
     def test_unfittable_decay_exits_three(self, capsys, tmp_path):
         data = tmp_path / "flat.csv"
         with open(data, "w", newline="") as fh:

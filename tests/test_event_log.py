@@ -2,10 +2,11 @@
 
 ``oracle_parse_event_log_text`` below is the line-at-a-time parser that the
 column parser replaced, kept verbatim as the reference apart from its name, its
-``config.validate()`` call, whose checks the config's construction now makes, its
-last line, which hands the record columns to ``EventLog``, and the order of its
-checks, which is now the column parser's file order: the header's checks moved
-into ``header_values``, run at the first body line (or at the end of a log with
+config read, which builds the config with the constructor from the number
+grammar's values, in place of a ``config.validate()`` call, its last line,
+which hands the record columns to ``EventLog``, and the order of its checks,
+which is now the column parser's file order: the header's checks moved into
+``header_values``, run at the first body line (or at the end of a log with
 no body), and each line's range checks moved from a pass after the body to right
 after that line's structure checks.  On near-valid logs
 (a canonical log with one mutation) both must return equal logs or raise
@@ -137,10 +138,9 @@ def oracle_parse_event_log_text(text: str, source: str = "<log>") -> EventLog:
 
         seed = _header_int("seed", 0)
         n_per = _header_int("trials_per_setting", 0)
-        config_lines = {k: v for k, (v, _) in header.items()}
         try:
-            config = ExperimentConfig.from_mapping(config_lines)
-        except ValueError as exc:
+            config = ExperimentConfig(**{k: grammar.ascii_float(v) for k, (v, _) in header.items()})
+        except (TypeError, ValueError) as exc:
             raise ParseError(str(exc), source) from None
         return seed, n_per, config
 

@@ -42,6 +42,10 @@ class TestCollectiveOperator:
         np.testing.assert_allclose(op[1, 0], math.sqrt(7) * phase, rtol=1e-12)
         assert np.count_nonzero(op) == 1
 
+    def test_rejects_an_empty_ensemble(self):
+        with pytest.raises(ValueError, match="^n_atoms must be >= 1$"):
+            EnsembleModel(0, HalfInt.of(3), HalfInt.of(2), np.zeros((0, 3)), np.ones(3))
+
     @pytest.mark.parametrize("n_atoms", [1, 2, 5, 8])
     def test_vacuum_norm_is_one(self, n_atoms):
         model = make_model(n_atoms)

@@ -114,6 +114,8 @@ class DecayPoint:
     sigma: float
 
     def __post_init__(self):
+        if self.delta_t_ns < 0:
+            raise ValueError("delta_t_ns must be >= 0")
         if self.g_si < 0:
             raise ValueError("g_si must be non-negative")
         if self.sigma <= 0:
@@ -633,8 +635,11 @@ def gate_and_count(log: EventLog) -> CoincidenceTable:
     for mask in (*in_gate, in_gate[0] | in_gate[1]):
         # compress, not log.trial[mask]: numpy's boolean-mask indexing is several times slower
         trial = log.trial.compress(mask)
-        # the distinct trials: the column is sorted, and no trial is -1
-        trial = trial.compress(np.diff(trial, prepend=-1) != 0)
+        # the distinct trials of the sorted column, flagged in place without a copy
+        first = np.empty(len(trial), dtype=bool)
+        first[:1] = True
+        np.not_equal(trial[1:], trial[:-1], out=first[1:])
+        trial = trial.compress(first)
         counts.append(np.diff(np.searchsorted(trial, lasts, side="right"), prepend=0, append=len(trial)))
     n_s, n_i, n_any = counts
 
@@ -918,7 +923,8 @@ def fit_exponential(points) -> ExponentialFit:
 
     Returns the decay constant with its covariance-based uncertainty; the
     floor captures the accidental-dominated long-time limit.  A fit whose
-    tau variance is not positive or not below tau^2 raises FitError.
+    tau variance is not positive or not below tau^2, or whose chi2 is not
+    finite, raises FitError.
     """
     pts = list(points)
     if len(pts) < 3:
@@ -954,11 +960,15 @@ def fit_exponential(points) -> ExponentialFit:
             f" variance {cov[2, 2]:.4g} ns^2"
         )
     sigma_tau = math.sqrt(cov[2, 2])
+    with np.errstate(over="ignore"):  # a chi2 that overflows is refused below
+        chi2 = float(np.sum(result.fun**2))
+    if not math.isfinite(chi2):
+        raise FitError(f"fitted curve's chi2 is not finite: tau = {tau:.4g} ns, chi2 = {chi2}")
     return ExponentialFit(
         tau_ns=float(tau),
         amplitude=float(amp),
         floor=float(floor),
         sigma_tau_ns=float(sigma_tau),
         residuals=result.fun,
-        chi2=float(np.sum(result.fun**2)),
+        chi2=chi2,
     )

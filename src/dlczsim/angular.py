@@ -2,7 +2,10 @@
 
 Clebsch-Gordan coefficients are evaluated from the Racah closed form with
 exact big-integer rationals, so selection rules produce exact zeros and the
-only rounding is the final square root.  On top of that sit the branching
+only rounding is the final square root.  The swap and negate symmetries
+(Regge 1958) give every member of a class the same square, so ``cg``
+evaluates each class's square once per cache lifetime and takes the sign
+from the phase (-1)^(j1+j2-J).  On top of that sit the branching
 amplitudes of a three-level (ground a, excited c, ground b) Raman scheme
 driven by right-circular light, and the mixing angle that those amplitudes
 induce between the two scattered-photon helicities.
@@ -170,8 +173,31 @@ def cg(j1, m1, j2, m2, J, M) -> float:
         _check_jm(tj2, tm2)
         _check_jm(tJ, tM)
     if tM != tm1 + tm2:
-        return 0.0  # most of any sweep: the call into the Racah sum is skipped
-    sign, num, den = _racah(tj1, tm1, tj2, tm2, tJ, tM)
+        return 0.0  # most of any sweep: the symmetry class and its cache are skipped
+    # Swapping (j1, m1) with (j2, m2), and negating m1, m2 and M, each multiply
+    # the coefficient by (-1)^(j1+j2-J).  Read the class's least (2j1, 2m1, 2j2,
+    # 2m2): order the two pairs, then take the negated member when it is less.
+    flipped = False
+    if (tj1, tm1) > (tj2, tm2):
+        tj1, tm1, tj2, tm2 = tj2, tm2, tj1, tm1
+        flipped = True
+    if tj1 < tj2:
+        if (tm1, tm2) > (-tm1, -tm2):
+            tm1, tm2 = -tm1, -tm2
+            flipped = not flipped
+    elif -tm2 < tm1:
+        # equal j: negate and swap back, which keeps the pairs ordered and the sign
+        tm1, tm2 = -tm2, -tm1
+    value = _class_cg(tj1, tm1, tj2, tm2, tJ)
+    # nonzero values only, so that no 0.0 turns into -0.0
+    return -value if flipped and (tj1 + tj2 - tJ) % 4 and value else value
+
+
+# the j <= 4 sweep has 2 081 swap/negate classes with M = m1 + m2; 4096 hold them all
+@lru_cache(maxsize=4096)
+def _class_cg(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int) -> float:
+    """``cg`` of doubled ints at M = m1 + m2, once per symmetry class and cache lifetime."""
+    sign, num, den = _racah(tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
     # integer true division rounds correctly: float(Fraction(num, den)) without the gcd
     return sign * math.sqrt(num / den) if sign else 0.0
 

@@ -921,3 +921,17 @@ class TestFitExponential:
             DecayPoint(100.0, -0.5, 0.1)
         with pytest.raises(ValueError):
             DecayPoint(100.0, 1.0, 0.0)
+
+    def test_negative_storage_time_is_refused_as_the_config_refuses_it(self):
+        for bad in (-1000.0, -5e-324):
+            with pytest.raises(ValueError, match=r"^delta_t_ns must be >= 0$"):
+                DecayPoint(bad, 1.0, 0.1)
+        assert DecayPoint(0.0, 1.0, 0.1).delta_t_ns == 0.0
+        assert DecayPoint(-0.0, 1.0, 0.1).delta_t_ns == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_chi2_that_overflows_is_refused_silently(self):
+        # tau runs off to about 1.2e11 ns, and the residual at 7500 ns, about 3e157, squares to inf
+        points = [DecayPoint(t, g, 0.1) for t, g in ((0.0, 3.67), (500.0, 7.80), (7500.0, 3.34e156))]
+        with pytest.raises(FitError, match=r"^fitted curve's chi2 is not finite: tau = .* chi2 = inf$"):
+            fit_exponential(points)

@@ -21,7 +21,7 @@ from dlczsim.angular import (
     mixing_cos_sq,
     projections,
 )
-from dlczsim.angular import _check_jm, _doubled, _jm, _racah
+from dlczsim.angular import _check_jm, _class_cg, _doubled, _jm, _racah
 
 # ---------------------------------------------------------------------------
 # Oracle: couple two spins by explicit matrix algebra (build J^2 on the
@@ -391,6 +391,32 @@ def _fraction_signed_square(tj1, tm1, tj2, tm2, tJ, tM):
     return (1 if total > 0 else -1), Fraction(tJ + 1) * delta * weight * total * total
 
 
+def _clear_module_caches():
+    """Empty every functools cache of the module, as a fresh process has them."""
+    for value in vars(angular).values():
+        clear = getattr(value, "cache_clear", None)
+        if callable(clear):
+            clear()
+
+
+def _j4_unitaries():
+    """The CG unitary of every j1, j2 <= 4, built from floats as a user would."""
+    unitaries = []
+    for tj1 in range(9):
+        for tj2 in range(9):
+            j1, j2 = tj1 / 2.0, tj2 / 2.0
+            m_pairs = [(m1, m2) for m1 in np.arange(-j1, j1 + 1) for m2 in np.arange(-j2, j2 + 1)]
+            coupled = [
+                (tjt / 2.0, mt)
+                for tjt in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+                for mt in np.arange(-tjt / 2.0, tjt / 2.0 + 1)
+            ]
+            unitaries.append(
+                np.array([[cg(j1, m1, j2, m2, jt, mt) for jt, mt in coupled] for m1, m2 in m_pairs])
+            )
+    return unitaries
+
+
 class TestRacahSum:
     @pytest.mark.parametrize("tj1", range(0, 11))
     def test_common_denominator_gives_the_same_fractions(self, tj1):
@@ -416,6 +442,7 @@ class TestRacahSum:
                         assert cg(*map(HalfInt, key)).hex() == expected.hex(), key
 
     def test_projection_mismatch_skips_the_racah_sum(self, monkeypatch):
+        _clear_module_caches()  # else a class cached by an earlier test would hide the call below
         calls = []
 
         def counting_racah(*key):
@@ -433,19 +460,8 @@ class TestRacahSum:
     def test_sweep_and_eta_bytes_are_pinned(self):
         """The j <= 4 unitaries, built from floats as a user would, and eta."""
         digest = hashlib.sha256()
-        for tj1 in range(9):
-            for tj2 in range(9):
-                j1, j2 = tj1 / 2.0, tj2 / 2.0
-                m_pairs = [(m1, m2) for m1 in np.arange(-j1, j1 + 1) for m2 in np.arange(-j2, j2 + 1)]
-                coupled = [
-                    (tjt / 2.0, mt)
-                    for tjt in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-                    for mt in np.arange(-tjt / 2.0, tjt / 2.0 + 1)
-                ]
-                unitary = np.array(
-                    [[cg(j1, m1, j2, m2, jt, mt) for jt, mt in coupled] for m1, m2 in m_pairs]
-                )
-                digest.update(unitary.tobytes())
+        for unitary in _j4_unitaries():
+            digest.update(unitary.tobytes())
         assert digest.hexdigest() == (
             "60b9967277c5aa0e4dfb2038338094a76fe27347b2f902078017c97f592ecb6e"
         )
@@ -545,13 +561,12 @@ class TestArgumentCache:
         for tj in range(2 * info.maxsize):
             cg(HalfInt(tj), HalfInt(tj), 0, 0, HalfInt(tj), HalfInt(tj))
         assert _jm.cache_info().currsize == info.maxsize
-        for value in vars(angular).values():  # as a fresh-process benchmark pass clears it
-            clear = getattr(value, "cache_clear", None)
-            if callable(clear):
-                clear()
+        _clear_module_caches()  # as a fresh-process benchmark pass clears them
         assert _jm.cache_info().currsize == 0
+        assert _class_cg.cache_info().currsize == 0
         assert cg(1, 0, 1, 0, 2, 0) == cg(1.0, 0.0, 1, 0, 2.0, 0.0)
         assert _jm.cache_info().currsize == 4  # (1, 0), (2, 0), (1.0, 0.0), (2.0, 0.0)
+        assert _class_cg.cache_info().currsize == 1  # both are one coupling
 
     def test_failures_are_not_cached(self):
         _jm.cache_clear()
@@ -561,3 +576,66 @@ class TestArgumentCache:
             with pytest.raises(TypeError):
                 cg(1, 0, [1], 0, 1, 0)
         assert _jm.cache_info().currsize == 1  # the valid pair (1, 0) alone
+
+
+# ---------------------------------------------------------------------------
+# The symmetry-class cache of cg
+# ---------------------------------------------------------------------------
+
+
+def _class_members(tj1, tm1, tj2, tm2, tJ):
+    """The coupling, its swapped and negated partners and both at once, as doubled ints."""
+    return frozenset(
+        {
+            (tj1, tm1, tj2, tm2, tJ),
+            (tj2, tm2, tj1, tm1, tJ),
+            (tj1, -tm1, tj2, -tm2, tJ),
+            (tj2, -tm2, tj1, -tm1, tJ),
+        }
+    )
+
+
+class TestSymmetryClasses:
+    @pytest.mark.parametrize("rep", _REPRESENTATIONS, ids=["HalfInt", "int", "float", "float64", "Fraction"])
+    def test_swapped_and_negated_partners_carry_the_phase(self, rep):
+        _clear_module_caches()
+        for tj1 in range(11):
+            for tj2 in range(11):
+                for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 2, 2):
+                    odd = (tj1 + tj2 - tJ) % 4 == 2
+                    for tm1 in range(-tj1, tj1 + 2, 2):
+                        for tm2 in range(-tj2, tj2 + 2, 2):
+                            tM = tm1 + tm2
+                            value = cg(*map(rep, (tj1, tm1, tj2, tm2, tJ, tM)))
+                            expected = (-value if odd and value else value).hex()
+                            swapped = cg(*map(rep, (tj2, tm2, tj1, tm1, tJ, tM)))
+                            negated = cg(*map(rep, (tj1, -tm1, tj2, -tm2, tJ, -tM)))
+                            key = (tj1, tm1, tj2, tm2, tJ, tM)
+                            assert swapped.hex() == expected, key
+                            assert negated.hex() == expected, key
+                            # a zero is +0.0 in every member, never -0.0
+                            assert value.hex() != (-0.0).hex(), key
+
+    def test_cold_sweep_runs_one_racah_sum_per_class(self, monkeypatch):
+        _clear_module_caches()
+        calls = []
+
+        def counting_racah(*key):
+            calls.append(key)
+            return _racah(*key)
+
+        monkeypatch.setattr(angular, "_racah", counting_racah)
+        _j4_unitaries()
+        classes = {
+            _class_members(tj1, tm1, tj2, tm2, tJ)
+            for tj1 in range(9)
+            for tj2 in range(9)
+            for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 2, 2)
+            for tm1 in range(-tj1, tj1 + 2, 2)
+            for tm2 in range(-tj2, tj2 + 2, 2)
+            if abs(tm1 + tm2) <= tJ
+        }
+        assert len(classes) == 2081
+        # every class of the sweep is summed once, and no class twice
+        assert {_class_members(*key[:5]) for key in calls} == classes
+        assert len(calls) == len(classes)

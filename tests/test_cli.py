@@ -611,6 +611,25 @@ class TestFitCommands:
         assert (result.returncode, result.stdout) == (3, "")
         assert result.stderr == "error: fit did not converge: a Jacobian column's norm overflows\n"
 
+    def test_decay_whose_chi2_overflows_exits_three_with_one_line(self, tmp_path):
+        # in a process of its own: numpy's overflow warning would print to the real stderr
+        data = tmp_path / "overflow.csv"
+        data.write_text("delta_t_ns,g_si,sigma\n0,3.67,0.1\n500,7.80,0.1\n7500,3.34e156,0.1\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "dlczsim", "fit-decay", "--data", str(data), "--format", "json"],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("error: fitted curve's chi2 is not finite: tau = ")
+        assert result.stderr.count("\n") == 1
+
+    def test_negative_storage_time_exits_one(self, capsys, tmp_path):
+        data = tmp_path / "negative.csv"
+        data.write_text("delta_t_ns,g_si,sigma\n-2000,1.2,0.1\n-1000,1.5,0.1\n0,2.1,0.1\n1000,1.6,0.1\n")
+        code, out, err = run_cli(capsys, "fit-decay", "--data", str(data))
+        assert (code, out, err) == (1, "", "error: delta_t_ns must be >= 0\n")
+
     def test_fringe_data_whose_norm_overflows_cannot_start(self, tmp_path):
         # every weighted count is finite at theta_i = 67.5 deg too, but their sum of squares is not
         data = tmp_path / "overflow.csv"

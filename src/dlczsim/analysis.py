@@ -869,8 +869,9 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
     predictor's a0 = R cos(theta_s - psi): the form C + A cos 2theta_s +
     B sin 2theta_s, fitted by one weighted linear solve.  The fit reports
     amplitude >= 0, phase_offset in [-pi/2, pi/2) and the visibility of the
-    fitted curve's extrema.  eta must lie in [0, pi/2] and theta_i must be
-    finite; a shape flat in theta_s (R = 0) raises FitError.
+    fitted curve's extrema.  eta must lie in [0, pi/2], theta_i must be
+    finite, and a finite theta_s must double without overflow; a shape flat
+    in theta_s (R = 0) raises FitError.
     """
     if not math.isfinite(theta_i_fixed):
         raise ValueError(f"theta_i_fixed must be finite, got {theta_i_fixed}")
@@ -879,6 +880,9 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
         raise ValueError(f"need at least 4 fringe points, got {len(pts)}")
     if any(s <= 0 for _, _, s in pts):
         raise ValueError("all sigmas must be positive")
+    for k, (t, _, _) in enumerate(pts):
+        if math.isfinite(t) and not math.isfinite(2.0 * t):  # above about 9e307 rad
+            raise ValueError(f"theta_s of fringe point {k} (from 0) is too large to double, got {t!r} rad")
     theta, y, sigma = np.array(pts).T
     if theta.max() - theta.min() < math.pi / 2 - 1e-9:
         raise ValueError("fringe points must span at least half a period (pi/2)")

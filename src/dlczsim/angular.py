@@ -2,7 +2,10 @@
 
 Clebsch-Gordan coefficients are evaluated from the Racah closed form with
 exact big-integer rationals, so selection rules produce exact zeros and the
-only rounding is the final square root.  The swap and negate symmetries
+only rounding is the final square root.  A CG matrix repeats each row
+(j1, m1, j2, m2) across all of its (J, M) columns, so ``cg`` checks a row's
+arguments once per cache lifetime: a call makes two cache lookups, one for
+its row and one for its column.  The swap and negate symmetries
 (Regge 1958) give every member of a class the same square, so ``cg``
 evaluates each class's square once per cache lifetime and takes the sign
 from the phase (-1)^(j1+j2-J).  On top of that sit the branching
@@ -92,7 +95,8 @@ def _check_jm(tj: int, tm: int) -> None:
         )
 
 
-# the j <= 4 sweep has 45 distinct (j, m) pairs; 512 hold every pair up to j = 15
+# the j <= 4 sweep's columns reach J = 8, so it has 153 distinct (j, m) pairs;
+# 512 hold every pair up to j = 15
 @lru_cache(maxsize=512, typed=True)
 def _jm(j, m) -> tuple[int, int]:
     """``(2j, 2m)`` of one argument pair of ``cg``, checked by ``_check_jm``.
@@ -104,6 +108,14 @@ def _jm(j, m) -> tuple[int, int]:
     tj, tm = _doubled(j), _doubled(m)
     _check_jm(tj, tm)
     return tj, tm
+
+
+# the j <= 4 sweep has 2 025 rows and walks each row's columns in turn, its
+# largest (j1, j2) block 81 rows; 128 hold such a block
+@lru_cache(maxsize=128, typed=True)
+def _pairs(j1, m1, j2, m2) -> tuple[int, int, int, int]:
+    """``(2j1, 2m1, 2j2, 2m2)`` of a row of ``cg``: typed, and cached only when both ``_jm`` pass."""
+    return _jm(j1, m1) + _jm(j2, m2)
 
 
 def _racah(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> tuple[int, int, int]:
@@ -162,8 +174,7 @@ def cg(j1, m1, j2, m2, J, M) -> float:
     (M != m1+m2, triangle violations, |m| > j) return exactly 0.0.
     """
     try:
-        tj1, tm1 = _jm(j1, m1)
-        tj2, tm2 = _jm(j2, m2)
+        tj1, tm1, tj2, tm2 = _pairs(j1, m1, j2, m2)
         tJ, tM = _jm(J, M)
     except Exception:
         # an invalid or unhashable argument: double all six before checking

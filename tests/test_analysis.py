@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -838,6 +839,17 @@ class TestFitFringe:
         points[3] = (theta_s, points[3][1], 1.0)
         with pytest.raises(FitError, match=r"^fit cannot start: .*not finite"):
             fit_fringe(points, self.ETA, self.THETA_I)
+
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_an_angle_whose_double_overflows_and_names_it(self):
+        # 2 theta_s overflows above about 9e307 rad, and so would the span 1e308 - (-1e308)
+        scan = [(0.0, 10.0, 1.0), (1e308, 50.0, 1.0), (-1e308, 12.0, 1.0), (0.7, 48.0, 1.0), (1.4, 20.0, 1.0)]
+        with pytest.raises(ValueError, match=r"^theta_s of fringe point 1 \(from 0\) is too large to double, got 1e\+308 rad$"):
+            fit_fringe(scan, self.ETA, self.THETA_I)
+        # the largest angle that doubles is fitted, with no warning from the span or the design
+        edge = sys.float_info.max / 2
+        scan[1:3] = [(edge, 50.0, 1.0), (-edge, 12.0, 1.0)]
+        assert math.isfinite(fit_fringe(scan, self.ETA, self.THETA_I).chi2)
 
     def test_refuses_points_a_quarter_turn_apart(self):
         # sin(2 theta_s) vanishes at 0, 90, 180 and 270 degrees: its coefficient is free

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dlczsim import angular
@@ -21,7 +21,7 @@ from dlczsim.angular import (
     mixing_cos_sq,
     projections,
 )
-from dlczsim.angular import _check_jm, _class_cg, _doubled, _jm, _racah
+from dlczsim.angular import _check_jm, _class_cg, _doubled, _jm, _pairs, _racah
 
 # ---------------------------------------------------------------------------
 # Oracle: couple two spins by explicit matrix algebra (build J^2 on the
@@ -140,10 +140,15 @@ class TestCGSelectionRules:
         # j=1 with m=1/2 is malformed rather than merely forbidden
         with pytest.raises(ValueError):
             cg(1, 0.5, 1, 0.5, 2, 1)
+        # the message gives the pair's values, not their doubles
+        with pytest.raises(ValueError, match=r"^projection 1\.0 is not an integer step away from j=1\.5$"):
+            cg(1.5, 1, 1, 0, 1.5, 1)
 
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError):
             cg(-1, 0, 1, 0, 1, 0)
+        with pytest.raises(ValueError, match=r"^total angular momentum must be >= 0, got -1\.5$"):
+            cg(1, 0, 1, 0, -1.5, 0.5)
 
 
 class TestCGOrthogonality:
@@ -209,6 +214,7 @@ class TestHalfInt:
     def test_arithmetic(self):
         assert str(HalfInt.of(1.5)) == "3/2"
         assert str(HalfInt.of(2)) == "2"
+        assert [HalfInt(t).value for t in (-3, 0, 1, 4)] == [-1.5, 0.0, 0.5, 2.0]
 
     def test_ordering(self):
         assert HalfInt.of(0.5) < HalfInt.of(1)
@@ -238,6 +244,7 @@ class TestLevelScheme:
 
     def test_f_bounded_by_max_f(self):
         LevelScheme.of(100, 99, 100)  # valid, must not raise
+        LevelScheme.of(0, 1, 1)  # so is F = 0, the other end of the range
         for bad in (100.5, 101, 1e300):
             with pytest.raises(ValueError, match=r"f_c must lie in \[0, 100\]"):
                 LevelScheme.of(1, 1, bad)
@@ -304,6 +311,14 @@ class TestMixingAngle:
                 sums[alpha] += x * x
         cos_sq = sums[-1] / (sums[-1] + sums[+1])
         np.testing.assert_allclose(float(mixing_cos_sq(LevelScheme.of(3, 2, 3))), cos_sq, rtol=1e-12)
+
+    def test_a_table_without_paths_has_no_angle(self, monkeypatch):
+        # no scheme with every F <= 10 sums to zero, so the guard is reached through an empty table
+        scheme = LevelScheme.of(3, 2, 3)
+        empty = BranchingTable(scheme=scheme, entries={}, signed_squares={})
+        monkeypatch.setattr(angular, "branching_table", lambda _: empty)
+        with pytest.raises(ValueError, match="has no allowed two-photon path; mixing angle undefined$"):
+            mixing_cos_sq(scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +456,21 @@ class TestRacahSum:
                         expected = sign * math.sqrt(float(Fraction(num, den))) if sign else 0.0
                         assert cg(*map(HalfInt, key)).hex() == expected.hex(), key
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (2, 0, 2, 0, 6, 0),  # J above j1 + j2
+            (4, 0, 0, 0, 2, 0),  # J below |j1 - j2|
+            (2, 0, 1, 1, 2, 1),  # j1 + j2 + J not an integer
+            (2, 4, 2, -2, 2, 2),  # |m1| > j1
+            (2, -2, 2, 4, 2, 2),  # |m2| > j2
+            (2, 2, 2, 2, 2, 4),  # |M| > J
+            (2, 0, 2, 0, 2, 0),  # allowed, but the Racah sum vanishes: <1 0; 1 0 | 1 0> = 0
+        ],
+    )
+    def test_zero_couplings_come_back_as_0_0_1(self, key):
+        assert _racah(*key) == (0, 0, 1)
+
     def test_projection_mismatch_skips_the_racah_sum(self, monkeypatch):
         _clear_module_caches()  # else a class cached by an earlier test would hide the call below
         calls = []
@@ -541,6 +571,11 @@ def _couplings(draw):
 class TestArgumentCache:
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(st.tuples(*[_CG_ARGUMENT] * 6), _couplings()))
+    @example(args=(1, 0, 1, 0, 1, 0.5))  # a valid row, a bad (J, M)
+    @example(args=(1, 0, 1, 0, [1], 0))  # a valid row, an unhashable J
+    @example(args=(1, 0.5, 1, 0, 1, 0))  # a bad row, a valid (J, M)
+    @example(args=(1, 0, [1], 0, 1, 0))  # an unhashable row argument
+    @example(args=(1, 0.5, [1], 0, 1, 0))  # both: the list is doubled, and refused, first
     def test_same_outcome_as_the_uncached_arguments(self, args):
         try:
             doubled = list(map(_doubled, args))
@@ -566,16 +601,34 @@ class TestArgumentCache:
         assert _class_cg.cache_info().currsize == 0
         assert cg(1, 0, 1, 0, 2, 0) == cg(1.0, 0.0, 1, 0, 2.0, 0.0)
         assert _jm.cache_info().currsize == 4  # (1, 0), (2, 0), (1.0, 0.0), (2.0, 0.0)
+        assert _pairs.cache_info().currsize == 2  # the rows (1, 0, 1, 0) and (1.0, 0.0, 1, 0)
         assert _class_cg.cache_info().currsize == 1  # both are one coupling
 
     def test_failures_are_not_cached(self):
-        _jm.cache_clear()
+        _clear_module_caches()
         for _ in range(2):
             with pytest.raises(ValueError, match="not an integer step away"):
                 cg(1, 0.5, 1, 0.5, 2, 1)
             with pytest.raises(TypeError):
                 cg(1, 0, [1], 0, 1, 0)
+        # the list cannot be hashed, so that row fails in _pairs before _jm(1, 0) is called
+        assert _jm.cache_info().currsize == 0
+        assert _pairs.cache_info().currsize == 0
+        # a row whose second pair fails keeps its valid first pair, and not the row
+        with pytest.raises(ValueError, match="not an integer step away"):
+            cg(1, 0, 1, 0.5, 2, 0.5)
         assert _jm.cache_info().currsize == 1  # the valid pair (1, 0) alone
+        assert _pairs.cache_info().currsize == 0
+
+    def test_cold_sweep_checks_each_row_once(self):
+        _clear_module_caches()
+        _j4_unitaries()
+        # a row repeats across its columns, so it misses once: sum over j1, j2 <= 4 of (2j1+1)(2j2+1)
+        rows = _pairs.cache_info()
+        assert (rows.misses, rows.hits) == (45 * 45, 81225 - 45 * 45)
+        # every (j, m) with j <= 8 as (float, np.float64), checked once each
+        pairs = _jm.cache_info()
+        assert pairs.currsize == pairs.misses == sum(tj + 1 for tj in range(17)) == 153
 
 
 # ---------------------------------------------------------------------------

@@ -870,8 +870,8 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
     B sin 2theta_s, fitted by one weighted linear solve.  The fit reports
     amplitude >= 0, phase_offset in [-pi/2, pi/2) and the visibility of the
     fitted curve's extrema.  eta must lie in [0, pi/2], theta_i must be
-    finite, and a finite theta_s must double without overflow; a shape flat
-    in theta_s (R = 0) raises FitError.
+    finite, and theta_s must be finite and double without overflow; a
+    non-finite theta_s or a shape flat in theta_s (R = 0) raises FitError.
     """
     if not math.isfinite(theta_i_fixed):
         raise ValueError(f"theta_i_fixed must be finite, got {theta_i_fixed}")
@@ -881,7 +881,9 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
     if any(s <= 0 for _, _, s in pts):
         raise ValueError("all sigmas must be positive")
     for k, (t, _, _) in enumerate(pts):
-        if math.isfinite(t) and not math.isfinite(2.0 * t):  # above about 9e307 rad
+        if not math.isfinite(t):
+            raise FitError(f"fit cannot start: theta_s of fringe point {k} (from 0) is not finite, got {t!r} rad")
+        if not math.isfinite(2.0 * t):  # above about 9e307 rad
             raise ValueError(f"theta_s of fringe point {k} (from 0) is too large to double, got {t!r} rad")
     theta, y, sigma = np.array(pts).T
     if theta.max() - theta.min() < math.pi / 2 - 1e-9:
@@ -895,7 +897,7 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
         squares = np.sum(design * design) + wy @ wy
     if not math.isfinite(squares):
         raise FitError("fit cannot start: the weighted data's sum of squares is not finite")
-    r2 = a0 * a0 + a2 * a2
+    r2 = float(a0 * a0 + a2 * a2)
     if r2 <= np.finfo(float).eps:
         raise FitError(
             f"fringe shape is flat at eta = {eta_fixed:.6g},"

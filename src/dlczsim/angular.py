@@ -5,10 +5,13 @@ exact big-integer rationals, so selection rules produce exact zeros and the
 only rounding is the final square root.  A CG matrix repeats each row
 (j1, m1, j2, m2) across all of its (J, M) columns, so ``cg`` checks a row's
 arguments once per cache lifetime: a call makes two cache lookups, one for
-its row and one for its column.  The swap and negate symmetries
-(Regge 1958) give every member of a class the same square, so ``cg``
-evaluates each class's square once per cache lifetime and takes the sign
-from the phase (-1)^(j1+j2-J).  On top of that sit the branching
+its row and one for its column.  A call whose row arguments are the very
+objects of the row checked last, as in a sweep that walks each row's
+columns in turn, takes that row's doubles and makes one lookup; any other
+call makes the two and pays a little more to keep its row.  The swap and
+negate symmetries (Regge 1958) give every member of a class the same
+square, so ``cg`` evaluates each class's square once per cache lifetime and
+takes the sign from the phase (-1)^(j1+j2-J).  On top of that sit the branching
 amplitudes of a three-level (ground a, excited c, ground b) Raman scheme
 driven by right-circular light, and the mixing angle that those amplitudes
 induce between the two scattered-photon helicities.
@@ -111,7 +114,9 @@ def _jm(j, m) -> tuple[int, int]:
 
 
 # the j <= 4 sweep has 2 025 rows and walks each row's columns in turn, its
-# largest (j1, j2) block 81 rows; 128 hold such a block
+# largest (j1, j2) block 81 rows; 128 hold such a block.  A row that cg's
+# last-row test misses, as in a column-major sweep or one that passes new but
+# equal objects, is answered here in one lookup rather than two of _jm
 @lru_cache(maxsize=128, typed=True)
 def _pairs(j1, m1, j2, m2) -> tuple[int, int, int, int]:
     """``(2j1, 2m1, 2j2, 2m2)`` of a row of ``cg``: typed, and cached only when both ``_jm`` pass."""
@@ -167,14 +172,28 @@ def _racah(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> tuple[in
     )
 
 
+# (j1, m1, j2, m2, their doubles) of the last row that _pairs accepted; no
+# argument is the object() that stands in before the first row
+_NO_ROW = (object(),) * 4 + (None,)
+_last_row = _NO_ROW
+
+
 def cg(j1, m1, j2, m2, J, M) -> float:
     """Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M> (Condon-Shortley).
 
     Arguments may be ints, floats, Fractions or HalfInt.  Invalid couplings
-    (M != m1+m2, triangle violations, |m| > j) return exactly 0.0.
+    (M != m1+m2, triangle violations, |m| > j) return exactly 0.0.  A call
+    whose (j1, m1, j2, m2) are the objects of the row checked last takes
+    that row's doubles.
     """
+    global _last_row
+    row = _last_row  # read once: another thread may rebind it
+    # the same objects have the same types and values, so the row's check holds;
+    # m2 changes fastest in a row-major sweep, so a new row fails at the first test
+    same_row = m2 is row[3] and m1 is row[1] and j2 is row[2] and j1 is row[0]
     try:
-        tj1, tm1, tj2, tm2 = _pairs(j1, m1, j2, m2)
+        if not same_row:
+            row = _last_row = (j1, m1, j2, m2, _pairs(j1, m1, j2, m2))
         tJ, tM = _jm(J, M)
     except Exception:
         # an invalid or unhashable argument: double all six before checking
@@ -183,6 +202,8 @@ def cg(j1, m1, j2, m2, J, M) -> float:
         _check_jm(tj1, tm1)
         _check_jm(tj2, tm2)
         _check_jm(tJ, tM)
+    else:
+        tj1, tm1, tj2, tm2 = row[4]
     if tM != tm1 + tm2:
         return 0.0  # most of any sweep: the symmetry class and its cache are skipped
     # Swapping (j1, m1) with (j2, m2), and negating m1, m2 and M, each multiply
@@ -202,6 +223,17 @@ def cg(j1, m1, j2, m2, J, M) -> float:
     value = _class_cg(tj1, tm1, tj2, tm2, tJ)
     # nonzero values only, so that no 0.0 turns into -0.0
     return -value if flipped and (tj1 + tj2 - tJ) % 4 and value else value
+
+
+def _forget_last_row() -> None:
+    """Drop the row ``cg`` kept, as a fresh process has none."""
+    global _last_row
+    _last_row = _NO_ROW
+
+
+# not API: the loops that empty the module's caches for the tests and the benchmark
+# call every cache_clear they find, and so forget the row as well
+cg.cache_clear = _forget_last_row
 
 
 # the j <= 4 sweep has 2 081 swap/negate classes with M = m1 + m2; 4096 hold them all

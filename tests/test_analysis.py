@@ -841,6 +841,24 @@ class TestFitFringe:
             fit_fringe(points, self.ETA, self.THETA_I)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta_s, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_a_non_finite_signal_angle_is_named_with_its_point(self, theta_s, shown):
+        points = self.generate(100.0, 0.0, 0.0)
+        points[3] = (theta_s, points[3][1], 1.0)
+        message = rf"^fit cannot start: theta_s of fringe point 3 \(from 0\) is not finite, got {shown} rad$"
+        with pytest.raises(FitError, match=message):
+            fit_fringe(points, self.ETA, self.THETA_I)
+
+    @pytest.mark.parametrize("edge", [None, sys.float_info.max / 2])
+    def test_every_scalar_field_is_a_builtin_float(self, edge):
+        scan = self.generate(200.0, 11.0, math.radians(4.0))
+        if edge is not None:
+            scan[1:3] = [(edge, 50.0, 1.0), (-edge, 12.0, 1.0)]
+        fit = fit_fringe(scan, self.ETA, self.THETA_I)
+        for name in ("amplitude", "background", "phase_offset", "visibility", "chi2"):
+            assert type(getattr(fit, name)) is float, name
+
+    @pytest.mark.filterwarnings("error")
     def test_refuses_an_angle_whose_double_overflows_and_names_it(self):
         # 2 theta_s overflows above about 9e307 rad, and so would the span 1e308 - (-1e308)
         scan = [(0.0, 10.0, 1.0), (1e308, 50.0, 1.0), (-1e308, 12.0, 1.0), (0.7, 48.0, 1.0), (1.4, 20.0, 1.0)]

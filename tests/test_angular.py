@@ -3,6 +3,9 @@
 import hashlib
 import math
 import struct
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -414,22 +417,32 @@ def _clear_module_caches():
             clear()
 
 
+def _j4_unitary(tj1, tj2):
+    """The CG unitary of one (j1, j2) block, built row by row from floats as a user would."""
+    j1, j2 = tj1 / 2.0, tj2 / 2.0
+    m_pairs = [(m1, m2) for m1 in np.arange(-j1, j1 + 1) for m2 in np.arange(-j2, j2 + 1)]
+    coupled = [
+        (tjt / 2.0, mt)
+        for tjt in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+        for mt in np.arange(-tjt / 2.0, tjt / 2.0 + 1)
+    ]
+    return np.array([[cg(j1, m1, j2, m2, jt, mt) for jt, mt in coupled] for m1, m2 in m_pairs])
+
+
+# the (2j1, 2j2) of every block with j1, j2 <= 4, in the order the pinned digest reads them
+_J4_BLOCKS = [(tj1, tj2) for tj1 in range(9) for tj2 in range(9)]
+
+
 def _j4_unitaries():
     """The CG unitary of every j1, j2 <= 4, built from floats as a user would."""
-    unitaries = []
-    for tj1 in range(9):
-        for tj2 in range(9):
-            j1, j2 = tj1 / 2.0, tj2 / 2.0
-            m_pairs = [(m1, m2) for m1 in np.arange(-j1, j1 + 1) for m2 in np.arange(-j2, j2 + 1)]
-            coupled = [
-                (tjt / 2.0, mt)
-                for tjt in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-                for mt in np.arange(-tjt / 2.0, tjt / 2.0 + 1)
-            ]
-            unitaries.append(
-                np.array([[cg(j1, m1, j2, m2, jt, mt) for jt, mt in coupled] for m1, m2 in m_pairs])
-            )
-    return unitaries
+    return [_j4_unitary(tj1, tj2) for tj1, tj2 in _J4_BLOCKS]
+
+
+def _j4_digest(unitaries):
+    digest = hashlib.sha256()
+    for unitary in unitaries:
+        digest.update(unitary.tobytes())
+    return digest.hexdigest()
 
 
 class TestRacahSum:
@@ -489,10 +502,7 @@ class TestRacahSum:
 
     def test_sweep_and_eta_bytes_are_pinned(self):
         """The j <= 4 unitaries, built from floats as a user would, and eta."""
-        digest = hashlib.sha256()
-        for unitary in _j4_unitaries():
-            digest.update(unitary.tobytes())
-        assert digest.hexdigest() == (
+        assert _j4_digest(_j4_unitaries()) == (
             "60b9967277c5aa0e4dfb2038338094a76fe27347b2f902078017c97f592ecb6e"
         )
         assert repr(mixing_angle(LevelScheme.of(3, 2, 3))) == "0.6361320628050101"
@@ -620,15 +630,145 @@ class TestArgumentCache:
         assert _jm.cache_info().currsize == 1  # the valid pair (1, 0) alone
         assert _pairs.cache_info().currsize == 0
 
-    def test_cold_sweep_checks_each_row_once(self):
+    def test_cold_sweep_checks_each_row_once(self, monkeypatch):
         _clear_module_caches()
+        doublings = []
+
+        def counting_doubled(value):
+            doublings.append(value)
+            return _doubled(value)
+
+        monkeypatch.setattr(angular, "_doubled", counting_doubled)
         _j4_unitaries()
-        # a row repeats across its columns, so it misses once: sum over j1, j2 <= 4 of (2j1+1)(2j2+1)
+        # a row's columns pass the same objects, so each row is looked up once, at its first
+        # column, and misses: sum over j1, j2 <= 4 of (2j1+1)(2j2+1); its other columns take
+        # the row checked last
         rows = _pairs.cache_info()
-        assert (rows.misses, rows.hits) == (45 * 45, 81225 - 45 * 45)
+        assert (rows.misses, rows.hits) == (45 * 45, 0)
         # every (j, m) with j <= 8 as (float, np.float64), checked once each
         pairs = _jm.cache_info()
         assert pairs.currsize == pairs.misses == sum(tj + 1 for tj in range(17)) == 153
+        # two doublings per (j, m) miss and none more: no call falls back to the uncached path
+        assert len(doublings) == 2 * 153
+
+
+# ---------------------------------------------------------------------------
+# The row cg checked last
+# ---------------------------------------------------------------------------
+
+
+def _threaded_build(blocks, n_threads):
+    """The blocks' unitaries from threads at once, thread k building every n-th block from k.
+
+    The caches start empty and the threads switch every microsecond, so that
+    the rows of one interleave with the rows of the others.
+    """
+    _clear_module_caches()
+    unitaries = [None] * len(blocks)
+    start = threading.Barrier(n_threads)
+
+    def build(first):
+        start.wait(timeout=60)
+        for index in range(first, len(blocks), n_threads):
+            unitaries[index] = _j4_unitary(*blocks[index])
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(first,)) for first in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    return unitaries
+
+
+# a valid row and column, <1/2 1/2; 1 0 | 3/2 1/2>
+_ROW_BASE = (0.5, 0.5, 1.0, 0.0, 1.5, 0.5)
+
+
+class TestLastRow:
+    def test_a_repeated_row_skips_the_row_cache(self):
+        _clear_module_caches()
+        expected = _cg_outcome(_uncached_cg, _ROW_BASE)
+        assert _cg_outcome(cg, _ROW_BASE) == expected
+        rows = _pairs.cache_info()
+        assert _cg_outcome(cg, _ROW_BASE) == expected
+        assert _pairs.cache_info() == rows
+        # equal values in other objects are looked up, and hit the row cache
+        assert _cg_outcome(cg, tuple(map(float, map(str, _ROW_BASE)))) == expected
+        assert _pairs.cache_info().hits == rows.hits + 1
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize(
+        "retype",
+        [complex, np.float32, np.float64, Fraction, lambda v: HalfInt(int(2 * v)), str],
+        ids=["complex", "float32", "float64", "Fraction", "HalfInt", "str"],
+    )
+    def test_the_same_number_in_another_type_is_checked_anew(self, position, retype):
+        args = list(_ROW_BASE)
+        args[position] = retype(args[position])
+        expected = _cg_outcome(_uncached_cg, args)
+        cg(*_ROW_BASE)  # the row kept
+        assert _cg_outcome(cg, args) == expected
+        cg(*_ROW_BASE)
+        assert _cg_outcome(cg, args) == expected
+
+    @pytest.mark.parametrize(
+        "column",
+        [(1.5, 0.25), (-1.5, 0.5), (1.5, 1.5 + 1j), ([1.5], 0.5), (1.5, np.array(0.5)), ("x", 0.5)],
+        ids=["half-step", "negative-j", "complex", "list", "array", "text"],
+    )
+    def test_a_bad_column_after_a_kept_row_raises_as_uncached(self, column):
+        args = _ROW_BASE[:4] + column
+        expected = _cg_outcome(_uncached_cg, args)
+        assert expected[0] == "raises"
+        cg(*_ROW_BASE)
+        assert _cg_outcome(cg, args) == expected
+        # the row is still valid, and its next column is answered from it
+        assert _cg_outcome(cg, _ROW_BASE) == _cg_outcome(_uncached_cg, _ROW_BASE)
+
+    def test_rows_of_shared_objects_in_any_order_match_the_uncached_outcome(self):
+        # the same int objects fill every position, so a row read from the wrong
+        # position of the kept one would be taken for another row
+        _clear_module_caches()
+        values = (0, 1, 2, -1)
+        rows = [(j1, m1, j2, m2) for j1 in values for m1 in values for j2 in values for m2 in values]
+        for order in (rows, rows[::-1], rows[::7] + rows[3::5]):
+            for row in order:
+                for column in ((1, row[1] + row[3]), (2, row[1] + row[3]), (1, 0)):
+                    args = row + column
+                    assert _cg_outcome(cg, args) == _cg_outcome(_uncached_cg, args), args
+
+    def test_threads_switching_inside_every_call_give_the_serial_bytes(self, monkeypatch):
+        # blocks with j1, j2 <= 2, 3 025 of the sweep's 81 225 calls, since every call now sleeps
+        blocks = [(tj1, tj2) for tj1, tj2 in _J4_BLOCKS if tj1 <= 4 and tj2 <= 4]
+        expected = _j4_digest([_j4_unitary(*block) for block in blocks])
+        jm = angular._jm
+
+        def yielding_jm(j, m):
+            # a column lookup that gives up the GIL lets another thread run, and keep
+            # rows of its own, between the row a call reads and the row it uses
+            time.sleep(0)
+            return jm(j, m)
+
+        monkeypatch.setattr(angular, "_jm", yielding_jm)
+        # three threads: more threads than a two-core host has cores
+        for _ in range(2):
+            assert _j4_digest(_threaded_build(blocks, n_threads=3)) == expected
+
+    def test_clearing_the_module_caches_forgets_the_row(self):
+        cg(1, 0, 1, 0, 2, 0)
+        _clear_module_caches()
+        # small ints are shared objects, so a kept row would answer this call
+        cg(1, 0, 1, 0, 2, 0)
+        rows = _pairs.cache_info()
+        assert (rows.misses, rows.hits) == (1, 0)
+        cg(1, 0, 1, 0, 2, 0)
+        assert _pairs.cache_info() == rows
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,16 @@ class TestCoincidenceRate:
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
             FringeModel(**kwargs)
 
+    @pytest.mark.parametrize("amplitude, background", [(0.0, 0.0), (0.5, 0.5), (5e-324, 0.0), (0.0, 5e-324)])
+    def test_zero_and_small_values_are_accepted(self, amplitude, background):
+        model = FringeModel(ETA_ALKALI, amplitude, background)
+        assert (model.amplitude, model.background) == (amplitude, background)
+
+    @pytest.mark.parametrize("amplitude, background", [(-5e-324, 0.0), (0.0, -5e-324), (-1.0, 1.0)])
+    def test_negative_values_are_refused(self, amplitude, background):
+        with pytest.raises(ValueError, match="^amplitude and background must be non-negative$"):
+            FringeModel(ETA_ALKALI, amplitude, background)
+
 
 class TestCorrelationE:
     def test_perfect_correlation(self):
@@ -125,6 +135,21 @@ class TestCorrelationE:
         np.testing.assert_allclose(sigma, es.std(), rtol=0.05)
 
 
+    @pytest.mark.parametrize("quartet, e", [((1, 0, 0, 0), 1.0), ((0, 0, 0, 1), -1.0), ((0, 0.5, 0.5, 0), 0.0)])
+    def test_a_total_of_one_or_less_is_counted(self, quartet, e):
+        assert correlation_e(CountQuartet(*quartet))[0] == e
+
+    @pytest.mark.parametrize("quartet", [(520, 480, 130, 90), (30, 20, 10, 5), (1, 2, 3, 4), (7.5, 0.25, 40, 0)])
+    def test_sigma_is_the_closed_form(self, quartet):
+        # with P = co + co_perp and M = cross_s + cross_i over T = P + M, the
+        # propagated variance (1 - E)^2 P / T^2 + (1 + E)^2 M / T^2 is 4 P M / T^3
+        co, co_perp, cross_s, cross_i = quartet
+        plus, minus = co + co_perp, cross_s + cross_i
+        total = plus + minus
+        _, sigma = correlation_e(CountQuartet(*quartet))
+        assert sigma == pytest.approx(2.0 * math.sqrt(plus * minus / total**3), rel=1e-12)
+
+
 class TestCHSHSum:
     def test_reference_quartet(self):
         """Four measured E values combine to S = 2.294 +/- 0.054."""
@@ -142,6 +167,17 @@ class TestCHSHSum:
             chsh_s([(0.5, 0.01)] * 3)
         with pytest.raises(ValueError):
             chsh_s([(1.5, 0.01)] + [(0.5, 0.01)] * 3)
+
+
+    @pytest.mark.parametrize("e", [-1.0, 1.0, 1.0 + 1e-12])
+    def test_the_range_includes_both_edges(self, e):
+        result = chsh_s([(e, 0.01)] + [(0.5, 0.01)] * 3)
+        assert result.e_values[0] == (e, 0.01)
+
+    @pytest.mark.parametrize("e", [math.nextafter(-1.0, -2.0), math.nextafter(1.0 + 1e-12, 2.0), -1.00005, 1.00005])
+    def test_the_range_ends_at_both_edges(self, e):
+        with pytest.raises(ValueError, match=r"^correlation .* outside \[-1, 1\]$"):
+            chsh_s([(0.5, 0.01)] * 3 + [(e, 0.01)])
 
 
 class TestIdealS:
@@ -167,6 +203,21 @@ class TestIdealS:
             np.testing.assert_allclose(
                 predict_ideal_s(eta), predict_ideal_s(math.pi / 2 - eta), atol=1e-12
             )
+
+    @pytest.mark.parametrize("angles", [(10.0, 20.0, 50.0, -30.0), (0.0, 15.0, 70.0, -40.0), (-35.0, 5.0, 12.5, 80.0)])
+    def test_general_angles_sum_the_four_terms_of_s(self, angles):
+        # at these angles no two of E(a, b), E(a', b), E(a, b') and E(a', b') are equal
+        def e_closed_form(eta, ts, ti):
+            k = math.sin(2 * eta)
+            d, s = math.radians(ts - ti), math.radians(ts + ti)
+            return ((1 + k) * math.cos(2 * d) + (1 - k) * math.cos(2 * s)) / 2
+
+        ts, ti, tsp, tip = angles
+        for eta in (0.0, 0.4, ETA_ALKALI, math.pi / 4):
+            es = [e_closed_form(eta, a, b) for a, b in ((ts, ti), (tsp, ti), (ts, tip), (tsp, tip))]
+            assert len({round(e, 9) for e in es}) == 4
+            expected = es[0] + es[1] + es[2] - es[3]
+            np.testing.assert_allclose(predict_ideal_s(eta, angles), expected, atol=1e-12)
 
     def test_correlation_closed_form(self):
         """E(theta_s, theta_i) = [(1+sin 2eta)cos 2D + (1-sin 2eta)cos 2S]/2."""
@@ -341,6 +392,6 @@ class TestConcurrence:
                 concurrence(eta, 1.0)
 
     def test_visibility_out_of_range(self):
-        for v in (-0.1, 1.2, math.nan):
+        for v in (-0.1, 1.2, math.nan, math.nextafter(1.0, 2.0), 1.0001, -5e-324):
             with pytest.raises(ValueError, match=r"^visibility must lie in \[0, 1\], got "):
                 concurrence(math.pi / 4, v)

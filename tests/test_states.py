@@ -160,6 +160,16 @@ class TestNormalizedMode:
                 with pytest.raises(ValueError, match=rf"the ensemble has \({f_a}, {f_b}\)$"):
                     mode_vacuum_overlap(model, table, a1, a2)
 
+    def test_a_helicity_without_a_path_is_refused(self):
+        # F_a = F_b = 0 through F_c = 1: the right-circular drive reaches m_c = +1,
+        # which decays to m_b = 0 by helicity -1 alone
+        scheme = LevelScheme.of(0, 0, 1)
+        model = EnsembleModel.with_random_positions(3, 0, 0)
+        table = branching_table(scheme)
+        with pytest.raises(ValueError, match="^no allowed transition for helicity 1$"):
+            mode_vacuum_overlap(model, table, 1, 1)
+        assert mode_vacuum_overlap(model, table, -1, -1) == 1 + 0j
+
     @pytest.mark.parametrize("n_atoms", [1, 4, 13])
     def test_positions_drop_out_of_the_overlap(self, table, n_atoms):
         at_origin = EnsembleModel(

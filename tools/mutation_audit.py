@@ -2,8 +2,9 @@
 
 Each mutant changes one site of the module's syntax tree:
 
-- a comparison flipped at its boundary (< and <=, > and >=, == and !=);
-- + swapped with - in a binary operation;
+- a comparison flipped at its boundary (< and <=, > and >=, == and !=), or
+  an identity test negated (is and is not);
+- + swapped with - in a binary operation, and `and` with `or`;
 - an int constant raised by 1, or a float constant scaled by 1.0001
   (0.0 becomes 1e-4).
 
@@ -22,16 +23,18 @@ repository, so the repository is never written to.
     python tools/mutation_audit.py src/dlczsim/angular.py --workdir /tmp/mutants
     python tools/mutation_audit.py src/dlczsim/angular.py --list
 
+``--list`` builds each mutant's source and compiles it, and runs no test
+(about 25 s for every module of the package on a 2-core host).
+
 Tier-1 does not run this script.  A caught mutant takes a few seconds and a
-survivor the whole selected run (about 25 s for angular.py, whose 141
-mutants took about 10 minutes on a 2-core host).
+survivor the whole selected run (about 25 s for angular.py, whose 157
+mutants take some 10 to 15 minutes on a 2-core host).
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import copy
 import os
 import shutil
 import subprocess
@@ -45,8 +48,16 @@ ROOT = Path(__file__).resolve().parent.parent
 # about 25 s for angular.py on a 2-core host
 _TIMEOUT_S = 600
 
-_FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
-_SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-"}
+_FLIPS = {
+    ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+}
+# the operator nodes swapped in a BinOp or a BoolOp
+_SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.And: ast.Or, ast.Or: ast.And}
+_SYMBOLS = {
+    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+    ast.Is: "is", ast.IsNot: "is not", ast.Add: "+", ast.Sub: "-", ast.And: "and", ast.Or: "or",
+}
 
 
 def _nudged(value):
@@ -58,8 +69,8 @@ def _nudged(value):
 def mutation_sites(tree: ast.Module) -> list[tuple[int, str, object]]:
     """(line, description, site) of every mutation, by line.
 
-    ``site`` is (node index in the walk, what to change), so that a deep copy
-    of the tree, walked the same way, can apply it.
+    ``site`` is (node index in the walk, what to change), so that a fresh
+    parse of the same source, walked the same way, can apply it.
     """
     sites = []
     for index, node in enumerate(ast.walk(tree)):
@@ -68,9 +79,9 @@ def mutation_sites(tree: ast.Module) -> list[tuple[int, str, object]]:
                 if type(op) in _FLIPS:
                     new = _FLIPS[type(op)]
                     sites.append((node.lineno, f"{_SYMBOLS[type(op)]} -> {_SYMBOLS[new]}", (index, ("op", k, new))))
-        elif isinstance(node, ast.BinOp) and type(node.op) in (ast.Add, ast.Sub):
-            new = ast.Sub if isinstance(node.op, ast.Add) else ast.Add
-            sites.append((node.lineno, f"{_SYMBOLS[type(node.op)]} -> {_SYMBOLS[new]}", (index, ("binop", new))))
+        elif isinstance(node, (ast.BinOp, ast.BoolOp)) and type(node.op) in _SWAPS:
+            new = _SWAPS[type(node.op)]
+            sites.append((node.lineno, f"{_SYMBOLS[type(node.op)]} -> {_SYMBOLS[new]}", (index, ("operator", new))))
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, (int, float))
@@ -81,13 +92,14 @@ def mutation_sites(tree: ast.Module) -> list[tuple[int, str, object]]:
     return sorted(sites, key=lambda s: (s[0], s[2][0]))
 
 
-def mutant_source(tree: ast.Module, site) -> str:
+def mutant_source(source: str, site) -> str:
     index, (kind, *change) = site
-    mutant = copy.deepcopy(tree)
+    # a fresh parse numbers its nodes as mutation_sites saw them, in a third of a deep copy's time
+    mutant = ast.parse(source)
     node = next(n for i, n in enumerate(ast.walk(mutant)) if i == index)
     if kind == "op":
         node.ops[change[0]] = change[1]()
-    elif kind == "binop":
+    elif kind == "operator":
         node.op = change[0]()
     else:
         node.value = change[0]
@@ -115,16 +127,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="path of the module under src/, e.g. src/dlczsim/angular.py")
     parser.add_argument("--workdir", help="where the mutated copies go (default: a new temporary directory)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and run nothing")
+    parser.add_argument("--list", action="store_true", help="build, compile and list the mutants, and run nothing")
     args = parser.parse_args(argv)
 
     module = Path(args.module).resolve()
     relative = module.relative_to(ROOT / "src")
     module_name = ".".join(relative.with_suffix("").parts)
-    tree = ast.parse(module.read_text(encoding="utf-8"))
-    sites = mutation_sites(tree)
+    source = module.read_text(encoding="utf-8")
+    sites = mutation_sites(ast.parse(source))
     if args.list:
-        for number, (line, description, _) in enumerate(sites):
+        unmutated = ast.unparse(ast.parse(source)) + "\n"
+        for number, (line, description, site) in enumerate(sites):
+            mutant = mutant_source(source, site)
+            if mutant == unmutated:
+                raise SystemExit(f"mutant {number} (line {line}: {description}) changes nothing")
+            compile(mutant, str(module), "exec")
             print(f"{number:4d}  line {line}: {description}")
         return 0
 
@@ -156,14 +173,14 @@ def main(argv=None) -> int:
         return 2
     survivors, errors = [], []
     for number, (line, description, site) in enumerate(sites):
-        target.write_text(mutant_source(tree, site), encoding="utf-8")
+        target.write_text(mutant_source(source, site), encoding="utf-8")
         outcome = run_tests()
         print(f"{number:4d}  line {line}: {description:24s} {outcome}", flush=True)
         if outcome == "survived":
             survivors.append(number)
         elif outcome.startswith("error"):
             errors.append(number)
-    target.write_text(module.read_text(encoding="utf-8"), encoding="utf-8")
+    target.write_text(source, encoding="utf-8")
     print(f"{len(survivors)} of {len(sites)} survived: {','.join(map(str, survivors)) or 'none'}")
     if errors:
         print(f"{len(errors)} ended in an error: {','.join(map(str, errors))}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +113,9 @@ class DecayPoint:
     sigma: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.delta_t_ns < 0:
             raise ValueError("delta_t_ns must be >= 0")
         if self.g_si < 0:
@@ -731,133 +733,9 @@ def chsh_from_log(log: EventLog, angles_deg=CANONICAL_ANGLES_DEG) -> CHSHResult:
 # ---------------------------------------------------------------------------
 
 
-_TINY = np.finfo(float).tiny  # MINPACK's dwarf: the smallest positive normal double
-_TOL = 1e-8  # ftol, xtol and gtol, as scipy's least_squares defaults them
-_MAX_NFEV = 2000
-
-
-class _LeastSquares(NamedTuple):
-    x: np.ndarray  # the fitted parameters
-    fun: np.ndarray  # the residuals at x
-    jac: np.ndarray  # the Jacobian at x
-
-
-def _lm_coefficients(s, c, delta, par):
-    """MINPACK's ``lmpar`` on the SVD of the scaled Jacobian, in its right singular basis.
-
-    ``s`` are the singular values and ``c`` the residuals on the left singular
-    vectors.  Returns the step's coefficients and the damping ``par``: the
-    Gauss-Newton step (par = 0) if its length is within 1.1 * delta, else the
-    damped step whose length is within 10 % of delta, found by at most ten
-    safeguarded Newton steps on 1/length - 1/delta (Moré 1978, section 5).
-    """
-
-    def step(par):  # s c / (s**2 + par), where a tiny s would underflow s**2
-        return np.divide(c, s + par / s, out=np.zeros_like(s), where=s > 0), s * s + par
-
-    def correction(k, den, fp):  # the Newton step on 1/length - 1/delta, scaled so k @ k cannot overflow
-        return fp / delta / np.sum((k / math.hypot(*k)) ** 2 / den)
-
-    k, den = step(0.0)
-    length = math.hypot(*k)
-    fp = length - delta
-    if fp <= 0.1 * delta:
-        return k, 0.0
-    parl = correction(k, den, fp) if s[-1] > 0 else 0.0
-    gnorm = math.hypot(*(s * c))
-    paru = gnorm / delta or _TINY / min(delta, 0.1)
-    par = min(max(par, parl), paru) or gnorm / length
-    for tries in range(1, 11):
-        par = par or max(_TINY, 0.001 * paru)
-        k, den = step(par)
-        previous, fp = fp, math.hypot(*k) - delta
-        if abs(fp) <= 0.1 * delta or (parl == 0 and fp <= previous < 0) or tries == 10:
-            return k, par
-        if fp > 0:
-            parl = max(parl, par)
-        else:
-            paru = min(paru, par)
-        par = max(parl, par + correction(k, den, fp))
-
-
-def _run_lm(residual, jacobian, x0):
-    """Least squares by MINPACK's ``lmder``, the Levenberg-Marquardt of Moré (LNM 630, 1978).
-
-    Marquardt's scaling divides each Jacobian column by the running maximum
-    of its norm, and the trust radius starts at 100 times the scaled length
-    of ``x0``.  The fit stops, at ``_TOL`` each, when the actual and predicted
-    relative reductions of the sum of squares are both that small (ftol),
-    when the trust radius is that small relative to the scaled parameters
-    (xtol), or when the residuals are that close to orthogonal to every
-    Jacobian column (gtol).  Non-finite residuals of a trial step only
-    reject the step.
-    """
-    x = np.array(x0, dtype=float)
-    with np.errstate(all="ignore"):
-        f = residual(x)
-        fnorm, nfev, par, diag, started = math.hypot(*f), 1, 0.0, None, False
-        if not math.isfinite(fnorm):  # a residual, or only their norm, overflows
-            raise FitError("fit cannot start: residuals are not finite at the starting point")
-        while True:
-            jac = jacobian(x)
-            colnorm = np.sqrt(np.sum(jac * jac, axis=0))
-            # a non-finite entry makes its column's norm non-finite, and so does
-            # a sum of squares that overflows: either leaves no scale to step by
-            if not np.all(np.isfinite(colnorm)):
-                if not np.all(np.isfinite(jac)):
-                    raise FitError("fit did not converge: the Jacobian is not finite")
-                raise FitError("fit did not converge: a Jacobian column's norm overflows")
-            if diag is None:
-                diag = np.where(colnorm > 0, colnorm, 1.0)
-                xnorm = math.hypot(*(diag * x))
-                delta = 100.0 * xnorm or 100.0
-            diag = np.maximum(diag, colnorm)
-            live = colnorm > 0
-            cosines = np.abs(jac.T @ f)[live] / colnorm[live] / fnorm if fnorm else []
-            if np.max(cosines, initial=0.0) <= _TOL:
-                break
-            u, s, vt = np.linalg.svd(jac / diag, full_matrices=False)
-            c = u.T @ f
-            while True:
-                k, par = _lm_coefficients(s, c, delta, par)
-                z = -(vt.T @ k)  # the step in scaled parameters
-                p, pnorm = z / diag, math.hypot(*z)
-                if not started:
-                    delta = min(delta, pnorm)
-                trial = x + p
-                f_trial = residual(trial)
-                nfev += 1
-                fnorm_trial = math.hypot(*f_trial)
-                actred = 1.0 - (fnorm_trial / fnorm) ** 2 if 0.1 * fnorm_trial < fnorm else -1.0
-                t1, t2 = math.hypot(*(jac @ p)) / fnorm, math.sqrt(par) * pnorm / fnorm
-                prered, dirder = t1 * t1 + 2.0 * t2 * t2, -(t1 * t1 + t2 * t2)
-                ratio = actred / prered if prered != 0 else 0.0
-                if ratio <= 0.25:
-                    shrink = 0.5 if actred >= 0 else 0.5 * dirder / (dirder + 0.5 * actred)
-                    if 0.1 * fnorm_trial >= fnorm or shrink < 0.1:
-                        shrink = 0.1
-                    delta, par = shrink * min(delta, pnorm / 0.1), par / shrink
-                elif par == 0 or ratio >= 0.75:
-                    delta, par = pnorm / 0.5, 0.5 * par
-                if ratio >= 1e-4:
-                    x, f, fnorm, started = trial, f_trial, fnorm_trial, True
-                    xnorm = math.hypot(*(diag * x))
-                ftol = abs(actred) <= _TOL and prered <= _TOL and 0.5 * ratio <= 1
-                if ftol or delta <= _TOL * xnorm:
-                    return _LeastSquares(x, f, jacobian(x))
-                if nfev >= _MAX_NFEV:
-                    raise FitError(f"fit did not converge in {_MAX_NFEV} residual evaluations")
-                if ratio >= 1e-4:
-                    break
-        return _LeastSquares(x, f, jac)
-
-
-def _covariance(jac: np.ndarray) -> np.ndarray:
-    jtj = jac.T @ jac
-    try:
-        return np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        raise FitError("singular fit design; parameters are not identifiable") from None
+# the profile's rate grid, in units of 1/span: tau from 1e-3 to 1e3 spans
+_RATE_GRID = np.geomspace(1e-3, 1e3, 121)
+_MAX_STEPS = 100  # Newton steps of the decay fit
 
 
 def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
@@ -904,7 +782,7 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
             f" theta_i = {theta_i_fixed:.6g} rad = {math.degrees(theta_i_fixed):.6g} deg;"
             " the amplitude is not identifiable"
         )
-    coef, _, rank, _ = np.linalg.lstsq(design, wy)
+    coef, _, rank, _ = np.linalg.lstsq(design, wy, rcond=None)
     if rank < 3:
         raise FitError("singular fit design; parameters are not identifiable")
     c, a, b = coef.tolist()
@@ -927,54 +805,106 @@ def fit_fringe(points, eta_fixed: float, theta_i_fixed: float) -> FringeFit:
 def fit_exponential(points) -> ExponentialFit:
     """Fit g(delta_t) = floor + amplitude * exp(-delta_t/tau) to decay data.
 
-    Returns the decay constant with its covariance-based uncertainty; the
-    floor captures the accidental-dominated long-time limit.  A fit whose
-    tau variance is not positive or not below tau^2, or whose chi2 is not
-    finite, raises FitError.
+    Floor and amplitude follow in closed form at each rate u = 1/tau, so chi2
+    is a profile in u alone (variable projection: Golub and Pereyra, SIAM J.
+    Numer. Anal. 10, 413 (1973)).  The least of 121 geometric rates in
+    [1e-3, 1e3]/span and its two neighbours bracket the minimum that Newton's
+    method on the profile finds; sigma_tau comes from (J^T J)^-1 there.  A
+    profile least at an end of the grid (a growing scan's), a search longer
+    than ``_MAX_STEPS`` steps, a tau variance not in (0, tau^2) and a chi2
+    that is not finite raise FitError.
     """
     pts = list(points)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 decay points, got {len(pts)}")
-    t = np.array([p.delta_t_ns for p in pts])
-    y = np.array([p.g_si for p in pts])
-    with np.errstate(all="ignore"):  # a tiny sigma's infinite weight is refused by _run_lm
-        w = 1.0 / np.array([p.sigma for p in pts])
+    t, y, sigma = np.array([(p.delta_t_ns, p.g_si, p.sigma) for p in pts]).T
     if np.unique(t).size < 3:
         raise ValueError("need at least 3 distinct delay times")
+    with np.errstate(all="ignore"):  # every non-finite outcome is refused below
+        w = 1.0 / sigma
+        wy = w * y
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(wy))):
+            raise FitError("fit cannot start: the weights or the weighted data are not finite")
+        ww = w @ w
+        if not math.isfinite(ww):
+            raise FitError("fit did not converge: a Jacobian column's norm overflows")
 
-    def residual(p):
-        floor, amp, tau = p
-        return (floor + amp * np.exp(-t / tau) - y) * w
+        y_p = wy - (wy @ w / ww) * w  # the weighted data with the floor projected out
 
-    def jacobian(p):
-        floor, amp, tau = p
-        decay = np.exp(-t / tau)
-        return np.column_stack((w, decay * w, amp * decay * t / tau**2 * w))
+        def profile(rates):
+            """Amplitude, chi2 and chi2's first two rate derivatives at each rate.
 
-    span = t.max() - t.min()
-    x0 = np.array([y.min(), y.max() - y.min(), span / 2.0 if span > 0 else 1.0])
-    result = _run_lm(residual, jacobian, x0)
-    floor, amp, tau = result.x.tolist()  # builtin floats: tau * tau overflows to inf silently
-    if tau <= 0:
-        raise FitError(f"fitted decay constant is not positive: tau = {tau:.4g} ns")
-    cov = _covariance(result.jac)
-    # a variance that is not positive, or an error bar as large as tau itself,
-    # means the data do not determine tau
-    if not 0.0 < cov[2, 2] < tau * tau:
-        raise FitError(
-            f"decay constant is not determined by the data: tau = {tau:.4g} ns,"
-            f" variance {cov[2, 2]:.4g} ns^2"
-        )
-    sigma_tau = math.sqrt(cov[2, 2])
-    with np.errstate(over="ignore"):  # a chi2 that overflows is refused below
-        chi2 = float(np.sum(result.fun**2))
+            b is the amplitude column with the floor projected out and b1, b2 its
+            rate derivatives: amp = b.y_p / b.b, r = amp b - y_p, chi2' = 2 amp b1.r.
+            """
+            e = w * np.exp(-rates[:, None] * t)
+            b, b1, b2 = (c - (c @ w / ww)[:, None] * w for c in (e, -t * e, t * t * e))
+            bb = (b * b).sum(1)
+            amp = b @ y_p / bb
+            r = amp[:, None] * b - y_p
+            amp1 = (b1 @ y_p - 2 * amp * (b * b1).sum(1)) / bb
+            d1 = 2 * amp * (b1 * r).sum(1)
+            d2 = 2 * amp * (b2 * r).sum(1) + 2 * amp * amp * (b1 * b1).sum(1) - 2 * bb * amp1 * amp1
+            chi2 = (r * r).sum(1)
+            return amp, np.where(np.isnan(chi2), np.inf, chi2), d1, d2
+
+        rates = _RATE_GRID / (t.max() - t.min())
+        amp, chi2, d1, d2 = profile(rates)
+        k = int(np.argmin(chi2))
+        if not math.isfinite(chi2[k]):
+            raise FitError(f"fitted curve's chi2 is not finite: tau = {1 / rates[k]:.4g} ns, chi2 = inf")
+        # as low, to rounding, at the slowest rate or at the fastest with a finite chi2 (where
+        # the amplitude lifts the earliest delay alone): the data bound tau on one side only
+        for end, bound in ((0, "longer"), (np.flatnonzero(np.isfinite(chi2))[-1], "shorter")):
+            if chi2[end] <= chi2[k] * (1 + 1e-12):
+                tau = 1 / rates[end]
+                raise FitError(f"decay constant is not determined by the data: tau = {tau:.4g} ns or {bound}")
+
+        # Newton's method, inside a bracket (lo, hi) whose ends have a higher chi2
+        lo, hi = rates[k - 1], rates[k + 1]
+        rate, amp, chi2, d1, d2 = rates[k], amp[k], chi2[k], d1[k], d2[k]
+        for _ in range(_MAX_STEPS):
+            trial = rate - d1 / d2 if d2 > 0 else math.nan
+            if not lo < trial < hi:  # halfway to the bracket's end downhill
+                trial = (rate + (hi if d1 < 0 else lo)) / 2
+            if abs(trial - rate) <= 1e-10 * rate:
+                break
+            values = [v[0] for v in profile(np.array([trial]))]
+            if values[1] < chi2:  # take the step; the old rate ends the bracket
+                lo, hi = (rate, hi) if trial > rate else (lo, rate)
+                rate, (amp, chi2, d1, d2) = trial, values
+            else:  # the trial ends the bracket
+                lo, hi = (lo, trial) if trial > rate else (trial, hi)
+        else:
+            raise FitError(f"fit did not converge in {_MAX_STEPS} steps")
+
+        e = np.exp(-t * rate)
+        # builtin floats: tau * tau overflows to inf silently
+        floor, amp, tau = float((wy - amp * w * e) @ w / ww), float(amp), float(1 / rate)
+        r = (floor + amp * e - y) * w
+        jac = w[:, None] * np.column_stack((np.ones_like(t), e, -amp * t * e))
+        if not np.isfinite(jac).all():
+            raise FitError("fit did not converge: the Jacobian is not finite")
+        try:
+            cov = np.linalg.inv(jac.T @ jac)
+        except np.linalg.LinAlgError:
+            raise FitError("singular fit design; parameters are not identifiable") from None
+        # var(tau) = var(rate) tau^4: a variance that is not positive, or an error bar
+        # as large as tau itself, means the data do not determine tau
+        var_tau = float(cov[2, 2]) * tau * tau * tau * tau
+        if not 0.0 < var_tau < tau * tau:
+            raise FitError(
+                f"decay constant is not determined by the data: tau = {tau:.4g} ns,"
+                f" variance {var_tau:.4g} ns^2"
+            )
+        chi2 = float(np.sum(r**2))
     if not math.isfinite(chi2):
         raise FitError(f"fitted curve's chi2 is not finite: tau = {tau:.4g} ns, chi2 = {chi2}")
     return ExponentialFit(
-        tau_ns=float(tau),
-        amplitude=float(amp),
-        floor=float(floor),
-        sigma_tau_ns=float(sigma_tau),
-        residuals=result.fun,
+        tau_ns=tau,
+        amplitude=amp,
+        floor=floor,
+        sigma_tau_ns=math.sqrt(var_tau),
+        residuals=r,
         chi2=chi2,
     )

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dlczsim
@@ -876,6 +876,16 @@ class TestFitFringe:
             fit_fringe(points, self.ETA, self.THETA_I)
 
 
+@st.composite
+def _decay_data(draw):
+    """Three to six delays in [0, 8000) ns with g_si in [0.5, 5] and one sigma."""
+    n = draw(st.integers(3, 6))
+    delays = draw(st.lists(st.floats(0.0, 8000.0, exclude_max=True), min_size=n, max_size=n))
+    g_si = draw(st.lists(st.floats(0.5, 5.0), min_size=n, max_size=n))
+    sigma = draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
+    return [DecayPoint(t, g, sigma) for t, g in zip(delays, g_si)]
+
+
 class TestFitExponential:
     TIMES = np.array([200.0, 1000.0, 2000.0, 4000.0, 7000.0])
 
@@ -884,12 +894,20 @@ class TestFitExponential:
             DecayPoint(t, floor + amp * math.exp(-t / tau), sigma) for t in self.TIMES
         ]
 
-    def test_rising_tail_gives_a_negative_tau(self):
-        """g_si that falls, then rises at the longest delay, runs tau through 0 to about -4e10 ns."""
+    def test_rising_tail_fits_the_early_decay(self):
+        """g_si that falls, then rises at the longest delay, fits the fall before the rise.
+
+        MINPACK's Levenberg-Marquardt from (min g, max g - min g, span/2) runs tau
+        through 0 and stops far out, at about -8e10 ns, with chi2 = 71.9; the
+        profile's best rate starts the fit in the basin of the early decay.
+        """
         times = [0.0, 200.0, 500.0, 4000.0, 7000.0]
         points = [DecayPoint(t, g, 0.1) for t, g in zip(times, [4.2, 3.5, 3.1, 2.8, 3.0])]
-        with pytest.raises(FitError, match="^fitted decay constant is not positive: tau = -"):
-            fit_exponential(points)
+        fit = fit_exponential(points)
+        np.testing.assert_allclose(fit.tau_ns, 261.6, rtol=1e-3)
+        np.testing.assert_allclose(fit.sigma_tau_ns, 57.04, rtol=1e-3)
+        np.testing.assert_allclose(fit.chi2, 2.008, rtol=1e-3)
+        assert fit.chi2 < 71.9
 
     def test_noiseless_round_trip(self):
         fit = fit_exponential(self.generate(1.0, 5.0, 3700.0))
@@ -935,9 +953,9 @@ class TestFitExponential:
     @pytest.mark.parametrize(
         "g_si, sigma",
         [
-            # noise-dominated: tau runs off to about 7e10 ns and its variance comes out negative
+            # noise-dominated: the profile is least at its slowest rate, tau = 1000 spans
             ((1.0974, 0.9133, 1.0885, 1.0203, 1.4353), 0.1),
-            # the decay is over before the first delay: tau about 53 ns, sigma_tau about 1.5e7 ns
+            # the decay is over before the first delay: the profile is as low at its fastest rate
             ([1.0 + 9.0 * math.exp(-t / 20.0) + 0.01 * (-1) ** i for i, t in enumerate(TIMES)], 0.01),
         ],
     )
@@ -951,6 +969,42 @@ class TestFitExponential:
             DecayPoint(100.0, -0.5, 0.1)
         with pytest.raises(ValueError):
             DecayPoint(100.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["delta_t_ns", "g_si", "sigma"])
+    def test_a_non_finite_field_is_refused_by_name(self, field, value):
+        kwargs = {"delta_t_ns": 100.0, "g_si": 1.0, "sigma": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            DecayPoint(**kwargs)
+
+    def test_a_growing_scan_is_refused(self):
+        # the profile is least at its slowest rate: a positive tau cannot follow a rise
+        points = [DecayPoint(t, 1.0 + 0.2 * math.exp(t / 2500.0), 0.01) for t in self.TIMES]
+        with pytest.raises(
+            FitError, match=r"^decay constant is not determined by the data: tau = 6\.8e\+06 ns or longer$"
+        ):
+            fit_exponential(points)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_jacobian_that_overflows_is_refused(self):
+        # the rate column, weight * amplitude * delta_t * exp(-rate delta_t), overflows at 1e200 ns
+        points = [DecayPoint(t, g, 1e-150) for t, g in zip((0.0, 1e200, 2e200, 3e200), (3.0, 2.0, 1.0, 0.9))]
+        with pytest.raises(FitError, match=r"^fit did not converge: the Jacobian is not finite$"):
+            fit_exponential(points)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(deadline=None)
+    @given(_decay_data())
+    # the numpy Levenberg-Marquardt this fit replaced underflowed in J^T J here
+    @example([DecayPoint(2700.0, 3.2451, 0.1), DecayPoint(3500.0, 3.176, 0.1), DecayPoint(5050.0, 4.8576, 0.1)])
+    def test_returns_builtin_floats_or_refuses(self, points):
+        with np.errstate(all="raise"):
+            try:
+                fit = fit_exponential(points)
+            except (ValueError, FitError):
+                return
+        for name in ("tau_ns", "amplitude", "floor", "sigma_tau_ns", "chi2"):
+            assert type(getattr(fit, name)) is float, name
 
     def test_negative_storage_time_is_refused_as_the_config_refuses_it(self):
         for bad in (-1000.0, -5e-324):

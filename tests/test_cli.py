@@ -588,7 +588,7 @@ class TestFitCommands:
         assert "error:" in err
 
     def test_undetermined_decay_exits_three(self, capsys, tmp_path):
-        # noise-dominated: tau runs off to about 7e10 ns along a flat valley
+        # noise-dominated: the profile is least at its slowest rate
         data = tmp_path / "runaway.csv"
         data.write_text(
             "delta_t_ns,g_si,sigma\n200,1.0974,0.1\n1000,0.9133,0.1\n2000,1.0885,0.1\n"
@@ -598,6 +598,31 @@ class TestFitCommands:
         assert (code, out) == (3, "")
         assert err.startswith("error: decay constant is not determined by the data: tau = ")
         assert err.count("\n") == 1
+
+    def test_growing_decay_exits_three(self, capsys, tmp_path):
+        # g_si = 1 + 0.2 exp(delta_t / 2500 ns): no positive tau fits a rise
+        data = tmp_path / "growing.csv"
+        rows = "".join(f"{t},{1 + 0.2 * math.exp(t / 2500)!r},0.01\n" for t in (200, 1000, 2000, 4000, 7000))
+        data.write_text("delta_t_ns,g_si,sigma\n" + rows)
+        code, out, err = run_cli(capsys, "fit-decay", "--data", str(data))
+        assert (code, out) == (3, "")
+        assert err == "error: decay constant is not determined by the data: tau = 6.8e+06 ns or longer\n"
+
+    def test_decay_whose_fast_rates_overflow_exits_three(self, tmp_path):
+        # g_si near 1e144: at rates above the profile's least the amplitude column's squared
+        # norm underflows and the amplitude overflows, so the data bound tau on one side only;
+        # in a process of its own, with a timeout, so that a numpy warning or a search that
+        # does not end shows
+        data = tmp_path / "huge.csv"
+        data.write_text("delta_t_ns,g_si,sigma\n500,3e144,1\n540,3e143,1\n970,1e144,1\n1360,1.4e144,1\n1500,5e143,1\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "dlczsim", "fit-decay", "--data", str(data)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == "error: decay constant is not determined by the data: tau = 1.413 ns or shorter\n"
 
     def test_jacobian_column_norm_overflow_exits_three_at_once(self, tmp_path):
         # the residuals start finite, but the floor column's norm, 1e308 * sqrt(3), overflows

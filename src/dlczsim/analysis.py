@@ -24,6 +24,7 @@ from .predictor import (
     CHSHResult,
     CountQuartet,
     MeasurementSetting,
+    _check_finite_count,
     _chsh_pairs,
     _quartet_settings,
     chsh_s,
@@ -80,6 +81,7 @@ class SettingCounts:
 
     def __post_init__(self):
         for name in ("n_s", "n_i", "n_si", "n_trials"):
+            _check_finite_count(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.n_si > min(self.n_s, self.n_i):
@@ -174,70 +176,42 @@ _PIECE_ROWS = 1 << 15
 _SHORTEST_LINE = 9
 
 
-def _decimal(column: np.ndarray):
-    """(negative mask, magnitude, width) of the decimal spelling of an int64 column.
+def _digits(column: np.ndarray) -> np.ndarray:
+    """Each int64 value's decimal spelling, right-aligned in a (rows, longest spelling) byte matrix.
 
-    The magnitude is a uint64, so it is exact for the int64 minimum too; the
-    width counts the digits and the "-".
+    The bytes left of a number are 0, with a "-" just before a negative one's
+    leading digit; the magnitudes are uint64, so the int64 minimum is exact too.
     """
-    neg = column < 0
+    width = max(len(str(int(column.min(initial=0)))), len(str(int(column.max(initial=0)))))
     mag = column.astype(np.uint64)
-    mag[neg] = (-(column[neg] + 1)).astype(np.uint64) + 1
-    # one more digit for each power of ten up to the largest magnitude; a
-    # width is at most 20, so it fits a byte
-    digits = np.ones(len(mag), dtype=np.uint8)
-    power, top = 10, int(mag.max(initial=0))
-    while power <= top:
-        digits += mag >= np.uint64(power)
-        power *= 10
-    return neg, mag, digits + neg
-
-
-def _scatter_decimal(buf: np.ndarray, end: np.ndarray, neg, mag, width) -> None:
-    """Write each value into the bytes [end - width, end) of ``buf``: "-", then its digits."""
-    buf[(end - width)[neg]] = ord("-")
-    last, digits = end - 1, width - neg
-    ten = np.uint64(10)
-    # least significant digit first; only the rows with digits left are written.
-    # A floor division by a scalar and a multiply-subtract: numpy's divmod and
-    # % of a uint64 column are an order of magnitude slower
-    for _ in range(int(digits.max(initial=0))):
+    np.negative(mag, out=mag, where=column < 0)
+    sign = (column < 0) * np.uint8(ord("-"))
+    # column-major, so that each pass writes, and the caller's stack copies,
+    # one contiguous column.  Right to left: a row's digits, least significant
+    # first, then its sign or 0, then 0.  A floor division by a scalar and a
+    # multiply-subtract: numpy's divmod and % of a uint64 column are an order
+    # of magnitude slower
+    matrix = np.empty((len(column), width), dtype=np.uint8, order="F")
+    live, ten = True, np.uint64(10)
+    for k in range(width - 1, -1, -1):
         quotient = mag // ten
-        buf[last] = (mag - quotient * ten).astype(np.uint8) + np.uint8(ord("0"))
-        mag = quotient
-        last -= 1
-        digits -= 1
-        left = digits > 0
-        if not left.all():
-            last, mag, digits = last.compress(left), mag.compress(left), digits.compress(left)
+        matrix[:, k] = np.where(live, (mag - quotient * ten).astype(np.uint8) + np.uint8(ord("0")), sign)
+        sign *= live
+        mag, live = quotient, quotient > 0
+    return matrix
 
 
-def _format_rows(log: EventLog, lo: int, hi: int) -> np.ndarray:
-    """The body lines of the rows [lo, hi) of a log, as one byte buffer.
-
-    The digit counts of each row's trial, t_ns and setting id give the line
-    lengths and so every field's place; the fixed bytes and then the digits
-    are scattered into the buffer.
-    """
+def _format_rows(log: EventLog, lo: int, hi: int) -> bytes:
+    """The body lines of the rows [lo, hi) of a log: the fields' digit matrices and the fixed
+    bytes side by side, a matrix row per line, with the 0 bytes left of the numbers dropped."""
     # a body line: <trial> " D" <channel byte> " " <t_ns> " " <setting_id> "\n"
-    trial_col = log.trial[lo:hi]
-    trial, t_ns, sid = (
-        _decimal(column)
-        for column in (trial_col, log.t_ns[lo:hi], _setting_ids(trial_col, log.n_trials_per_setting))
-    )
-    line_end = np.cumsum(trial[2] + t_ns[2] + sid[2] + 6, dtype=np.int64)
-    buf = np.empty(int(line_end[-1]) if len(line_end) else 0, dtype=np.uint8)
-    line_end -= 1
-    sid_end = line_end  # the newline
-    t_end = sid_end - sid[2] - 1  # the space before the setting id
-    trial_end = t_end - t_ns[2] - 4  # the space before the channel
-    buf[trial_end] = buf[trial_end + 3] = buf[t_end] = ord(" ")
-    buf[trial_end + 1] = ord("D")
-    buf[trial_end + 2] = log.channel[lo:hi] + np.uint8(ord("1"))
-    buf[sid_end] = ord("\n")
-    for end, field in ((trial_end, trial), (t_end, t_ns), (sid_end, sid)):
-        _scatter_decimal(buf, end, *field)
-    return buf
+    trial = log.trial[lo:hi]
+    space, d, newline = (np.full((len(trial), 1), ord(c), dtype=np.uint8) for c in " D\n")
+    channel = (log.channel[lo:hi] + np.uint8(ord("1")))[:, None]
+    t_ns, sid = _digits(log.t_ns[lo:hi]), _digits(_setting_ids(trial, log.n_trials_per_setting))
+    # the matrix is freed once its bytes, row by row, are taken, before the 0 bytes are dropped
+    body = np.hstack([_digits(trial), space, d, channel, space, t_ns, space, sid, newline]).tobytes()
+    return body.replace(b"\0", b"")
 
 
 def _header_text(log: EventLog) -> str:

@@ -9,6 +9,7 @@ with counting-statistics error bars propagated in the Poisson limit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,12 @@ class FringeModel:
             raise ValueError("amplitude and background must be non-negative")
 
 
+def _check_finite_count(name: str, value) -> None:
+    """Refuse a NaN or infinite count by name; an integer of any size is finite."""
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CountQuartet:
     """Coincidence counts at a setting and its three perpendicular partners.
@@ -135,6 +142,7 @@ class CountQuartet:
 
     def __post_init__(self):
         for name in ("co", "co_perp", "cross_s", "cross_i"):
+            _check_finite_count(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise ValueError(f"count {name} must be non-negative")
 
@@ -186,6 +194,11 @@ def correlation_e(quartet: CountQuartet) -> tuple[float, float]:
     return e, math.sqrt(var)
 
 
+def _chsh_sum(values) -> float:
+    """E1 + E2 + E3 - E4: the signs of S, for four values in the order of ``_chsh_pairs``."""
+    return values[0] + values[1] + values[2] - values[3]
+
+
 def chsh_s(e_pairs, angles_deg=CANONICAL_ANGLES_DEG) -> CHSHResult:
     """Combine four (E, sigma_E) pairs into S = E1 + E2 + E3 - E4.
 
@@ -199,7 +212,7 @@ def chsh_s(e_pairs, angles_deg=CANONICAL_ANGLES_DEG) -> CHSHResult:
     for e, _ in e_pairs:
         if not -1.0 <= e <= 1.0 + 1e-12:
             raise ValueError(f"correlation {e} outside [-1, 1]")
-    s = e_pairs[0][0] + e_pairs[1][0] + e_pairs[2][0] - e_pairs[3][0]
+    s = _chsh_sum([e for e, _ in e_pairs])
     sigma = math.sqrt(sum(se**2 for _, se in e_pairs))
     return CHSHResult(e_values=e_pairs, s=s, sigma_s=sigma, angles_deg=tuple(angles_deg))
 
@@ -227,7 +240,7 @@ def predict_ideal_s(eta: float, angles_deg=CANONICAL_ANGLES_DEG) -> float:
     signs of S; at eta = pi/4 and the canonical angles this reaches 2*sqrt(2).
     """
     es = [predict_ideal_e(eta, MeasurementSetting(a, b)) for a, b in _chsh_pairs(angles_deg)]
-    return es[0] + es[1] + es[2] - es[3]
+    return _chsh_sum(es)
 
 
 def chsh_setting_table(angles_deg=CANONICAL_ANGLES_DEG) -> list[MeasurementSetting]:

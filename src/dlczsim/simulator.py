@@ -247,6 +247,13 @@ def _setting_ids(trial: np.ndarray, n_trials_per_setting: int) -> np.ndarray:
     return trial // max(n_trials_per_setting, 1)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a builtin int; a bool or a non-integer is refused by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class EventLog:
     """All clicks of a run, as read-only columns, plus the header needed to re-analyze them.
@@ -278,12 +285,10 @@ class EventLog:
         if not self.settings:
             raise ValueError("settings must name at least one polarizer setting")
         for name in ("n_trials_per_setting", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            value = _integer(name, getattr(self, name))
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
         cols = {name: np.asarray(getattr(self, name)) for name in _COLUMNS}
         for name, col in cols.items():
             if col.ndim != 1 or (col.size and not np.can_cast(col.dtype, np.int64)):
@@ -342,10 +347,12 @@ class EventLog:
 
 def decoherence_visibility(delta_t_ns: float, tau_ns: float, v0: float) -> float:
     """Pair visibility after storing the spin wave for delta_t_ns."""
-    if tau_ns <= 0:
-        raise ValueError("tau_ns must be positive")
-    if delta_t_ns < 0:
-        raise ValueError("delta_t_ns must be >= 0")
+    if not tau_ns > 0:
+        raise ValueError(f"tau_ns must be positive, got {tau_ns}")
+    if not delta_t_ns >= 0:
+        raise ValueError(f"delta_t_ns must be >= 0, got {delta_t_ns}")
+    if math.isinf(delta_t_ns) and math.isinf(tau_ns):
+        raise ValueError("delta_t_ns and tau_ns cannot both be infinite")
     if not 0.0 <= v0 <= 1.0:
         raise ValueError("v0 must lie in [0, 1]")
     return v0 * math.exp(-delta_t_ns / tau_ns)
@@ -585,6 +592,7 @@ def run_trials(config: ExperimentConfig, settings, n_trials_per_setting: int, se
     span, channel from the low bit; the log takes them over without a copy.
     """
     settings = tuple(settings)
+    n_trials_per_setting, seed = _integer("n_trials_per_setting", n_trials_per_setting), _integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -613,6 +613,16 @@ class TestCountStatistics:
         with pytest.raises(ValueError):
             SettingCounts(n_s=-1, n_i=0, n_si=0, n_trials=10)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["n_s", "n_i", "n_si", "n_trials"])
+    def test_a_non_finite_count_is_refused_by_name(self, name, value):
+        counts = {"n_s": 5, "n_i": 5, "n_si": 1, "n_trials": 10, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            SettingCounts(**counts)
+
+    def test_an_integer_count_of_any_size_is_accepted(self):
+        assert SettingCounts(10**400, np.int64(5), 1, 10**401).n_trials == 10**401
+
     def test_g_si_every_trial_fires_both(self):
         counts = SettingCounts(n_s=100, n_i=100, n_si=100, n_trials=100)
         g, sigma = compute_g_si(counts)

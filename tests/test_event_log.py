@@ -1114,15 +1114,15 @@ class TestMemory:
 
     @pytest.mark.parametrize("stage", ["writer", "parser"])
     def test_one_piece_at_a_time_on_two_workers(self, stage, tmp_path, monkeypatch):
-        """About 100 000 rows: one piece's working set is about 128 B per piece row in the writer
+        """About 100 000 rows: one piece's working set is about 65 B per piece row in the writer
         and 75 B in the parser, with each integer field read by its own loop.  Two pieces at once
-        take about 220 and 244 B, and one piece whose three fields are read as one array 124 B."""
+        take up to about 90 and 244 B, and one piece whose three fields are read as one array 124 B."""
         monkeypatch.setattr(simulator, "_WORKERS", 2)
         n_rows = 100_000
         path = tmp_path / "run.log"
         log = spread_log(n_rows)
         if stage == "writer":
-            assert traced_peak(analysis.write_event_log, log, path) < 160 * analysis._PIECE_ROWS
+            assert traced_peak(analysis.write_event_log, log, path) < 80 * analysis._PIECE_ROWS
         else:
             analysis.write_event_log(log, path)
             # above the file's bytes and the 17 B per row of the trial, channel and t_ns columns

@@ -100,6 +100,16 @@ class TestCorrelationE:
         with pytest.raises(ValueError):
             CountQuartet(-1, 0, 0, 0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["co", "co_perp", "cross_s", "cross_i"])
+    def test_a_non_finite_count_is_refused_by_name(self, name, value):
+        counts = {"co": 5, "co_perp": 5, "cross_s": 1, "cross_i": 1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            CountQuartet(**counts)
+
+    def test_an_integer_count_of_any_size_is_accepted(self):
+        assert CountQuartet(10**400, 1, np.int64(2), 3).co == 10**400
+
     def test_balanced_mixing_gives_cosine_correlation(self):
         """E from noiseless quartets equals cos(2(theta_s - theta_i))."""
         model = FringeModel(eta=math.pi / 4, amplitude=1.0)
@@ -203,6 +213,12 @@ class TestIdealS:
             np.testing.assert_allclose(
                 predict_ideal_s(eta), predict_ideal_s(math.pi / 2 - eta), atol=1e-12
             )
+
+    def test_a_correlation_rounded_below_minus_one_is_summed(self):
+        """E(-142.5, -52.5) = -1 rounds to just below -1, which chsh_s refuses as a measured E."""
+        assert predict_ideal_e(math.pi / 4, MeasurementSetting(-142.5, -52.5)) < -1.0
+        # E = cos 2(theta_s - theta_i): -1 + cos 105 + cos 285 - 1
+        np.testing.assert_allclose(predict_ideal_s(math.pi / 4, (-142.5, -52.5, 0.0, 0.0)), -2.0, atol=1e-12)
 
     @pytest.mark.parametrize("angles", [(10.0, 20.0, 50.0, -30.0), (0.0, 15.0, 70.0, -40.0), (-35.0, 5.0, 12.5, 80.0)])
     def test_general_angles_sum_the_four_terms_of_s(self, angles):

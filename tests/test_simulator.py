@@ -874,6 +874,23 @@ class TestDecoherence:
         with pytest.raises(ValueError):
             decoherence_visibility(1.0, 100.0, 1.1)
 
+    @pytest.mark.parametrize(
+        "delta_t_ns,tau_ns,message",
+        [
+            (math.nan, 3700.0, "delta_t_ns must be >= 0, got nan"),
+            (100.0, math.nan, "tau_ns must be positive, got nan"),
+            (math.nan, math.nan, "tau_ns must be positive, got nan"),
+            (math.inf, math.inf, "delta_t_ns and tau_ns cannot both be infinite"),
+        ],
+    )
+    def test_no_nan_is_returned(self, delta_t_ns, tau_ns, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decoherence_visibility(delta_t_ns, tau_ns, 0.9)
+
+    def test_infinite_arguments_give_their_limits(self):
+        assert decoherence_visibility(math.inf, 3700.0, 0.9) == 0.0
+        assert decoherence_visibility(200.0, math.inf, 0.9) == 0.9
+
 
 class TestJointOutcomeProbs:
     def test_probabilities_sum_to_one(self):
@@ -968,6 +985,26 @@ class TestDeterminism:
             run_trials(cfg, [MeasurementSetting(0, 0)], 10, seed=-1)
         with pytest.raises(ValueError):
             run_trials(cfg, [MeasurementSetting(0, 0)], 10, seed=2**64)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("seed", 1.5), ("seed", True), ("seed", np.float64(3.0)), ("seed", "1"),
+         ("n_trials_per_setting", 10.0), ("n_trials_per_setting", False)],
+    )
+    def test_a_non_integer_argument_is_refused_before_the_draw(self, name, value, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("the run was drawn")
+
+        monkeypatch.setattr(simulator, "_words", no_draw)
+        arguments = {"n_trials_per_setting": 10, "seed": 1, name: value}
+        with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+            run_trials(ExperimentConfig(), [MeasurementSetting(0, 0)], **arguments)
+
+    def test_numpy_integer_arguments_give_the_same_log(self):
+        settings = [MeasurementSetting(0, 0), MeasurementSetting(45, 0)]
+        expected = run_trials(clean_config(), settings, 3_000, seed=7)
+        got = run_trials(clean_config(), settings, np.int64(3_000), seed=np.uint64(7))
+        assert got == expected and type(got.seed) is int and type(got.n_trials_per_setting) is int
 
     def test_sort_key_overflow_is_refused_up_front(self):
         with pytest.raises(ValueError, match=r"4611686018427387904 trials x \d+ timing cells"):
